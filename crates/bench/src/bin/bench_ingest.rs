@@ -7,9 +7,10 @@
 //! (`Dataset::new`), rebuild the Status-Query engine from scratch (the
 //! index and both group-by trees), and regenerate the feature tensor. The
 //! `delta` arm pays what `TenantSnapshot::ingest_batch` pays now: clone
-//! the standing state copy-on-write, apply the batch as a typed
-//! [`RccDelta`] stream (each insert touches only its SWLIN/type
-//! root-to-leaf paths), merge the dataset in one `O(n + k)` pass
+//! the standing state copy-on-write (chunk pointers, not rows), apply the
+//! batch as a typed [`RccDelta`] stream (each insert copies only the
+//! chunks its appends and AVL path writes land in), merge the dataset by
+//! copying the unchanged runs between fresh rows
 //! (`Dataset::with_rccs_merged`), and patch only the touched avails' rows
 //! of the maintained tensor (`MaintainedTensor::patch_avails`).
 //!

@@ -36,30 +36,46 @@ impl Dataset {
         Dataset { avails, rccs, by_avail }
     }
 
-    /// Inserts `fresh` RCC rows by a single linear merge into the sorted
-    /// table — O(n + k log k) for k new rows against the O((n+k) log (n+k))
-    /// full re-sort a [`Dataset::new`] rebuild pays — and re-indexes the
-    /// per-avail ranges. Produces exactly the dataset `Dataset::new` would
-    /// build from the concatenated rows: the merge keys on the same
-    /// `(avail, created, id)` triple and keeps existing rows first on ties,
-    /// matching the stable sort.
+    /// Inserts `fresh` RCC rows into the sorted table: each fresh row's
+    /// position is binary-searched and the unchanged runs between them are
+    /// copied whole — O(n) bytes moved plus O(k log n) comparisons, against
+    /// the O((n+k) log (n+k)) full re-sort a [`Dataset::new`] rebuild pays.
+    /// The per-avail ranges are derived from the old ones plus the rows
+    /// inserted before and into each avail, without rescanning the table.
+    /// Produces exactly the dataset `Dataset::new` would build from the
+    /// concatenated rows: positions key on the same `(avail, created, id)`
+    /// triple and keep existing rows first on ties, matching the stable
+    /// sort.
     pub fn with_rccs_merged(&self, mut fresh: Vec<Rcc>) -> Dataset {
         let key = |r: &Rcc| (r.avail, r.created, r.id);
         fresh.sort_by_key(key);
-        let mut rccs = Vec::with_capacity(self.rccs.len() + fresh.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rccs.len() && j < fresh.len() {
-            if key(&self.rccs[i]) <= key(&fresh[j]) {
-                rccs.push(self.rccs[i].clone());
-                i += 1;
-            } else {
-                rccs.push(fresh[j].clone());
-                j += 1;
-            }
+        // An existing avail's range shifts by the fresh rows of lower avails
+        // and grows by its own; an avail that had no rows starts after the
+        // existing rows of lower avails.
+        let mut by_avail = self.by_avail.clone();
+        for (avail, (start, end)) in by_avail.iter_mut() {
+            *start += fresh.partition_point(|r| r.avail < *avail);
+            *end += fresh.partition_point(|r| r.avail <= *avail);
         }
-        rccs.extend_from_slice(&self.rccs[i..]);
-        rccs.extend_from_slice(&fresh[j..]);
-        let by_avail = build_ranges(&rccs, self.avails.len());
+        let mut lo = 0;
+        while lo < fresh.len() {
+            let avail = fresh[lo].avail;
+            let hi = lo + fresh[lo..].partition_point(|r| r.avail == avail);
+            if !self.by_avail.contains_key(&avail) {
+                let before = self.rccs.partition_point(|r| r.avail < avail);
+                by_avail.insert(avail, (before + lo, before + hi));
+            }
+            lo = hi;
+        }
+        let mut rccs = Vec::with_capacity(self.rccs.len() + fresh.len());
+        let mut copied = 0;
+        for r in fresh {
+            let at = copied + self.rccs[copied..].partition_point(|e| key(e) <= key(&r));
+            rccs.extend_from_slice(&self.rccs[copied..at]);
+            rccs.push(r);
+            copied = at;
+        }
+        rccs.extend_from_slice(&self.rccs[copied..]);
         Dataset { avails: self.avails.clone(), rccs, by_avail }
     }
 
@@ -274,14 +290,42 @@ mod tests {
 
     #[test]
     fn merged_insert_equals_full_rebuild() {
-        let ds = toy_dataset(5);
-        // New rows landing at the front, middle, and back of avail ranges,
-        // plus a tie on (avail, created) resolved by id.
+        let base = toy_dataset(5);
+        // Avails 5 and 6 have no rows yet; 6 sorts after every row.
+        let mut avails = base.avails().to_vec();
+        avails.push(mk_avail(5, 500, true));
+        avails.push(mk_avail(6, 600, true));
+        let ds = Dataset::new(avails, base.rccs().to_vec());
+        let with_amount = |mut r: Rcc, amount: f64| {
+            r.amount = amount;
+            r
+        };
         let fresh = vec![
+            // Front, middle, and back of avail ranges, plus a tie on
+            // (avail, created) resolved by id.
             mk_rcc(900, 2, 205),
             mk_rcc(901, 0, 0),
             mk_rcc(902, 4, 999),
             mk_rcc(903, 2, 200), // same (avail, created) as rcc 20
+            // The first and the last row of the whole table.
+            mk_rcc(960, 0, -50),
+            mk_rcc(950, 6, 600),
+            // Several rows into one avail, out of order.
+            mk_rcc(910, 1, 101),
+            mk_rcc(911, 1, 150),
+            mk_rcc(912, 1, 99),
+            // Ties among fresh rows: same (avail, created) with ids out of
+            // order, and two rows with the same full key, told apart by
+            // amount, which must keep their given order.
+            mk_rcc(921, 3, 303),
+            mk_rcc(920, 3, 303),
+            with_amount(mk_rcc(930, 3, 306), 1.0),
+            with_amount(mk_rcc(930, 3, 306), 2.0),
+            // The same full key as existing rcc 31: the existing row first.
+            with_amount(mk_rcc(31, 3, 305), 7.0),
+            // An avail that had no rows.
+            mk_rcc(941, 5, 520),
+            mk_rcc(940, 5, 510),
         ];
         let merged = ds.with_rccs_merged(fresh.clone());
         let mut all = ds.rccs().to_vec();
@@ -291,6 +335,7 @@ mod tests {
         for (m, r) in merged.rccs().iter().zip(rebuilt.rccs()) {
             assert_eq!(m.id, r.id, "merge must reproduce the rebuilt order");
         }
+        assert_eq!(merged.rccs(), rebuilt.rccs(), "ties must keep the stable-sort order");
         for a in merged.avails() {
             assert_eq!(
                 merged.rccs_of(a.id).len(),
@@ -298,7 +343,11 @@ mod tests {
                 "ranges must match for avail {}",
                 a.id
             );
+            assert_eq!(merged.rccs_of(a.id), rebuilt.rccs_of(a.id), "rows of avail {}", a.id);
         }
+        assert_eq!(merged.rccs_of(AvailId(5)).len(), 2);
+        assert_eq!(merged.rccs_of(AvailId(6)).len(), 1);
+        assert_eq!(merged.rccs()[0].id, RccId(960));
     }
 
     #[test]

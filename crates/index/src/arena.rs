@@ -3,12 +3,19 @@
 //! The row-oriented `Rcc` struct interleaves every attribute (dates, SWLIN,
 //! amount, type) in one ~40-byte record, so a Status Query aggregation that
 //! only touches amounts and durations still drags whole records through the
-//! cache. The arena stores each attribute in its own contiguous column —
-//! ids, avail, type, SWLIN (interned to a dense `u32` symbol), created /
-//! settled as `i32` day offsets from a common base date, settled amount,
-//! and the logical projection (`t*_start`, `t*_end` of Equation 1) — so hot
-//! loops stream exactly the columns they need and indexes hold `u32` row
-//! ids into the arena instead of owned or cloned records.
+//! cache. The arena stores each attribute in its own column — ids, avail,
+//! type, the packed SWLIN code, created / settled as `i32` day offsets from
+//! a common base date, settled amount, and the logical projection
+//! (`t*_start`, `t*_end` of Equation 1) — so hot loops read exactly the
+//! columns they need and indexes hold `u32` row ids into the arena instead
+//! of owned or cloned records.
+//!
+//! Each column is a [`ChunkedVec`]: fixed chunks shared between clones.
+//! `domd serve` clones the arena for every ingest epoch, and that clone
+//! copies only chunk pointers; appending a row copies the columns' last
+//! chunks and re-settling one copies the chunk that holds it, so an epoch
+//! costs `O(k)` chunk copies for `k` touched rows instead of the whole
+//! table.
 //!
 //! Bit-identity contract: the logical positions stored here are the *same*
 //! `f64` values [`project_dataset`] produces (they are taken verbatim, or
@@ -16,42 +23,39 @@
 //! and `duration(row)` reproduces `f64::from(rcc.duration_days())` exactly
 //! because day offsets subtract to the same integer.
 
+use crate::chunked::ChunkedVec;
 use crate::types::{HeapSize, LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
 use domd_data::dataset::Dataset;
 use domd_data::date::Date;
-use domd_data::hash::FxHashMap;
 use domd_data::rcc::{Rcc, RccType, Swlin};
 
 use crate::types::project_dataset;
 
-/// Struct-of-arrays RCC table with interned SWLINs and day-offset dates.
+/// Struct-of-arrays RCC table with day-offset dates, one chunk-shared
+/// column per attribute.
 #[derive(Debug, Clone)]
 pub struct RccArena {
     /// Base date; `created`/`settled` are day offsets from it.
     base: Date,
     /// External RCC identifier per row.
-    rcc_ids: Vec<u32>,
+    rcc_ids: ChunkedVec<u32>,
     /// Owning avail per row.
-    avails: Vec<AvailId>,
+    avails: ChunkedVec<AvailId>,
     /// RCC category per row (1 byte each).
-    types: Vec<RccType>,
-    /// Interned SWLIN symbol per row; index into `swlin_table`.
-    swlin_syms: Vec<u32>,
-    /// Symbol → packed 8-digit SWLIN code.
-    swlin_table: Vec<u32>,
-    /// Packed SWLIN code → symbol (the interner).
-    intern: FxHashMap<u32, u32>,
+    types: ChunkedVec<RccType>,
+    /// SWLIN per row (its packed 8-digit code).
+    swlins: ChunkedVec<Swlin>,
     /// Creation date as days since `base` (may be negative).
-    created: Vec<i32>,
+    created: ChunkedVec<i32>,
     /// Settled date as days since `base`.
-    settled: Vec<i32>,
+    settled: ChunkedVec<i32>,
     /// Settled amount ($) per row.
-    amounts: Vec<f64>,
+    amounts: ChunkedVec<f64>,
     /// Logical creation position `t*_start` (Equation 1).
-    starts: Vec<f64>,
+    starts: ChunkedVec<f64>,
     /// Logical settlement position `t*_end`.
-    ends: Vec<f64>,
+    ends: ChunkedVec<f64>,
 }
 
 impl RccArena {
@@ -70,24 +74,18 @@ impl RccArena {
         let rccs = dataset.rccs();
         assert_eq!(rccs.len(), projected.len(), "projection must cover the RCC table");
         let base = rccs.iter().map(|r| r.created).min().unwrap_or(Date::from_days(0));
-        let mut arena = RccArena {
+        RccArena {
             base,
-            rcc_ids: Vec::with_capacity(rccs.len()),
-            avails: Vec::with_capacity(rccs.len()),
-            types: Vec::with_capacity(rccs.len()),
-            swlin_syms: Vec::with_capacity(rccs.len()),
-            swlin_table: Vec::new(),
-            intern: FxHashMap::default(),
-            created: Vec::with_capacity(rccs.len()),
-            settled: Vec::with_capacity(rccs.len()),
-            amounts: Vec::with_capacity(rccs.len()),
-            starts: Vec::with_capacity(rccs.len()),
-            ends: Vec::with_capacity(rccs.len()),
-        };
-        for (r, lr) in rccs.iter().zip(projected) {
-            arena.push_columns(r, lr.start, lr.end);
+            rcc_ids: rccs.iter().map(|r| r.id.0).collect(),
+            avails: rccs.iter().map(|r| r.avail).collect(),
+            types: rccs.iter().map(|r| r.rcc_type).collect(),
+            swlins: rccs.iter().map(|r| r.swlin).collect(),
+            created: rccs.iter().map(|r| r.created - base).collect(),
+            settled: rccs.iter().map(|r| r.settled - base).collect(),
+            amounts: rccs.iter().map(|r| r.amount).collect(),
+            starts: projected.iter().map(|lr| lr.start).collect(),
+            ends: projected.iter().map(|lr| lr.end).collect(),
         }
-        arena
     }
 
     /// Appends one RCC, computing its logical projection from `avail`
@@ -97,28 +95,14 @@ impl RccArena {
         let planned = avail.planned_duration().max(1);
         let start = domd_data::logical_time(rcc.created, avail.actual_start, planned);
         let end = domd_data::logical_time(rcc.settled, avail.actual_start, planned);
-        self.push_columns(rcc, start, end)
-    }
-
-    fn push_columns(&mut self, r: &Rcc, start: f64, end: f64) -> RowId {
         let row = self.len() as RowId;
-        let packed = r.swlin.packed();
-        let sym = match self.intern.get(&packed) {
-            Some(&s) => s,
-            None => {
-                let s = self.swlin_table.len() as u32;
-                self.swlin_table.push(packed);
-                self.intern.insert(packed, s);
-                s
-            }
-        };
-        self.rcc_ids.push(r.id.0);
-        self.avails.push(r.avail);
-        self.types.push(r.rcc_type);
-        self.swlin_syms.push(sym);
-        self.created.push(r.created - self.base);
-        self.settled.push(r.settled - self.base);
-        self.amounts.push(r.amount);
+        self.rcc_ids.push(rcc.id.0);
+        self.avails.push(rcc.avail);
+        self.types.push(rcc.rcc_type);
+        self.swlins.push(rcc.swlin);
+        self.created.push(rcc.created - self.base);
+        self.settled.push(rcc.settled - self.base);
+        self.amounts.push(rcc.amount);
         self.starts.push(start);
         self.ends.push(end);
         row
@@ -133,8 +117,8 @@ impl RccArena {
         assert_eq!(self.avails[row as usize], avail.id, "row must belong to the given avail");
         let old = self.logical(row);
         let planned = avail.planned_duration().max(1);
-        self.settled[row as usize] = settled - self.base;
-        self.ends[row as usize] = domd_data::logical_time(settled, avail.actual_start, planned);
+        self.settled.set(row as usize, settled - self.base);
+        self.ends.set(row as usize, domd_data::logical_time(settled, avail.actual_start, planned));
         old
     }
 
@@ -146,11 +130,6 @@ impl RccArena {
     /// True when the arena holds no rows.
     pub fn is_empty(&self) -> bool {
         self.amounts.is_empty()
-    }
-
-    /// Number of distinct SWLIN codes interned.
-    pub fn n_symbols(&self) -> usize {
-        self.swlin_table.len()
     }
 
     /// External RCC identifier of `row`.
@@ -168,16 +147,9 @@ impl RccArena {
         self.types[row as usize]
     }
 
-    /// SWLIN code of `row`, reconstructed from the intern table.
+    /// SWLIN code of `row`.
     pub fn swlin(&self, row: RowId) -> Swlin {
-        Swlin::from_packed(self.swlin_table[self.swlin_syms[row as usize] as usize])
-            // domd-lint: allow(no-panic) — the intern table only ever stores packed codes of validated SWLINs
-            .expect("interned SWLINs are valid")
-    }
-
-    /// Interned SWLIN symbol of `row`.
-    pub fn swlin_sym(&self, row: RowId) -> u32 {
-        self.swlin_syms[row as usize]
+        self.swlins[row as usize]
     }
 
     /// Creation date of `row`.
@@ -214,37 +186,8 @@ impl RccArena {
 
     /// The full logical projection record of `row`.
     pub fn logical(&self, row: RowId) -> LogicalRcc {
-        LogicalRcc {
-            id: row,
-            avail: self.avails[row as usize],
-            start: self.starts[row as usize],
-            end: self.ends[row as usize],
-        }
-    }
-
-    /// Settled-amount column.
-    pub fn amounts(&self) -> &[f64] {
-        &self.amounts
-    }
-
-    /// Logical-start column.
-    pub fn starts(&self) -> &[f64] {
-        &self.starts
-    }
-
-    /// Logical-end column.
-    pub fn ends(&self) -> &[f64] {
-        &self.ends
-    }
-
-    /// RCC-category column.
-    pub fn types(&self) -> &[RccType] {
-        &self.types
-    }
-
-    /// Owning-avail column.
-    pub fn avails(&self) -> &[AvailId] {
-        &self.avails
+        let i = row as usize;
+        LogicalRcc { id: row, avail: self.avails[i], start: self.starts[i], end: self.ends[i] }
     }
 
     /// Materializes the projection records (for `LogicalTimeIndex::build`).
@@ -254,17 +197,26 @@ impl RccArena {
 
     /// Iterator over `(type, row)` pairs for group-tree construction.
     pub fn type_rows(&self) -> impl Iterator<Item = (RccType, RowId)> + '_ {
-        self.types.iter().enumerate().map(|(i, &t)| (t, i as RowId))
+        self.types.iter().zip(0..)
     }
 
     /// Iterator over `(swlin, row)` pairs for group-tree construction.
     pub fn swlin_rows(&self) -> impl Iterator<Item = (Swlin, RowId)> + '_ {
-        self.swlin_syms.iter().enumerate().map(|(i, &s)| {
-            let w = Swlin::from_packed(self.swlin_table[s as usize])
-                // domd-lint: allow(no-panic) — the intern table only ever stores packed codes of validated SWLINs
-                .expect("interned SWLINs are valid");
-            (w, i as RowId)
-        })
+        self.swlins.iter().zip(0..)
+    }
+
+    /// Column chunks not shared with `base`'s columns.
+    #[cfg(test)]
+    pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
+        self.rcc_ids.unshared_chunks(&base.rcc_ids)
+            + self.avails.unshared_chunks(&base.avails)
+            + self.types.unshared_chunks(&base.types)
+            + self.swlins.unshared_chunks(&base.swlins)
+            + self.created.unshared_chunks(&base.created)
+            + self.settled.unshared_chunks(&base.settled)
+            + self.amounts.unshared_chunks(&base.amounts)
+            + self.starts.unshared_chunks(&base.starts)
+            + self.ends.unshared_chunks(&base.ends)
     }
 }
 
@@ -272,10 +224,8 @@ impl HeapSize for RccArena {
     fn heap_bytes(&self) -> usize {
         self.rcc_ids.heap_bytes()
             + self.avails.heap_bytes()
-            + self.types.capacity() * std::mem::size_of::<RccType>()
-            + self.swlin_syms.heap_bytes()
-            + self.swlin_table.heap_bytes()
-            + self.intern.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.types.heap_bytes()
+            + self.swlins.heap_bytes()
             + self.created.heap_bytes()
             + self.settled.heap_bytes()
             + self.amounts.heap_bytes()
@@ -327,25 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedupes_swlins() {
-        let ds = dataset();
-        let mut arena = RccArena::from_dataset(&ds);
-        let mut distinct: Vec<u32> = ds.rccs().iter().map(|r| r.swlin.packed()).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(arena.n_symbols(), distinct.len());
-
-        // Re-pushing existing rows must reuse their interned symbols.
-        let before = arena.n_symbols();
-        for r in ds.rccs().iter().take(50) {
-            let a = ds.avail(r.avail).expect("avail exists");
-            arena.push(r, a);
-        }
-        assert_eq!(arena.n_symbols(), before, "duplicate SWLINs must not re-intern");
-        assert_eq!(arena.len(), ds.rccs().len() + 50);
-    }
-
-    #[test]
     fn push_matches_from_dataset() {
         let ds = dataset();
         let bulk = RccArena::from_dataset(&ds);
@@ -371,7 +302,6 @@ mod tests {
     fn empty_arena() {
         let arena = RccArena::from_dataset(&Dataset::default());
         assert!(arena.is_empty());
-        assert_eq!(arena.n_symbols(), 0);
         assert!(arena.projected().is_empty());
     }
 

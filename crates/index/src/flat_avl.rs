@@ -9,28 +9,35 @@
 //! range scans of the incremental sweep walk the 8-byte key column
 //! sequentially and touch the payload columns only for rows that match.
 //!
+//! Each column is a [`ChunkedVec`], so a clone (one per `domd serve`
+//! ingest epoch) shares every chunk. An insert or removal copies only the
+//! chunks it writes: the new node's slot at the tail, plus the path nodes
+//! whose link or height actually changes — links and heights are written
+//! only when the value differs, so an unchanged ancestor stays shared.
+//!
 //! Semantics are identical to the AoS tree: same `(key, id)` ordering, same
 //! rebalancing, same sorted-layout fast paths, same O(log n) dynamic
 //! maintenance (Section 4.1) — only the memory layout differs.
 
+use crate::chunked::ChunkedVec;
 use crate::traits::{LogicalTimeIndex, MaintainableIndex};
 use crate::types::{HeapSize, LogicalRcc, RowId};
 
 const NIL: u32 = u32::MAX;
 
 /// An AVL tree over `(key, id)` pairs with payload `other`, stored as
-/// parallel columns.
+/// parallel chunk-shared columns.
 #[derive(Debug, Clone)]
 pub struct FlatAvlTree {
     /// Sort key per arena slot.
-    keys: Vec<f64>,
+    keys: ChunkedVec<f64>,
     /// Opposite endpoint per slot (carried for stab queries).
-    others: Vec<f64>,
+    others: ChunkedVec<f64>,
     /// RCC row id per slot; also the key tiebreaker.
-    ids: Vec<RowId>,
-    lefts: Vec<u32>,
-    rights: Vec<u32>,
-    heights: Vec<u8>,
+    ids: ChunkedVec<RowId>,
+    lefts: ChunkedVec<u32>,
+    rights: ChunkedVec<u32>,
+    heights: ChunkedVec<u8>,
     root: u32,
     /// Slots freed by `remove`, reused by `insert`.
     free: Vec<u32>,
@@ -50,12 +57,12 @@ impl FlatAvlTree {
     /// An empty tree.
     pub fn new() -> Self {
         FlatAvlTree {
-            keys: Vec::new(),
-            others: Vec::new(),
-            ids: Vec::new(),
-            lefts: Vec::new(),
-            rights: Vec::new(),
-            heights: Vec::new(),
+            keys: ChunkedVec::new(),
+            others: ChunkedVec::new(),
+            ids: ChunkedVec::new(),
+            lefts: ChunkedVec::new(),
+            rights: ChunkedVec::new(),
+            heights: ChunkedVec::new(),
             root: NIL,
             free: Vec::new(),
             len: 0,
@@ -81,9 +88,26 @@ impl FlatAvlTree {
         }
     }
 
+    /// Points `n`'s left link at `child`; a no-op when it already does, so
+    /// the chunk stays shared with the previous epoch.
+    fn set_left(&mut self, n: u32, child: u32) {
+        if self.lefts[n as usize] != child {
+            self.lefts.set(n as usize, child);
+        }
+    }
+
+    /// Right-link twin of [`Self::set_left`].
+    fn set_right(&mut self, n: u32, child: u32) {
+        if self.rights[n as usize] != child {
+            self.rights.set(n as usize, child);
+        }
+    }
+
     fn update_height(&mut self, n: u32) {
         let h = 1 + self.height(self.lefts[n as usize]).max(self.height(self.rights[n as usize]));
-        self.heights[n as usize] = h as u8;
+        if i32::from(self.heights[n as usize]) != h {
+            self.heights.set(n as usize, h as u8);
+        }
     }
 
     fn balance_factor(&self, n: u32) -> i32 {
@@ -93,8 +117,8 @@ impl FlatAvlTree {
     fn rotate_right(&mut self, y: u32) -> u32 {
         let x = self.lefts[y as usize];
         let t2 = self.rights[x as usize];
-        self.rights[x as usize] = y;
-        self.lefts[y as usize] = t2;
+        self.set_right(x, y);
+        self.set_left(y, t2);
         self.update_height(y);
         self.update_height(x);
         x
@@ -103,8 +127,8 @@ impl FlatAvlTree {
     fn rotate_left(&mut self, x: u32) -> u32 {
         let y = self.rights[x as usize];
         let t2 = self.lefts[y as usize];
-        self.lefts[y as usize] = x;
-        self.rights[x as usize] = t2;
+        self.set_left(y, x);
+        self.set_right(x, t2);
         self.update_height(x);
         self.update_height(y);
         y
@@ -116,13 +140,15 @@ impl FlatAvlTree {
         if bf > 1 {
             if self.balance_factor(self.lefts[n as usize]) < 0 {
                 let l = self.lefts[n as usize];
-                self.lefts[n as usize] = self.rotate_left(l);
+                let rotated = self.rotate_left(l);
+                self.set_left(n, rotated);
             }
             self.rotate_right(n)
         } else if bf < -1 {
             if self.balance_factor(self.rights[n as usize]) > 0 {
                 let r = self.rights[n as usize];
-                self.rights[n as usize] = self.rotate_right(r);
+                let rotated = self.rotate_right(r);
+                self.set_right(n, rotated);
             }
             self.rotate_left(n)
         } else {
@@ -141,12 +167,12 @@ impl FlatAvlTree {
     fn alloc(&mut self, key: f64, other: f64, id: RowId) -> u32 {
         if let Some(slot) = self.free.pop() {
             let i = slot as usize;
-            self.keys[i] = key;
-            self.others[i] = other;
-            self.ids[i] = id;
-            self.lefts[i] = NIL;
-            self.rights[i] = NIL;
-            self.heights[i] = 1;
+            self.keys.set(i, key);
+            self.others.set(i, other);
+            self.ids.set(i, id);
+            self.lefts.set(i, NIL);
+            self.rights.set(i, NIL);
+            self.heights.set(i, 1);
             slot
         } else {
             self.keys.push(key);
@@ -171,16 +197,15 @@ impl FlatAvlTree {
             if (key, id) == nk {
                 return (n, false);
             }
-            let inserted;
-            if FlatAvlTree::key_lt((key, id), nk) {
+            let inserted = if FlatAvlTree::key_lt((key, id), nk) {
                 let (child, ok) = rec(tree, tree.lefts[n as usize], key, other, id);
-                tree.lefts[n as usize] = child;
-                inserted = ok;
+                tree.set_left(n, child);
+                ok
             } else {
                 let (child, ok) = rec(tree, tree.rights[n as usize], key, other, id);
-                tree.rights[n as usize] = child;
-                inserted = ok;
-            }
+                tree.set_right(n, child);
+                ok
+            };
             (tree.rebalance(n), inserted)
         }
         let (root, ok) = rec(self, self.root, key, other, id);
@@ -205,7 +230,6 @@ impl FlatAvlTree {
                 return (NIL, false);
             }
             let nk = (tree.keys[n as usize], tree.ids[n as usize]);
-            let removed;
             if (key, id) == nk {
                 let (l, r) = (tree.lefts[n as usize], tree.rights[n as usize]);
                 let replacement = if l == NIL || r == NIL {
@@ -221,10 +245,10 @@ impl FlatAvlTree {
                     let (sk, so, sid) =
                         (tree.keys[succ as usize], tree.others[succ as usize], tree.ids[succ as usize]);
                     let (new_r, _) = rec(tree, r, sk, sid);
-                    tree.keys[n as usize] = sk;
-                    tree.others[n as usize] = so;
-                    tree.ids[n as usize] = sid;
-                    tree.rights[n as usize] = new_r;
+                    tree.keys.set(n as usize, sk);
+                    tree.others.set(n as usize, so);
+                    tree.ids.set(n as usize, sid);
+                    tree.set_right(n, new_r);
                     n
                 };
                 if replacement == NIL {
@@ -232,15 +256,15 @@ impl FlatAvlTree {
                 }
                 return (tree.rebalance(replacement), true);
             }
-            if FlatAvlTree::key_lt((key, id), nk) {
+            let removed = if FlatAvlTree::key_lt((key, id), nk) {
                 let (child, ok) = rec(tree, tree.lefts[n as usize], key, id);
-                tree.lefts[n as usize] = child;
-                removed = ok;
+                tree.set_left(n, child);
+                ok
             } else {
                 let (child, ok) = rec(tree, tree.rights[n as usize], key, id);
-                tree.rights[n as usize] = child;
-                removed = ok;
-            }
+                tree.set_right(n, child);
+                ok
+            };
             (tree.rebalance(n), removed)
         }
         let (root, ok) = rec(self, self.root, key, id);
@@ -252,15 +276,26 @@ impl FlatAvlTree {
         ok
     }
 
+    /// Calls `f` on slots `start..end` in slot order, one chunk of each
+    /// column at a time (the sorted-layout streaming path).
+    fn stream<F: FnMut(f64, f64, RowId)>(&self, start: usize, end: usize, f: &mut F) {
+        let keys = self.keys.slices(start..end);
+        let others = self.others.slices(start..end);
+        let ids = self.ids.slices(start..end);
+        for ((k, o), d) in keys.zip(others).zip(ids) {
+            for ((&k, &o), &d) in k.iter().zip(o).zip(d) {
+                f(k, o, d);
+            }
+        }
+    }
+
     /// Visits every entry with `key <= bound`. While the arena is in sorted
     /// layout this scans only the key column to find the cut, then streams
     /// the prefix of each column sequentially.
     pub fn for_each_leq<F: FnMut(f64, f64, RowId)>(&self, bound: f64, f: &mut F) {
         if self.sorted_layout {
             let end = self.keys.partition_point(|&k| k <= bound);
-            for i in 0..end {
-                f(self.keys[i], self.others[i], self.ids[i]);
-            }
+            self.stream(0, end, f);
             return;
         }
         fn rec<F: FnMut(f64, f64, RowId)>(tree: &FlatAvlTree, n: u32, bound: f64, f: &mut F) {
@@ -268,9 +303,10 @@ impl FlatAvlTree {
                 return;
             }
             let i = n as usize;
-            if tree.keys[i] <= bound {
+            let key = tree.keys[i];
+            if key <= bound {
                 rec(tree, tree.lefts[i], bound, f);
-                f(tree.keys[i], tree.others[i], tree.ids[i]);
+                f(key, tree.others[i], tree.ids[i]);
                 rec(tree, tree.rights[i], bound, f);
             } else {
                 // Entire right subtree exceeds the bound.
@@ -285,10 +321,8 @@ impl FlatAvlTree {
     pub fn for_each_in<F: FnMut(f64, f64, RowId)>(&self, lo: f64, hi: f64, f: &mut F) {
         if self.sorted_layout {
             let start = self.keys.partition_point(|&k| k <= lo);
-            let end = start + self.keys[start..].partition_point(|&k| k <= hi);
-            for i in start..end {
-                f(self.keys[i], self.others[i], self.ids[i]);
-            }
+            let end = self.keys.partition_point(|&k| k <= hi).max(start);
+            self.stream(start, end, f);
             return;
         }
         fn rec<F: FnMut(f64, f64, RowId)>(tree: &FlatAvlTree, n: u32, lo: f64, hi: f64, f: &mut F) {
@@ -328,18 +362,9 @@ impl FlatAvlTree {
             "entries must be strictly sorted by (key, id)"
         );
         let n = entries.len();
-        let mut tree = FlatAvlTree {
-            keys: entries.iter().map(|e| e.0).collect(),
-            others: entries.iter().map(|e| e.1).collect(),
-            ids: entries.iter().map(|e| e.2).collect(),
-            lefts: vec![NIL; n],
-            rights: vec![NIL; n],
-            heights: vec![1; n],
-            root: NIL,
-            free: Vec::new(),
-            len: n,
-            sorted_layout: true,
-        };
+        let mut lefts = vec![NIL; n];
+        let mut rights = vec![NIL; n];
+        let mut heights = vec![1; n];
 
         /// Wires up `lo..hi` (exclusive) and returns (root index, height).
         fn rec(lefts: &mut [u32], rights: &mut [u32], heights: &mut [u8], lo: usize, hi: usize) -> (u32, u8) {
@@ -355,9 +380,30 @@ impl FlatAvlTree {
             heights[mid] = h;
             (mid as u32, h)
         }
-        let (root, _) = rec(&mut tree.lefts, &mut tree.rights, &mut tree.heights, 0, n);
-        tree.root = root;
-        tree
+        let (root, _) = rec(&mut lefts, &mut rights, &mut heights, 0, n);
+        FlatAvlTree {
+            keys: entries.iter().map(|e| e.0).collect(),
+            others: entries.iter().map(|e| e.1).collect(),
+            ids: entries.iter().map(|e| e.2).collect(),
+            lefts: ChunkedVec::from_slice(&lefts),
+            rights: ChunkedVec::from_slice(&rights),
+            heights: ChunkedVec::from_slice(&heights),
+            root,
+            free: Vec::new(),
+            len: n,
+            sorted_layout: true,
+        }
+    }
+
+    /// Column chunks not shared with `base`'s columns.
+    #[cfg(test)]
+    pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
+        self.keys.unshared_chunks(&base.keys)
+            + self.others.unshared_chunks(&base.others)
+            + self.ids.unshared_chunks(&base.ids)
+            + self.lefts.unshared_chunks(&base.lefts)
+            + self.rights.unshared_chunks(&base.rights)
+            + self.heights.unshared_chunks(&base.heights)
     }
 }
 
@@ -427,6 +473,12 @@ impl FlatAvlIndex {
     /// Testing/inspection hook: depths of the two trees.
     pub fn depths(&self) -> (usize, usize) {
         (self.starts.depth(), self.ends.depth())
+    }
+
+    /// Column chunks not shared with `base`'s trees.
+    #[cfg(test)]
+    pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
+        self.starts.unshared_chunks(&base.starts) + self.ends.unshared_chunks(&base.ends)
     }
 }
 

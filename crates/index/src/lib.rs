@@ -20,7 +20,10 @@
 //!   per query (the Pandas-merge baseline).
 //!
 //! [`arena::RccArena`] is the columnar (struct-of-arrays) RCC table every
-//! engine aggregates from, and [`cache::CachedStatusQueryEngine`] memoizes
+//! engine aggregates from; its columns, the flat AVL node columns and the
+//! group-by trees keep their storage in [`chunked`]'s `Arc`-shared pieces,
+//! so an engine clone copies pointers and a delta copies only the pieces
+//! it writes. [`cache::CachedStatusQueryEngine`] memoizes
 //! whole query snapshots keyed on `(t*, group node, status, index epoch)`
 //! with epoch-based invalidation on dynamic maintenance.
 //! [`durable::DurableIndex`] wraps any maintainable index with a
@@ -45,6 +48,7 @@
 pub mod arena;
 pub mod avl;
 pub mod cache;
+pub mod chunked;
 pub mod delta;
 pub mod durable;
 pub mod eytzinger;
@@ -65,6 +69,7 @@ pub use cache::{
     CacheStats, CachedStatusQueryEngine, Invalidation, LruCache, SnapshotKey,
     DEFAULT_CACHE_CAPACITY,
 };
+pub use chunked::SortedRuns;
 pub use delta::RccDelta;
 pub use durable::{
     DurableIndex, RebuildError, RecoveryReport, StoredRow, DEFAULT_CHECKPOINT_EVERY,

@@ -8,6 +8,7 @@
 //! their settled amounts and durations.
 
 use crate::arena::RccArena;
+use crate::chunked::SortedRuns;
 use crate::group_tree::{RccTypeTree, SwlinTree};
 use crate::traits::{LogicalTimeIndex, MaintainableIndex};
 use crate::types::{HeapSize, LogicalRcc, RowId};
@@ -72,7 +73,7 @@ pub enum GroupRows<'a> {
     /// Every row qualifies (no group-by predicates).
     All,
     /// A borrowed ascending partition (single type predicate).
-    Borrowed(&'a [RowId]),
+    Borrowed(&'a SortedRuns<RowId>),
     /// A computed ascending id list (SWLIN subtree / intersection arms).
     Owned(Vec<RowId>),
 }
@@ -83,7 +84,7 @@ impl GroupRows<'_> {
     pub fn to_vec(&self, n_rows: usize) -> Vec<RowId> {
         match self {
             GroupRows::All => (0..n_rows as RowId).collect(),
-            GroupRows::Borrowed(s) => s.to_vec(),
+            GroupRows::Borrowed(s) => s.iter().collect(),
             GroupRows::Owned(v) => v.clone(),
         }
     }
@@ -91,6 +92,11 @@ impl GroupRows<'_> {
 
 /// Executes Status Queries: owns the two group-by trees, a logical-time
 /// index `I`, and a shared columnar [`RccArena`] for aggregation.
+///
+/// With the flat AVL index every part keeps its storage in
+/// [`crate::chunked`] pieces, so a clone — one per `domd serve` ingest
+/// epoch — copies piece pointers, not rows, and applying a batch copies
+/// only the pieces its writes land in.
 #[derive(Debug, Clone)]
 pub struct StatusQueryEngine<I> {
     pub(crate) index: I,
@@ -98,7 +104,7 @@ pub struct StatusQueryEngine<I> {
     pub(crate) swlin_tree: SwlinTree,
     /// Columnar RCC storage; `Arc` so feature/bench layers can share it
     /// without cloning columns. Dynamic inserts copy-on-write via
-    /// [`Arc::make_mut`].
+    /// [`Arc::make_mut`], which clones chunk pointers, not rows.
     pub(crate) arena: Arc<RccArena>,
 }
 
@@ -150,7 +156,7 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
             (None, None) => GroupRows::All,
             (Some(t), None) => GroupRows::Borrowed(self.type_tree.ids_of(t)),
             (None, Some((p, l))) => GroupRows::Owned(self.swlin_tree.ids_for_prefix(p, l)),
-            (Some(t), Some((p, l))) => GroupRows::Owned(intersect_sorted(
+            (Some(t), Some((p, l))) => GroupRows::Owned(intersect_runs(
                 self.type_tree.ids_of(t),
                 &self.swlin_tree.ids_for_prefix(p, l),
             )),
@@ -179,11 +185,10 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
     /// the group trees, so this — not `0..arena.len()` — is the row
     /// universe status complements and from-scratch rebuilds must use.
     pub fn live_rows(&self) -> Vec<RowId> {
-        let merged = crate::traits::merge_disjoint_sorted(
-            self.type_tree.ids_of(RccType::Growth),
-            self.type_tree.ids_of(RccType::NewWork),
-        );
-        crate::traits::merge_disjoint_sorted(&merged, self.type_tree.ids_of(RccType::NewGrowth))
+        let ids = |t| self.type_tree.ids_of(t).iter().collect::<Vec<RowId>>();
+        let merged =
+            crate::traits::merge_disjoint_sorted(&ids(RccType::Growth), &ids(RccType::NewWork));
+        crate::traits::merge_disjoint_sorted(&merged, &ids(RccType::NewGrowth))
     }
 
     /// Full Algorithm StatusQ: ascending row ids answering the query.
@@ -192,7 +197,7 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         match self.group_rows(q) {
             // Status rows are already a subset of all rows.
             GroupRows::All => status,
-            GroupRows::Borrowed(s) => intersect_sorted(s, &status),
+            GroupRows::Borrowed(s) => intersect_runs(s, &status),
             GroupRows::Owned(v) => intersect_sorted(&v, &status),
         }
     }
@@ -280,19 +285,36 @@ fn difference_sorted(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
 /// Intersection of two ascending id lists.
 pub fn intersect_sorted(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    intersect_into(&mut out, a, b, &mut 0);
+    out
+}
+
+/// Intersection of an ascending partition with an ascending id list, one
+/// run at a time.
+fn intersect_runs(a: &SortedRuns<RowId>, b: &[RowId]) -> Vec<RowId> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let mut j = 0;
+    for run in a.runs() {
+        intersect_into(&mut out, run, b, &mut j);
+    }
+    out
+}
+
+/// Appends `a ∩ b[*j..]` to `out`, leaving `*j` at the first `b` entry not
+/// below `a`'s last value, so the next ascending `a` can continue from it.
+fn intersect_into(out: &mut Vec<RowId>, a: &[RowId], b: &[RowId], j: &mut usize) {
+    let mut i = 0;
+    while i < a.len() && *j < b.len() {
+        match a[i].cmp(&b[*j]) {
             std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Greater => *j += 1,
             std::cmp::Ordering::Equal => {
                 out.push(a[i]);
                 i += 1;
-                j += 1;
+                *j += 1;
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -425,7 +447,7 @@ mod tests {
                     .filter(|(_, r)| r.rcc_type == RccType::Growth)
                     .map(|(i, _)| i as RowId)
                     .collect();
-                assert_eq!(s, want.as_slice());
+                assert_eq!(s.iter().collect::<Vec<_>>(), want);
             }
             other => panic!("type-only arm must borrow, got {other:?}"),
         }

@@ -7,7 +7,7 @@
 //! end-to-end from a shell pipe in CI, not to be a wire format.
 //!
 //! ```text
-//! status tenant=0 t=55 status=active type=G swlin=123-45-678:5
+//! status tenant=0 t=55 status=active type=G swlin=000-01-234:5
 //! predict tenant=0 avail=12 t=55 budget=300
 //! alert tenant=1 t=80 k=5 min=10
 //! ingest tenant=0 avail=12 type=NW swlin=123-45-678 created=2015-03-04 settled=2015-04-02 amount=1200
@@ -117,6 +117,14 @@ pub fn parse_line(
                         None => (v, 8),
                     };
                     let swlin: domd_data::Swlin = code.parse().map_err(DomdError::config)?;
+                    // The code spells the prefix's value: `000-00-434:3` is
+                    // the 3-digit node 434, so it must fit in `len` digits.
+                    if !(1..=8).contains(&len) || u64::from(swlin.packed()) >= 10u64.pow(len) {
+                        return Err(DomdError::config(format!(
+                            "bad swlin={v}; use <prefix>:<depth> with depth 1..=8 and the prefix \
+                             value in the code's last <depth> digits (000-00-434:3 is node 434)"
+                        )));
+                    }
                     Ok((swlin.packed(), len))
                 })
                 .transpose()?;
@@ -427,9 +435,22 @@ mod tests {
 
     #[test]
     fn status_swlin_prefix_parses_code_and_len() {
-        let r = parse_line("status t=10 swlin=123-45-678:5", 1, 0, 100).unwrap().unwrap();
-        let Op::Status(q) = r.op else { panic!("expected status") };
-        assert_eq!(q.swlin_prefix, Some((12_345_678, 5)));
+        let prefix = |line: &str| {
+            let r = parse_line(line, 1, 0, 100).unwrap().unwrap();
+            let Op::Status(q) = r.op else { panic!("expected status") };
+            q.swlin_prefix
+        };
+        assert_eq!(prefix("status t=10 swlin=000-00-434:3"), Some((434, 3)));
+        assert_eq!(prefix("status t=10 swlin=123-45-678"), Some((12_345_678, 8)));
+        assert_eq!(prefix("status t=10 swlin=000-00-001:1"), Some((1, 1)));
+        // A code wider than its depth names no node, and depths outside
+        // 1..=8 name no level: refused as config errors, never a panic.
+        let refused =
+            ["123-45-678:5", "000-00-001:0", "000-00-001:9", "000-00-010:1", "000-00-434:x"];
+        for bad in refused {
+            let e = parse_line(&format!("status t=10 swlin={bad}"), 1, 0, 100).unwrap_err();
+            assert_eq!(e.kind(), "config", "swlin={bad}");
+        }
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! `domd_index::EpochStore` is what makes a torn read impossible: a
 //! request either sees the whole old epoch or the whole new one.
 //!
-//! Ingest is copy-on-write (`Dataset` clone + `StatusQueryEngine` clone
-//! with `Arc::make_mut` arena sharing), so building epoch `e + 1` never
-//! perturbs readers pinned on `e`. Epoch `e + 1` is delta-maintained,
-//! not rebuilt: the batch becomes a [`domd_index::RccDelta`] stream
-//! applied through the engine's incremental path (each insert touches
-//! only its SWLIN/type root-to-leaf paths), and the dataset view is a
-//! sorted merge ([`Dataset::with_rccs_merged`], `O(n + k)`) instead of
-//! `Dataset::new`'s full re-sort — both bit-identical to a from-scratch
-//! rebuild, which the `delta_equivalence` and `snapshot_isolation`
-//! suites re-check after every batch.
+//! Ingest is copy-on-write, so building epoch `e + 1` never perturbs
+//! readers pinned on `e`: the snapshot clone shares the dataset `Arc` and
+//! the engine's chunked storage (`domd_index::chunked`), copying chunk
+//! pointers rather than rows. Epoch `e + 1` is delta-maintained, not
+//! rebuilt: the batch becomes a [`domd_index::RccDelta`] stream applied
+//! through the engine's incremental path (each insert copies only the
+//! chunks and runs its appends and AVL path writes land in), and the
+//! dataset view is a run-copying merge ([`Dataset::with_rccs_merged`])
+//! instead of `Dataset::new`'s full re-sort — both bit-identical to a
+//! from-scratch rebuild, which the `delta_equivalence` and
+//! `snapshot_isolation` suites re-check after every batch.
 
 use std::sync::Arc;
 
@@ -150,9 +151,10 @@ impl TenantSnapshot {
     /// incremental delta path: every row becomes an
     /// [`RccDelta::Insert`] applied through the engine (touching only its
     /// SWLIN/type root-to-leaf paths), and the dataset view is delta-merged
-    /// in one `O(n + k)` pass instead of rebuilt — bit-identical to a
-    /// from-scratch rebuild either way. Returns the arena row ids in batch
-    /// order. Nothing is mutated unless every row's avail resolves.
+    /// by copying the unchanged runs between the fresh rows instead of
+    /// rebuilt — bit-identical to a from-scratch rebuild either way.
+    /// Returns the arena row ids in batch order. Nothing is mutated unless
+    /// every row's avail resolves.
     pub fn ingest_batch(&mut self, rows: &[IngestRow]) -> Result<Vec<RowId>, DomdError> {
         // Resolve every avail before touching any state, so a refused
         // batch leaves the snapshot byte-identical (the serve layer

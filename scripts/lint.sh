@@ -22,10 +22,10 @@
 # training, and a tiny-scale identity-gated bench smoke).
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
-# (plus one malformed line, which must be refused without killing the
-# session), clean `quit` shutdown, and a second session whose driving
-# process is SIGTERM-killed mid-stream — the server must see EOF, drain,
-# and still exit 0.
+# (plus one malformed line and one out-of-range SWLIN depth, each refused
+# on its own seq without killing the session), clean `quit` shutdown, and
+# a second session whose driving process is SIGTERM-killed mid-stream —
+# the server must see EOF, drain, and still exit 0.
 # The restart gate then proves the store is the system of record: the
 # kill–restart chaos suite (every WAL byte offset), the v1→v2 migration
 # suite, and an end-to-end smoke that `kill -9`s a durable server right
@@ -105,6 +105,8 @@ predict avail=1 t=40
 alert t=80 k=3 min=0
 ingest avail=1 type=NW swlin=123-45-678 created=4/1/2015 settled=5/1/2015 amount=1200
 not-a-command
+status t=10 swlin=000-00-001:9
+status t=55 status=settled swlin=000-00-001:1
 quit
 EOF
 SERVE_OUT="$(target/release/domd serve --data-dir "$SERVE_DIR" \
@@ -115,6 +117,12 @@ for op in status predict alert ingest; do
 done
 echo "$SERVE_OUT" | grep -q 'err seq=4' || {
   echo "serve smoke: malformed line was not refused" >&2; exit 1; }
+# A SWLIN depth outside 1..=8 is refused on its own seq, and the session
+# keeps answering the lines after it.
+echo "$SERVE_OUT" | grep -q '^err seq=5 .*kind=config' || {
+  echo "serve smoke: out-of-range swlin depth was not refused" >&2; exit 1; }
+echo "$SERVE_OUT" | grep -q '^ok seq=6 .*op=status' || {
+  echo "serve smoke: no answer after the refused swlin depth" >&2; exit 1; }
 # Killed-driver shutdown: SIGTERM the writer mid-session; the server must
 # treat the closed pipe as EOF, drain, and exit 0.
 SERVE_FIFO="$SERVE_DIR/in.fifo"
