@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! domd-lint [--root DIR] [--format human|json]   scan the workspace
-//!           [--no-cache | --cache FILE]          incremental cache control
 //! domd-lint --self-check [--fixtures DIR]        verify rules vs. corpus
 //! domd-lint --explain RULE                       print what a rule enforces
 //! ```
@@ -11,12 +10,6 @@
 //! `2` usage / I/O error. CI runs both modes (`scripts/lint.sh`) before
 //! clippy, so a rule regression and a workspace regression both fail the
 //! gate.
-//!
-//! Workspace sweeps keep per-file summaries in `<root>/.domd-lint-cache`
-//! keyed by content hash; the interprocedural rules and waiver
-//! accounting always run fresh, so cached and cold sweeps report
-//! identically. `--no-cache` forces a cold sweep; `--cache FILE` moves
-//! the cache (the bench harness points it into a temp dir).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -27,8 +20,6 @@ struct Args {
     self_check: bool,
     fixtures: Option<PathBuf>,
     explain: Option<String>,
-    no_cache: bool,
-    cache: Option<PathBuf>,
 }
 
 #[derive(PartialEq)]
@@ -44,8 +35,6 @@ fn parse_args() -> Result<Args, String> {
         self_check: false,
         fixtures: None,
         explain: None,
-        no_cache: false,
-        cache: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -58,11 +47,6 @@ fn parse_args() -> Result<Args, String> {
                 Some(v) => args.fixtures = Some(PathBuf::from(v)),
                 None => return Err("--fixtures takes a directory".into()),
             },
-            "--cache" => match it.next() {
-                Some(v) => args.cache = Some(PathBuf::from(v)),
-                None => return Err("--cache takes a file path".into()),
-            },
-            "--no-cache" => args.no_cache = true,
             "--explain" => match it.next() {
                 Some(v) => args.explain = Some(v),
                 None => return Err("--explain takes a rule id (e.g. lock-order)".into()),
@@ -81,8 +65,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: domd-lint [--root DIR] [--format human|json] \
-                     [--no-cache | --cache FILE] [--self-check [--fixtures DIR]] \
-                     [--explain RULE]"
+                     [--self-check [--fixtures DIR]] [--explain RULE]"
                         .into(),
                 )
             }
@@ -135,13 +118,8 @@ fn main() -> ExitCode {
             domd_analyzer::find_root(&cwd).unwrap_or(cwd)
         }
     };
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(args.cache.unwrap_or_else(|| root.join(".domd-lint-cache")))
-    };
-    match domd_analyzer::scan_workspace_cached(&root, cache_path.as_deref()) {
-        Ok((report, _stats)) => {
+    match domd_analyzer::scan_workspace(&root) {
+        Ok(report) => {
             match args.format {
                 Format::Human => print!("{}", report.render_human()),
                 Format::Json => print!("{}", report.render_json()),

@@ -39,8 +39,6 @@
 //!   are inventoried, justified, and must suppress something;
 //! * [`config`] — the path-keyed policy (exempt surfaces, the lock
 //!   hierarchy, the ingest-path vocabulary, the exit-code map location);
-//! * [`cache`] — content-hash incremental caching of per-file summaries
-//!   (`.domd-lint-cache`), so warm sweeps skip unchanged files;
 //! * [`workspace`] — deterministic file discovery and the merged scan;
 //! * [`self_check`] — validates the rule set against the fixture corpus
 //!   (`fixtures/`), so a broken lexer fails loudly;
@@ -53,7 +51,6 @@
 //! assert!(report.is_clean(), "{}", report.render_human());
 //! ```
 
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod lexer;
@@ -66,6 +63,4 @@ pub mod workspace;
 pub use report::{Finding, Report, Rule, Waiver};
 pub use rules::{analyze_file, scan_file, FileSummary};
 pub use self_check::{self_check, SelfCheckReport};
-pub use workspace::{
-    collect_files, find_root, scan_workspace, scan_workspace_cached, AnalyzerError, SweepStats,
-};
+pub use workspace::{collect_files, find_root, scan_workspace, AnalyzerError};

@@ -598,28 +598,6 @@ pub fn test_line_ranges(toks: &[Token], mask: &[bool]) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Compresses a fn's body to the facts the call-graph fixpoint reads:
-/// one `Call` event per distinct `(name, receiver)` pair, with the
-/// position fields zeroed and the block tree collapsed to the root.
-/// Applied by `analyze_file` to files outside the R7/R8-governed sets,
-/// whose event ordering, scoping, and markers no rule ever reads —
-/// shrinking workspace summaries (and the on-disk cache) roughly an
-/// order of magnitude without changing any finding.
-pub fn prune_to_call_edges(def: &mut FnDef) {
-    let mut seen: std::collections::BTreeSet<(String, Option<String>)> =
-        std::collections::BTreeSet::new();
-    def.events
-        .retain(|e| e.kind == EvKind::Call && seen.insert((e.name.clone(), e.recv.clone())));
-    for e in &mut def.events {
-        e.line = 0;
-        e.seq = 0;
-        e.block = 0;
-        e.chained = false;
-    }
-    def.blocks = vec![0];
-    def.qual.clear();
-}
-
 /// True when block `anc` is `b` or an ancestor of `b` in `blocks`.
 pub fn block_contains(blocks: &[u32], anc: u32, mut b: u32) -> bool {
     loop {

@@ -34,10 +34,8 @@ pub struct FileScan {
 }
 
 /// Everything one file contributes to a workspace sweep, *before*
-/// waiver application. This is the unit the incremental cache stores:
-/// it is a pure function of `(rel_path, source)`, so a content-hash hit
-/// can skip the lex/parse/rules work entirely, while the cross-file
-/// passes (R7/R8/R9 and waiver accounting) always run fresh over the
+/// waiver application: a pure function of `(rel_path, source)`. The
+/// cross-file passes (R7/R8/R9 and waiver accounting) run over the
 /// summaries in [`finish`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileSummary {
@@ -68,7 +66,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> FileScan {
     FileScan { violations: report.violations, waivers: report.waivers }
 }
 
-/// Runs the per-file (cacheable) half of the pipeline.
+/// Runs the per-file half of the pipeline.
 pub fn analyze_file(rel_path: &str, source: &str) -> FileSummary {
     let lexed = lexer::lex(source);
     let toks = &lexed.tokens;
@@ -226,29 +224,13 @@ pub fn analyze_file(rel_path: &str, source: &str) -> FileSummary {
 
     let (waivers, meta) = parse_waivers(rel_path, &lexed.comments, &test_ranges);
     let parsed = parser::parse(&lexed, config::ACK_MARKERS);
-    let mut fns = parsed.fns;
-    // Files outside the R7/R8-governed sets feed the interprocedural
-    // passes only through the call graph: which non-test fns exist and
-    // which distinct (callee, receiver) pairs each can reach. Compress
-    // their summaries to exactly that — R7 reads ordering/blocks and R8
-    // reads markers only for governed files, and test fns never enter
-    // the graph at all — so no finding can change, while warm sweeps
-    // parse far less cache text.
-    if !config::LOCK_ORDER_FILES.contains(&rel_path)
-        && !config::ACK_ORDER_FILES.contains(&rel_path)
-    {
-        fns.retain(|f| !f.is_test);
-        for f in &mut fns {
-            parser::prune_to_call_edges(f);
-        }
-    }
     FileSummary {
         rel: rel_path.to_string(),
         raw: findings,
         meta,
         waivers,
         test_ranges,
-        fns,
+        fns: parsed.fns,
         error_variants: parsed.error_variants,
         exit_map: parsed.exit_map,
     }

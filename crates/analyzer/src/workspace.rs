@@ -1,6 +1,5 @@
 //! Workspace discovery and the full-workspace scan.
 
-use crate::cache::{content_hash, Cache};
 use crate::callgraph::DocTable;
 use crate::config;
 use crate::report::Report;
@@ -99,85 +98,20 @@ fn walk(dir: &Path, rel: &str, out: &mut Vec<SourceFile>) -> Result<(), Analyzer
     Ok(())
 }
 
-/// How a sweep used the incremental cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Files whose summary came from the cache.
-    pub cache_hits: usize,
-    /// Files analyzed from scratch this sweep.
-    pub cache_misses: usize,
-}
-
 /// Scans the whole workspace rooted at `root` and returns the merged,
-/// deterministically ordered report. Uncached — see
-/// [`scan_workspace_cached`] for the incremental path.
+/// deterministically ordered report.
 pub fn scan_workspace(root: &Path) -> Result<Report, AnalyzerError> {
-    scan_workspace_cached(root, None).map(|(r, _)| r)
-}
-
-/// Scans the workspace, reusing per-file summaries from `cache_path`
-/// where the content hash still matches, and rewriting the cache file
-/// afterwards. The interprocedural passes and waiver accounting always
-/// run fresh over the summaries, so the report is identical to a cold
-/// sweep's. A missing, stale, or corrupt cache file degrades to a cold
-/// sweep; a cache *write* failure is ignored (the sweep's answer is
-/// already correct — the next run just pays cold cost again).
-pub fn scan_workspace_cached(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> Result<(Report, SweepStats), AnalyzerError> {
     let files = collect_files(root)?;
-    let mut old = cache_path
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|text| Cache::parse(&text))
-        .unwrap_or_default();
-    let had_cache = !old.is_empty();
-
-    let mut stats = SweepStats::default();
     let mut summaries = Vec::with_capacity(files.len());
-    let mut hashes = Vec::with_capacity(files.len());
     for f in &files {
         let source = std::fs::read_to_string(&f.abs).map_err(|source| AnalyzerError::Io {
             context: format!("reading {}", f.abs.display()),
             source,
         })?;
-        let hash = content_hash(&source);
-        // Hits are *moved* out of the loaded cache, not cloned; what is
-        // left in `old` afterwards belongs to deleted or changed files.
-        let summary = match old.take(&f.rel, hash) {
-            Some(hit) => {
-                stats.cache_hits += 1;
-                hit
-            }
-            None => {
-                stats.cache_misses += 1;
-                rules::analyze_file(&f.rel, &source)
-            }
-        };
-        hashes.push(hash);
-        summaries.push(summary);
+        summaries.push(rules::analyze_file(&f.rel, &source));
     }
-
-    if let Some(p) = cache_path {
-        // Rewrite only when the sweep learned something: a fully warm
-        // sweep over an unchanged file set would rewrite the identical
-        // bytes it just read. Leftover `old` entries mean files were
-        // deleted or renamed, so the cache must shrink to match.
-        if stats.cache_misses > 0 || !old.is_empty() || !had_cache {
-            let text = crate::cache::render_entries(
-                files
-                    .iter()
-                    .zip(&hashes)
-                    .zip(&summaries)
-                    .map(|((f, h), s)| (f.rel.as_str(), *h, s)),
-            );
-            let _ = std::fs::write(p, text);
-        }
-    }
-
     let doc_tables = doc_exit_tables(root)?;
-    let report = rules::finish(summaries, &doc_tables);
-    Ok((report, stats))
+    Ok(rules::finish(summaries, &doc_tables))
 }
 
 /// Parses the exit-code tables of [`config::EXIT_DOC_FILES`] (R9): rows

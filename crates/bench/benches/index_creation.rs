@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use domd_bench::util::scaled_dataset;
-use domd_index::{project_dataset, AvlIndex, IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex};
+use domd_index::{
+    project_dataset, FlatAvlIndex, IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex,
+};
 use std::hint::black_box;
 
 fn bench_index_creation(c: &mut Criterion) {
@@ -19,7 +21,7 @@ fn bench_index_creation(c: &mut Criterion) {
             b.iter(|| black_box(IntervalTreeIndex::build(p)))
         });
         group.bench_with_input(BenchmarkId::new("avl", scale), &projected, |b, p| {
-            b.iter(|| black_box(AvlIndex::build(p)))
+            b.iter(|| black_box(FlatAvlIndex::build(p)))
         });
     }
     group.finish();

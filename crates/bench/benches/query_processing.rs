@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use domd_bench::util::scaled_dataset;
 use domd_index::{
-    project_dataset, sweep_from_scratch, sweep_incremental, AvlIndex, IntervalTreeIndex,
+    project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, IntervalTreeIndex,
     LogicalTimeIndex, NaiveJoinIndex, RowColumns,
 };
 use std::hint::black_box;
@@ -35,7 +35,7 @@ fn bench_query_processing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("interval-rescan", scale), &(), |b, ()| {
             b.iter(|| black_box(sweep_from_scratch(&itree, cols, 30, &grid, |_, _, _| {})))
         });
-        let avl = AvlIndex::build(&projected);
+        let avl = FlatAvlIndex::build(&projected);
         group.bench_with_input(BenchmarkId::new("avl-incremental", scale), &(), |b, ()| {
             b.iter(|| black_box(sweep_incremental(&avl, cols, 30, &grid, |_, _, _| {})))
         });

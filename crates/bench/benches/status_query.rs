@@ -5,13 +5,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use domd_bench::util::scaled_dataset;
 use domd_data::rcc::{RccStatus, RccType};
-use domd_index::{project_dataset, AvlIndex, StatusQuery, StatusQueryEngine};
+use domd_index::{project_dataset, FlatAvlIndex, StatusQuery, StatusQueryEngine};
 use std::hint::black_box;
 
 fn bench_status_query(c: &mut Criterion) {
     let ds = scaled_dataset(1);
     let projected = project_dataset(&ds);
-    let engine = StatusQueryEngine::<AvlIndex>::build(&ds, &projected);
+    let engine = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &projected);
     let mut group = c.benchmark_group("status_query");
     group.sample_size(20);
 

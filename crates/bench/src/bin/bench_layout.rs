@@ -1,26 +1,21 @@
-//! `bench_layout` — wall-clock and memory benchmark of the PR-3 layout
-//! work: flat cache-friendly index variants (sorted array, Eytzinger,
-//! pointer AVL, arena-backed AVL) over the 11-step Status Query sweep, and
-//! the memoizing snapshot cache on repeated Status Queries, at 1x–20x RCC
-//! scale.
+//! `bench_layout` — wall-clock and memory benchmark of the column-stored
+//! index layouts (sorted event arrays, dual AVL) over the 11-step Status
+//! Query sweep at 1x–20x RCC scale.
 //!
-//! Every timed arm is first checked bit-for-bit against the pointer-AVL
-//! reference sweep, and the cached Status Query path against the uncached
-//! engine, so a reported speedup can never come from a diverged code path.
-//! Output is machine-readable JSON (see `scripts/bench.sh`, which writes
-//! `BENCH_pr3.json`).
+//! Every timed arm is first checked against a from-scratch sweep over the
+//! naive join, so a reported speedup can never come from a diverged code
+//! path. Output is machine-readable JSON (see `scripts/bench.sh`, which
+//! writes `BENCH_pr3.json`).
 //!
 //! ```text
-//! bench_layout [--scales 1,5,10,20] [--runs N] [--passes N] [--out FILE]
+//! bench_layout [--scales 1,5,10,20] [--runs N] [--out FILE]
 //! ```
 
 use domd_bench::util::{mb, mean_time_ms, scaled_dataset, time_ms};
-use domd_data::rcc::RccStatus;
 use domd_data::Dataset;
 use domd_index::{
-    project_dataset, sweep_from_scratch, sweep_incremental, AvlIndex, CachedStatusQueryEngine,
-    EytzingerIndex, FlatAvlIndex, HeapSize, LogicalTimeIndex, RowColumns, SortedArrayIndex,
-    StatStructure, StatusQuery, StatusQueryEngine, DEFAULT_CACHE_CAPACITY,
+    project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, HeapSize,
+    LogicalTimeIndex, NaiveJoinIndex, RowColumns, SortedArrayIndex, StatStructure,
 };
 
 const N_GROUPS: usize = 30;
@@ -56,10 +51,10 @@ impl Workload {
 
 /// Agreement of two sweep traces (one `StatStructure` per grid point).
 /// `bitwise` compares raw f64 bits — only valid between sweeps with the
-/// same accumulation order (the two incremental AVL variants). The
-/// from-scratch arms recompute each grid point independently, so their
-/// sums associate differently; they are held to a 1e-9 relative tolerance
-/// instead (counts stay exact either way).
+/// same accumulation order (two from-scratch sweeps both visit ascending
+/// row ids). The incremental sweep adds rows in window order, so its sums
+/// associate differently; it is held to a 1e-9 relative tolerance instead
+/// (counts stay exact either way).
 fn traces_agree(a: &[StatStructure], b: &[StatStructure], bitwise: bool) -> bool {
     let close = |p: f64, q: f64| {
         if bitwise {
@@ -109,12 +104,14 @@ fn trace_of(sweep: impl Fn(&mut Vec<StatStructure>)) -> Vec<StatStructure> {
 }
 
 fn bench_arms(w: &Workload, runs: usize) -> Vec<ArmResult> {
-    // Reference trace: the pointer-AVL incremental sweep every other arm
-    // must reproduce bit-for-bit.
-    let avl = AvlIndex::build(&w.projected);
-    let reference = trace_of(|t| {
-        sweep_incremental(&avl, w.cols(), N_GROUPS, &w.grid, |_, _, st| t.push(st.clone()));
-    });
+    // Reference trace: the from-scratch sweep over the naive join, the
+    // oracle every arm must reproduce.
+    let reference = {
+        let naive = NaiveJoinIndex::build(&w.projected);
+        trace_of(|t| {
+            sweep_from_scratch(&naive, w.cols(), N_GROUPS, &w.grid, |_, _, st| t.push(st.clone()));
+        })
+    };
     let mut out = Vec::new();
 
     let (sa, sa_build) = time_ms(|| SortedArrayIndex::build(&w.projected));
@@ -128,137 +125,24 @@ fn bench_arms(w: &Workload, runs: usize) -> Vec<ArmResult> {
             sweep_from_scratch(&sa, w.cols(), N_GROUPS, &w.grid, |_, _, _| {})
         }),
         heap_mb: mb(sa.heap_bytes()),
-        identical: traces_agree(&reference, &trace, false),
+        identical: traces_agree(&reference, &trace, true),
     });
 
-    let (ey, ey_build) = time_ms(|| EytzingerIndex::build(&w.projected));
+    let (avl, avl_build) = time_ms(|| FlatAvlIndex::build(&w.projected));
     let trace = trace_of(|t| {
-        sweep_from_scratch(&ey, w.cols(), N_GROUPS, &w.grid, |_, _, st| t.push(st.clone()));
+        sweep_incremental(&avl, w.cols(), N_GROUPS, &w.grid, |_, _, st| t.push(st.clone()));
     });
-    out.push(ArmResult {
-        name: "eytzinger",
-        build_ms: ey_build,
-        query_ms: mean_time_ms(runs, || {
-            sweep_from_scratch(&ey, w.cols(), N_GROUPS, &w.grid, |_, _, _| {})
-        }),
-        heap_mb: mb(ey.heap_bytes()),
-        identical: traces_agree(&reference, &trace, false),
-    });
-
     out.push(ArmResult {
         name: "avl+incremental",
-        build_ms: mean_time_ms(runs, || AvlIndex::build(&w.projected)),
+        build_ms: avl_build,
         query_ms: mean_time_ms(runs, || {
             sweep_incremental(&avl, w.cols(), N_GROUPS, &w.grid, |_, _, _| {})
         }),
         heap_mb: mb(avl.heap_bytes()),
-        identical: true,
-    });
-
-    let (favl, favl_build) = time_ms(|| FlatAvlIndex::build(&w.projected));
-    let trace = trace_of(|t| {
-        sweep_incremental(&favl, w.cols(), N_GROUPS, &w.grid, |_, _, st| t.push(st.clone()));
-    });
-    out.push(ArmResult {
-        name: "flat-avl+incr",
-        build_ms: favl_build,
-        query_ms: mean_time_ms(runs, || {
-            sweep_incremental(&favl, w.cols(), N_GROUPS, &w.grid, |_, _, _| {})
-        }),
-        heap_mb: mb(favl.heap_bytes()),
-        identical: traces_agree(&reference, &trace, true),
+        identical: traces_agree(&reference, &trace, false),
     });
 
     out
-}
-
-struct CacheResult {
-    passes: usize,
-    n_queries: usize,
-    uncached_ms: f64,
-    cached_ms: f64,
-    hit_rate: f64,
-    heap_mb: f64,
-    identical: bool,
-}
-
-impl CacheResult {
-    fn speedup(&self) -> f64 {
-        self.uncached_ms / self.cached_ms.max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"passes\":{},\"n_queries\":{},\"uncached_ms\":{:.3},\"cached_ms\":{:.3},\"speedup\":{:.3},\"hit_rate\":{:.4},\"heap_mb\":{:.3},\"identical\":{}}}",
-            self.passes,
-            self.n_queries,
-            self.uncached_ms,
-            self.cached_ms,
-            self.speedup(),
-            self.hit_rate,
-            self.heap_mb,
-            self.identical
-        )
-    }
-}
-
-/// The serving workload: the same Status Query mix the feature sweep and
-/// repeated online DoMD queries issue — every grid anchor × group-by node
-/// × status, asked `passes` times (a monitoring dashboard refreshing).
-fn serving_queries() -> Vec<StatusQuery> {
-    let mut qs = Vec::new();
-    for t in 0..=20u32 {
-        for prefix in 1..=9u32 {
-            for status in RccStatus::FEATURE_STATUSES {
-                qs.push(StatusQuery {
-                    rcc_type: None,
-                    swlin_prefix: Some((prefix, 1)),
-                    status,
-                    t_star: f64::from(t) * 5.0,
-                });
-            }
-        }
-    }
-    qs
-}
-
-fn bench_cache(ds: &Dataset, projected: &[domd_index::LogicalRcc], passes: usize) -> CacheResult {
-    let qs = serving_queries();
-    let plain = StatusQueryEngine::<AvlIndex>::build(ds, projected);
-    let mut cached =
-        CachedStatusQueryEngine::<AvlIndex>::build(ds, projected, DEFAULT_CACHE_CAPACITY);
-
-    // Single-thread repeated Status Queries: the uncached engine pays the
-    // full retrieval every pass; the memoizing engine pays it once.
-    let (want, uncached_ms) = time_ms(|| {
-        let mut last = Vec::new();
-        for _ in 0..passes {
-            last = qs.iter().map(|q| plain.aggregate(q)).collect();
-        }
-        last
-    });
-    let (got, cached_ms) = time_ms(|| {
-        let mut last = Vec::new();
-        for _ in 0..passes {
-            last = qs.iter().map(|q| cached.aggregate_cached(q)).collect();
-        }
-        last
-    });
-    let identical = want.len() == got.len()
-        && want.iter().zip(&got).all(|(a, b)| {
-            a.count == b.count
-                && a.sum_amount.to_bits() == b.sum_amount.to_bits()
-                && a.sum_duration.to_bits() == b.sum_duration.to_bits()
-        });
-    CacheResult {
-        passes,
-        n_queries: qs.len() * passes,
-        uncached_ms,
-        cached_ms,
-        hit_rate: cached.stats().hit_rate(),
-        heap_mb: mb(cached.heap_bytes()),
-        identical,
-    }
 }
 
 fn cpu_model() -> String {
@@ -284,11 +168,9 @@ fn main() {
         .map(|s| s.trim().parse().expect("--scales takes comma-separated integers"))
         .collect();
     let runs: usize = get("--runs").map(|v| v.parse().expect("--runs takes a number")).unwrap_or(3);
-    let passes: usize =
-        get("--passes").map(|v| v.parse().expect("--passes takes a number")).unwrap_or(3);
     let out_path = get("--out");
 
-    eprintln!("bench_layout: scales={scales:?}, runs={runs}, passes={passes}");
+    eprintln!("bench_layout: scales={scales:?}, runs={runs}");
     let mut scale_blocks = Vec::new();
     for &scale in &scales {
         eprintln!("-- scale {scale}x --");
@@ -302,37 +184,19 @@ fn main() {
             );
             assert!(a.identical, "{} diverged from the reference sweep", a.name);
         }
-        let cache = bench_cache(&ds, &w.projected, passes);
-        eprintln!(
-            "  snapshot-cache   uncached {:>8.1} ms  cached {:>8.1} ms  speedup {:>5.2}x  hit-rate {:.3}  identical={}",
-            cache.uncached_ms,
-            cache.cached_ms,
-            cache.speedup(),
-            cache.hit_rate,
-            cache.identical
-        );
-        assert!(cache.identical, "cached Status Queries diverged from the uncached engine");
-        if scale >= 10 && cache.speedup() < 1.5 {
-            eprintln!(
-                "  WARNING: cache speedup {:.2}x below the 1.5x acceptance floor at {scale}x",
-                cache.speedup()
-            );
-        }
         let arm_json: Vec<String> = arms.iter().map(ArmResult::json).collect();
         scale_blocks.push(format!(
-            "{{\"scale\":{},\"n_rccs\":{},\"arms\":[{}],\"status_query_cache\":{}}}",
+            "{{\"scale\":{},\"n_rccs\":{},\"arms\":[{}]}}",
             scale,
             w.projected.len(),
-            arm_json.join(","),
-            cache.json()
+            arm_json.join(",")
         ));
     }
     let json = format!(
-        "{{\"bench\":\"pr3_layout_cache\",\"cpu\":{{\"model\":\"{}\",\"threads\":{}}},\"runs\":{},\"passes\":{},\"scales\":[{}]}}\n",
+        "{{\"bench\":\"pr3_layout\",\"cpu\":{{\"model\":\"{}\",\"threads\":{}}},\"runs\":{},\"scales\":[{}]}}\n",
         cpu_model().replace('"', "'"),
         domd_runtime::available_threads(),
         runs,
-        passes,
         scale_blocks.join(",")
     );
     match out_path {

@@ -15,7 +15,7 @@
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::{generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
-use domd_index::{project_dataset, AvlIndex, StatusQuery, StatusQueryEngine};
+use domd_index::{project_dataset, FlatAvlIndex, StatusQuery, StatusQueryEngine};
 use domd_ml::{DenseMatrix, GbtModel, GbtParams};
 use std::time::Instant;
 
@@ -114,7 +114,7 @@ fn bench_scale(scale: u32, threads: usize, runs: usize) -> Vec<PathResult> {
 
     // Path 3: batch Status Queries over the dual-AVL index.
     let proj = project_dataset(&ds);
-    let sq = StatusQueryEngine::<AvlIndex>::build(&ds, &proj);
+    let sq = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
     let mut queries = Vec::new();
     for t in 0..200u32 {
         for status in domd_data::rcc::RccStatus::FEATURE_STATUSES {

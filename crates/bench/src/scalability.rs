@@ -9,12 +9,11 @@
 //! arms recompute each grid point from scratch; the AVL arm runs the
 //! incremental `StatStructure` computation of Section 4.3.
 
-use crate::util::{mb, mean_time_ms, scaled_dataset, time_ms};
+use crate::util::{mb, mean_time_ms, scaled_dataset};
 use domd_data::Dataset;
 use domd_index::{
-    project_dataset, sweep_from_scratch, sweep_incremental, AvlIndex, EytzingerIndex,
-    FlatAvlIndex, HeapSize, IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex, RowColumns,
-    SortedArrayIndex,
+    project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, HeapSize,
+    IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex, RowColumns, SortedArrayIndex,
 };
 
 /// The scaling factors of Table 6 / Figure 5.
@@ -22,6 +21,15 @@ pub const SCALES: [u32; 5] = [1, 5, 10, 15, 20];
 
 /// Number of timed repetitions (the paper averages 3 runs).
 pub const RUNS: usize = 3;
+
+/// Arm name of the materialized-join baseline.
+pub const NAIVE_ARM: &str = "naive-join";
+
+/// Arm name of the dual AVL with incremental computation.
+pub const AVL_ARM: &str = "avl+incremental";
+
+/// One index arm: `(name, creation ms, memory MB, query ms)`.
+pub type Arm = (String, f64, f64, f64);
 
 /// One measurement row.
 #[derive(Debug, Clone)]
@@ -31,7 +39,14 @@ pub struct ScaleRow {
     /// RCC count at this scale.
     pub n_rccs: usize,
     /// Per-index `(name, creation ms, memory MB, query ms)`.
-    pub arms: Vec<(String, f64, f64, f64)>,
+    pub arms: Vec<Arm>,
+}
+
+impl ScaleRow {
+    /// The arm called `name`, if measured.
+    pub fn arm(&self, name: &str) -> Option<&Arm> {
+        self.arms.iter().find(|a| a.0 == name)
+    }
 }
 
 /// Workload columns shared by all arms at one scale.
@@ -64,85 +79,53 @@ impl Workload {
     }
 }
 
-/// Measures all three index designs at every scale in `scales`.
+/// Times one arm: the mean of [`RUNS`] builds, the kept index's heap, and
+/// the mean of [`RUNS`] timeline sweeps over it.
+fn time_arm<I: HeapSize>(name: &str, build: impl Fn() -> I, sweep: impl Fn(&I)) -> Arm {
+    let index = build();
+    let build_ms = mean_time_ms(RUNS, &build);
+    let query_ms = mean_time_ms(RUNS, || sweep(&index));
+    (name.to_string(), build_ms, mb(index.heap_bytes()), query_ms)
+}
+
+/// Measures every index design at every scale in `scales`.
 pub fn measure(scales: &[u32]) -> Vec<ScaleRow> {
     scales
         .iter()
         .map(|&scale| {
             let ds = scaled_dataset(scale);
             let w = Workload::build(&ds);
-            let mut arms = Vec::new();
-
-            // Naive materialized join (Pandas-merge baseline): creation is
-            // the join itself; queries rescan per grid point.
-            let (naive, _) = time_ms(|| NaiveJoinIndex::build_from_dataset(&ds, &w.projected));
-            let naive_build =
-                mean_time_ms(RUNS, || NaiveJoinIndex::build_from_dataset(&ds, &w.projected));
-            let naive_query = mean_time_ms(RUNS, || {
-                sweep_from_scratch(&naive, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push(("naive-join".to_string(), naive_build, mb(naive.heap_bytes()), naive_query));
-
-            // Centered interval tree: from-scratch queries.
-            let (itree, _) = time_ms(|| IntervalTreeIndex::build(&w.projected));
-            let itree_build = mean_time_ms(RUNS, || IntervalTreeIndex::build(&w.projected));
-            let itree_query = mean_time_ms(RUNS, || {
-                sweep_from_scratch(&itree, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push((
-                "interval-tree".to_string(),
-                itree_build,
-                mb(itree.heap_bytes()),
-                itree_query,
-            ));
-
-            // Sorted event arrays (extension arm: the static-workload
-            // optimum the trees trade against dynamic maintenance).
-            let (sa, _) = time_ms(|| SortedArrayIndex::build(&w.projected));
-            let sa_build = mean_time_ms(RUNS, || SortedArrayIndex::build(&w.projected));
-            let sa_query = mean_time_ms(RUNS, || {
-                sweep_from_scratch(&sa, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push(("sorted-array".to_string(), sa_build, mb(sa.heap_bytes()), sa_query));
-
-            // Eytzinger (implicit BFS) event arrays: same static workload as
-            // the sorted array, cache-friendly descent instead of binary
-            // search hops.
-            let (ey, _) = time_ms(|| EytzingerIndex::build(&w.projected));
-            let ey_build = mean_time_ms(RUNS, || EytzingerIndex::build(&w.projected));
-            let ey_query = mean_time_ms(RUNS, || {
-                sweep_from_scratch(&ey, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push(("eytzinger".to_string(), ey_build, mb(ey.heap_bytes()), ey_query));
-
-            // Dual AVL + incremental computation (the paper's winner).
-            let (avl, _) = time_ms(|| AvlIndex::build(&w.projected));
-            let avl_build = mean_time_ms(RUNS, || AvlIndex::build(&w.projected));
-            let avl_query = mean_time_ms(RUNS, || {
-                sweep_incremental(&avl, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push(("avl+incremental".to_string(), avl_build, mb(avl.heap_bytes()), avl_query));
-
-            // Arena-backed dual AVL: identical algorithm in contiguous Vec
-            // storage with u32 child links (no per-node allocation).
-            let (favl, _) = time_ms(|| FlatAvlIndex::build(&w.projected));
-            let favl_build = mean_time_ms(RUNS, || FlatAvlIndex::build(&w.projected));
-            let favl_query = mean_time_ms(RUNS, || {
-                sweep_incremental(&favl, w.cols(), 30, &w.grid, |_, _, _| {})
-            });
-            arms.push((
-                "flat-avl+incr".to_string(),
-                favl_build,
-                mb(favl.heap_bytes()),
-                favl_query,
-            ));
-
+            let from_scratch = |index: &dyn LogicalTimeIndex| {
+                sweep_from_scratch(index, w.cols(), 30, &w.grid, |_, _, _| {});
+            };
+            let arms = vec![
+                // Naive materialized join (Pandas-merge baseline): creation
+                // is the join itself; queries rescan per grid point.
+                time_arm(
+                    NAIVE_ARM,
+                    || NaiveJoinIndex::build_from_dataset(&ds, &w.projected),
+                    |i| from_scratch(i),
+                ),
+                // Centered interval tree: from-scratch queries.
+                time_arm("interval-tree", || IntervalTreeIndex::build(&w.projected), |i| {
+                    from_scratch(i)
+                }),
+                // Sorted event arrays (extension arm: the static-workload
+                // optimum the trees trade against dynamic maintenance).
+                time_arm("sorted-array", || SortedArrayIndex::build(&w.projected), |i| {
+                    from_scratch(i)
+                }),
+                // Dual AVL + incremental computation (the paper's winner).
+                time_arm(AVL_ARM, || FlatAvlIndex::build(&w.projected), |i| {
+                    sweep_incremental(i, w.cols(), 30, &w.grid, |_, _, _| {});
+                }),
+            ];
             ScaleRow { scale, n_rccs: w.projected.len(), arms }
         })
         .collect()
 }
 
-fn render(rows: &[ScaleRow], col: impl Fn(&(String, f64, f64, f64)) -> f64, unit: &str) -> String {
+fn render(rows: &[ScaleRow], col: impl Fn(&Arm) -> f64, unit: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:>6} | {:>9}", "scale", "rccs"));
     for (name, ..) in &rows[0].arms {
@@ -177,12 +160,13 @@ pub fn fig5a(rows: &[ScaleRow]) -> String {
 /// Figure 5b: query processing time over the 11-step timeline workload.
 pub fn fig5b(rows: &[ScaleRow]) -> String {
     let mut out = format!("Figure 5b — query processing time\n{}", render(rows, |a| a.3, "ms"));
-    if let Some(last) = rows.last() {
-        let avl = last.arms.iter().position(|a| a.0.starts_with("avl")).expect("avl arm");
-        let speedup = last.arms[0].3 / last.arms[avl].3;
+    if let Some((r, naive, avl)) =
+        rows.last().and_then(|r| Some((r, r.arm(NAIVE_ARM)?, r.arm(AVL_ARM)?)))
+    {
         out.push_str(&format!(
-            "speedup of avl+incremental over naive rescan at {}x: {:.1}x (paper reports ~5x)\n",
-            last.scale, speedup
+            "speedup of {AVL_ARM} over naive rescan at {}x: {:.1}x (paper reports ~5x)\n",
+            r.scale,
+            naive.3 / avl.3
         ));
     }
     out
@@ -202,20 +186,18 @@ mod tests {
         let rows = measure(&[1]);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
-        assert_eq!(r.arms.len(), 6);
+        assert_eq!(r.arms.len(), 4);
+        let get = |name: &str| r.arm(name).unwrap_or_else(|| panic!("missing arm {name}"));
         // Memory ordering of Table 6: both trees well under the join.
-        let naive_mb = r.arms[0].2;
-        let itree_mb = r.arms[1].2;
-        let avl_mb = r.arms[4].2;
-        let flat_avl_mb = r.arms[5].2;
+        let naive_mb = get(NAIVE_ARM).2;
+        let itree_mb = get("interval-tree").2;
+        let avl_mb = get(AVL_ARM).2;
         assert!(avl_mb < naive_mb * 0.7, "AVL {avl_mb} vs naive {naive_mb}");
         assert!(itree_mb < naive_mb * 0.7, "interval {itree_mb} vs naive {naive_mb}");
-        // The flat layouts stay in the compact band: no pointer overhead.
-        assert!(r.arms[2].2 < avl_mb, "sorted array must beat pointer AVL");
-        assert!(flat_avl_mb <= avl_mb * 1.05, "flat AVL {flat_avl_mb} vs AVL {avl_mb}");
-        // Incremental queries beat per-step rescans (both AVL variants).
-        assert!(r.arms[4].3 < r.arms[0].3, "incremental must beat naive rescan");
-        assert!(r.arms[5].3 < r.arms[0].3, "flat incremental must beat naive rescan");
+        // The sorted array is the static-layout floor under the AVL.
+        assert!(get("sorted-array").2 < avl_mb, "sorted array must beat the dual AVL");
+        // Incremental queries beat per-step rescans.
+        assert!(get(AVL_ARM).3 < get(NAIVE_ARM).3, "incremental must beat naive rescan");
     }
 
     #[test]

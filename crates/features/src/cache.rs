@@ -8,12 +8,13 @@
 //! snapshots in a [`domd_index::LruCache`] keyed on
 //! `(avail, t* bits, epoch)`.
 //!
-//! **Invalidation** is epoch-based, mirroring
-//! [`domd_index::CachedStatusQueryEngine`]: the cache is bound to one
-//! dataset snapshot; whoever mutates the dataset (dynamic RCC maintenance,
+//! **Invalidation** is epoch-based: the cache is bound to one dataset
+//! snapshot; whoever mutates the dataset (dynamic RCC maintenance,
 //! re-censoring) calls [`FeatureCache::invalidate`], which bumps the epoch
 //! embedded in every future key — stale snapshots can never be looked up
-//! again and age out of the LRU.
+//! again and age out of the LRU. An ingest that knows which avails it
+//! touched calls [`FeatureCache::invalidate_avails`] instead, which drops
+//! only their snapshots.
 //!
 //! **Bit-identity**: a miss stores the exact `Vec<f64>` the cold path
 //! produced and a hit returns it verbatim (shared via `Arc`, never

@@ -2,12 +2,13 @@
 //! logical-time grid point, producing the feature tensor.
 //!
 //! The engine rides the incremental Status Query machinery of
-//! `domd-index`: one dual-AVL index over the logical projection of the
-//! requested avails' RCCs, one incremental sweep over the grid, with groups
-//! = (avail × RCC type × SWLIN first digit) cells. At each grid point the
-//! per-avail cells are rolled up across the type and SWLIN hierarchies and
-//! the catalog's aggregations are applied — so generating all slices costs
-//! one pass over the RCCs instead of `steps × |RCC|` work.
+//! `domd-index`: per avail shard, one dual-AVL index ([`FlatAvlIndex`]) over
+//! the logical projection of the shard's RCCs and one incremental sweep
+//! over the grid, with groups = (avail × RCC type × SWLIN first digit)
+//! cells. At each grid point the per-avail cells are rolled up across the
+//! type and SWLIN hierarchies and the catalog's aggregations are applied —
+//! so generating all slices costs one pass over the RCCs instead of
+//! `steps × |RCC|` work.
 
 use crate::spec::{CatalogDepth, FeatureCatalog, FeatureSpec, StatusFilter, SwlinGroup, TypeFilter};
 use crate::tensor::FeatureTensor;
@@ -15,7 +16,7 @@ use domd_data::dataset::Dataset;
 use domd_data::rcc::RccType;
 use domd_data::AvailId;
 use domd_index::{
-    project_dataset, sweep_incremental, Accum, AvlIndex, LogicalTimeIndex, RowColumns,
+    project_dataset, sweep_incremental, Accum, FlatAvlIndex, LogicalTimeIndex, RowColumns,
     StatStructure,
 };
 use domd_ml::DenseMatrix;
@@ -265,7 +266,7 @@ impl FeatureEngine {
         let shard_slices: Vec<Vec<DenseMatrix>> =
             domd_runtime::par_map(threads, &shards, |s, range| {
                 let shard_avails = range.len();
-                let index = AvlIndex::build(&selected_by_shard[s]);
+                let index = FlatAvlIndex::build(&selected_by_shard[s]);
                 let mut slices: Vec<DenseMatrix> = Vec::with_capacity(grid.len());
                 sweep_incremental(&index, cols, shard_avails * cells, grid, |_, t, st| {
                     let mut m = DenseMatrix::zeros(shard_avails, n_features);

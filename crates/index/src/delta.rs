@@ -125,7 +125,6 @@ impl<I: MaintainableIndex> StatusQueryEngine<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avl::AvlIndex;
     use crate::flat_avl::FlatAvlIndex;
     use crate::status_query::{StatusQuery, StatusQueryEngine};
     use crate::traits::LogicalTimeIndex;
@@ -133,10 +132,10 @@ mod tests {
     use domd_data::rcc::{RccId, RccStatus, RccType};
     use domd_data::{generate, GeneratorConfig};
 
-    fn engine() -> (domd_data::dataset::Dataset, StatusQueryEngine<AvlIndex>) {
+    fn engine() -> (domd_data::dataset::Dataset, StatusQueryEngine<FlatAvlIndex>) {
         let ds = generate(&GeneratorConfig { n_avails: 10, target_rccs: 600, scale: 1, seed: 3 });
         let proj = project_dataset(&ds);
-        let eng = StatusQueryEngine::<AvlIndex>::build(&ds, &proj);
+        let eng = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
         (ds, eng)
     }
 

@@ -1,23 +1,25 @@
-//! Struct-of-arrays dual-AVL index — the flat-layout contender.
+//! Dual-AVL-tree index (Section 4.1), stored as struct-of-arrays columns.
 //!
-//! [`crate::avl::AvlTree`] is already arena-backed, but its arena is an
-//! array of 32-byte `Node` records: a range scan that only compares keys
-//! still pulls the ids, child links, and heights of every visited node
-//! through the cache. `FlatAvlTree` splits the node into parallel columns
-//! (`keys`, `others`, `ids`, `lefts`, `rights`, `heights`) built in *in-order*
-//! arena positions by [`FlatAvlTree::build_from_sorted`], so the pruned
-//! range scans of the incremental sweep walk the 8-byte key column
+//! The paper's AVL design keeps two self-balancing binary search trees —
+//! one keyed on RCC logical *start* positions, one on logical *end*
+//! positions — so both Status Query predicates (`creation_date <= t*`,
+//! `settled_date <= t*`) are prefix range scans. Each node also carries the
+//! opposite endpoint so the stab query (active set) is a filtered range
+//! scan without a second lookup.
+//!
+//! `FlatAvlTree` splits the node into parallel columns (`keys`, `others`,
+//! `ids`, `lefts`, `rights`, `heights`) with `u32` child links, built in
+//! *in-order* arena positions by [`FlatAvlTree::build_from_sorted`], so the
+//! pruned range scans of the incremental sweep walk the 8-byte key column
 //! sequentially and touch the payload columns only for rows that match.
+//! Inserts and removals keep the O(log n) dynamic maintenance of
+//! Section 4.1; removed slots are reused by later inserts.
 //!
 //! Each column is a [`ChunkedVec`], so a clone (one per `domd serve`
 //! ingest epoch) shares every chunk. An insert or removal copies only the
 //! chunks it writes: the new node's slot at the tail, plus the path nodes
 //! whose link or height actually changes — links and heights are written
 //! only when the value differs, so an unchanged ancestor stays shared.
-//!
-//! Semantics are identical to the AoS tree: same `(key, id)` ordering, same
-//! rebalancing, same sorted-layout fast paths, same O(log n) dynamic
-//! maintenance (Section 4.1) — only the memory layout differs.
 
 use crate::chunked::ChunkedVec;
 use crate::traits::{LogicalTimeIndex, MaintainableIndex};
@@ -419,8 +421,8 @@ impl HeapSize for FlatAvlTree {
     }
 }
 
-/// The dual flat-AVL logical-time index: column-layout twin of
-/// [`crate::avl::AvlIndex`], with an epoch counter for cache invalidation.
+/// The dual-AVL logical-time index: a start-keyed and an end-keyed
+/// [`FlatAvlTree`], with an epoch counter bumped by every mutation.
 #[derive(Debug, Clone, Default)]
 pub struct FlatAvlIndex {
     /// Keyed on logical start; `other` is the logical end.
@@ -479,16 +481,6 @@ impl FlatAvlIndex {
     #[cfg(test)]
     pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
         self.starts.unshared_chunks(&base.starts) + self.ends.unshared_chunks(&base.ends)
-    }
-}
-
-impl crate::traits::EventRangeScan for FlatAvlIndex {
-    fn scan_created_in(&self, lo: f64, hi: f64, f: &mut dyn FnMut(f64, f64, RowId)) {
-        self.for_each_created_in(lo, hi, f);
-    }
-
-    fn scan_settled_in(&self, lo: f64, hi: f64, f: &mut dyn FnMut(f64, f64, RowId)) {
-        self.for_each_settled_in(lo, hi, f);
     }
 }
 
@@ -564,7 +556,7 @@ impl MaintainableIndex for FlatAvlIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avl::AvlIndex;
+    use crate::naive::NaiveJoinIndex;
 
     fn rcc(id: RowId, start: f64, end: f64) -> LogicalRcc {
         LogicalRcc { id, avail: domd_data::AvailId(1), start, end }
@@ -588,37 +580,73 @@ mod tests {
     }
 
     #[test]
-    fn matches_aos_avl_on_random_sets() {
+    fn insert_and_query_small() {
+        let rs = [rcc(0, 0.0, 30.0), rcc(1, 10.0, 50.0), rcc(2, 40.0, 90.0), rcc(3, 95.0, 120.0)];
+        let idx = FlatAvlIndex::build(&rs);
+        assert_eq!(idx.len(), 4);
+        assert_eq!(idx.active_at(20.0), vec![0, 1]);
+        assert_eq!(idx.settled_by(20.0), Vec::<RowId>::new());
+        assert_eq!(idx.created_by(20.0), vec![0, 1]);
+        assert_eq!(idx.not_created_by(20.0), vec![2, 3]);
+        assert_eq!(idx.active_at(50.0), vec![2]); // 1 settles exactly at 50
+        assert_eq!(idx.settled_by(50.0), vec![0, 1]);
+        assert_eq!(idx.created_by(100.0), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn matches_naive_join_on_random_sets() {
         let rs = random_rccs(700, 9);
         let flat = FlatAvlIndex::build(&rs);
-        let avl = AvlIndex::build(&rs);
+        let naive = NaiveJoinIndex::build(&rs);
         for t in [0.0, 10.0, 33.3, 60.0, 99.9, 120.0, 161.0] {
-            assert_eq!(flat.active_at(t), avl.active_at(t), "active t={t}");
-            assert_eq!(flat.settled_by(t), avl.settled_by(t), "settled t={t}");
-            assert_eq!(flat.created_by(t), avl.created_by(t), "created t={t}");
-            assert_eq!(flat.not_created_by(t), avl.not_created_by(t), "not-created t={t}");
+            assert_eq!(flat.active_at(t), naive.active_at(t), "active t={t}");
+            assert_eq!(flat.settled_by(t), naive.settled_by(t), "settled t={t}");
+            assert_eq!(flat.created_by(t), naive.created_by(t), "created t={t}");
+            assert_eq!(flat.not_created_by(t), naive.not_created_by(t), "not-created t={t}");
         }
     }
 
     #[test]
-    fn dynamic_maintenance_matches_aos_avl() {
+    fn dynamic_maintenance_matches_naive_join_rebuild() {
         let rs = random_rccs(300, 77);
         let mut flat = FlatAvlIndex::build(&rs);
-        let mut avl = AvlIndex::build(&rs);
-        for r in rs.iter().step_by(3) {
-            assert!(flat.remove(r));
-            assert!(avl.remove(r));
+        let mut live: Vec<LogicalRcc> = Vec::new();
+        for (i, r) in rs.iter().enumerate() {
+            if i % 3 == 0 {
+                assert!(flat.remove(r));
+            } else {
+                live.push(*r);
+            }
         }
         for i in 0..100u32 {
             let r = rcc(1000 + i, f64::from(i % 50), f64::from(i % 50) + 7.0);
             assert!(flat.insert(&r));
-            assert!(avl.insert(&r));
+            live.push(r);
         }
-        assert_eq!(flat.len(), avl.len());
+        // The from-scratch oracle: a naive join over the final row set.
+        let naive = NaiveJoinIndex::build(&live);
+        assert_eq!(flat.len(), naive.len());
         for t in [5.0, 25.0, 48.0, 90.0] {
-            assert_eq!(flat.active_at(t), avl.active_at(t), "active t={t}");
-            assert_eq!(flat.settled_by(t), avl.settled_by(t), "settled t={t}");
+            assert_eq!(flat.active_at(t), naive.active_at(t), "active t={t}");
+            assert_eq!(flat.settled_by(t), naive.settled_by(t), "settled t={t}");
         }
+    }
+
+    #[test]
+    fn arena_slots_reused_after_remove() {
+        let mut tree = FlatAvlTree::new();
+        for i in 0..100u32 {
+            assert!(tree.insert(f64::from(i), f64::from(i) + 1.0, i));
+        }
+        let arena_before = tree.arena_len();
+        for i in 0..50u32 {
+            assert!(tree.remove(f64::from(i), i));
+        }
+        for i in 100..150u32 {
+            assert!(tree.insert(f64::from(i), f64::from(i) + 1.0, i));
+        }
+        assert_eq!(tree.len(), 100);
+        assert_eq!(tree.arena_len(), arena_before, "freed slots must be reused");
     }
 
     #[test]
@@ -644,6 +672,20 @@ mod tests {
         let rs: Vec<LogicalRcc> =
             (0..4096).map(|i| rcc(i, f64::from(i) * 0.01, f64::from(i) * 0.01 + 5.0)).collect();
         let idx = FlatAvlIndex::build(&rs);
+        let (ds, de) = idx.depths();
+        assert!(ds <= 18 && de <= 18, "depths ({ds}, {de}) exceed AVL bound");
+    }
+
+    #[test]
+    fn balanced_depth_after_one_by_one_inserts() {
+        // The serve ingest path: every row arrives through `insert`, so the
+        // rebalancing (not the bulk build) must hold the AVL bound,
+        // height <= 1.44 log2(n + 2), about 18 for 4096 rows.
+        let mut idx = FlatAvlIndex::default();
+        for i in 0..4096u32 {
+            assert!(idx.insert(&rcc(i, f64::from(i) * 0.01, f64::from(i) * 0.01 + 5.0)));
+        }
+        assert_eq!(idx.len(), 4096);
         let (ds, de) = idx.depths();
         assert!(ds <= 18 && de <= 18, "depths ({ds}, {de}) exceed AVL bound");
     }

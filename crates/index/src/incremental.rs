@@ -13,7 +13,8 @@
 //! sweeper serves both the scalability study (groups = RCC type × SWLIN
 //! first digit) and feature engineering (groups = avail × type × subsystem).
 
-use crate::traits::{EventRangeScan, LogicalTimeIndex};
+use crate::flat_avl::FlatAvlIndex;
+use crate::traits::LogicalTimeIndex;
 use crate::types::{HeapSize, LogicalRcc, RowId};
 
 /// Running aggregates of one (group × status) cell. Supports removal
@@ -148,11 +149,11 @@ pub struct RowColumns<'a> {
     pub groups: &'a [usize],
 }
 
-/// Incremental sweeper over a logical-time grid backed by either dual-AVL
-/// index (pointer-based or arena-backed). Calls `visit(step, t*, &stats)`
-/// once per grid point, after the structure has been advanced to it.
-pub fn sweep_incremental<I: EventRangeScan, F: FnMut(usize, f64, &StatStructure)>(
-    index: &I,
+/// Incremental sweeper over a logical-time grid backed by the dual-AVL
+/// index. Calls `visit(step, t*, &stats)` once per grid point, after the
+/// structure has been advanced to it.
+pub fn sweep_incremental<F: FnMut(usize, f64, &StatStructure)>(
+    index: &FlatAvlIndex,
     cols: RowColumns<'_>,
     n_groups: usize,
     grid: &[f64],
@@ -163,13 +164,13 @@ pub fn sweep_incremental<I: EventRangeScan, F: FnMut(usize, f64, &StatStructure)
     for (step, &t) in grid.iter().enumerate() {
         debug_assert!(t >= prev, "grid must ascend");
         // Rows created inside (prev, t] enter the created and active sets.
-        index.scan_created_in(prev, t, &mut |_s, _e, id| {
+        index.for_each_created_in(prev, t, |_s, _e, id| {
             let (g, a, d) = row(cols, id);
             st.created[g].add(a, d);
             st.active[g].add(a, d);
         });
         // Rows settled inside (prev, t] move from active to settled.
-        index.scan_settled_in(prev, t, &mut |s, _e, id| {
+        index.for_each_settled_in(prev, t, |s, _e, id| {
             let (g, a, d) = row(cols, id);
             // A row both created and settled inside the window was just
             // added to active above; rows created before `prev` were added
@@ -197,7 +198,7 @@ pub fn sweep_from_scratch<I, F>(
     mut visit: F,
 ) -> StatStructure
 where
-    I: LogicalTimeIndex,
+    I: LogicalTimeIndex + ?Sized,
     F: FnMut(usize, f64, &StatStructure),
 {
     let mut last = StatStructure::new(n_groups);
@@ -243,7 +244,6 @@ pub fn columns_from<FG: Fn(&LogicalRcc) -> usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avl::AvlIndex;
     use domd_data::AvailId;
 
     fn rcc(id: RowId, start: f64, end: f64) -> LogicalRcc {
@@ -283,7 +283,7 @@ mod tests {
     fn incremental_equals_from_scratch() {
         let (rs, amounts, durations, groups) = setup(800, 21);
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rs);
+        let avl = FlatAvlIndex::build(&rs);
         let grid: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
 
         let mut inc_snapshots = Vec::new();
@@ -312,7 +312,7 @@ mod tests {
     fn final_state_counts_everything_created() {
         let (rs, amounts, durations, groups) = setup(300, 3);
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rs);
+        let avl = FlatAvlIndex::build(&rs);
         // All generated starts are < 100, ends < 130.
         let st = sweep_incremental(&avl, cols, 7, &[150.0], |_, _, _| {});
         let created: f64 = st.created.iter().map(|a| a.count).sum();
@@ -327,7 +327,7 @@ mod tests {
     fn created_equals_active_plus_settled_invariant() {
         let (rs, amounts, durations, groups) = setup(500, 9);
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rs);
+        let avl = FlatAvlIndex::build(&rs);
         let grid: Vec<f64> = (0..=20).map(|i| i as f64 * 5.0).collect();
         sweep_incremental(&avl, cols, 7, &grid, |_, t, st| {
             for g in 0..7 {
@@ -350,7 +350,7 @@ mod tests {
         let durations = [2.0];
         let groups = [0usize];
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rs);
+        let avl = FlatAvlIndex::build(&rs);
         let st = sweep_incremental(&avl, cols, 1, &[0.0, 10.0, 20.0], |_, _, _| {});
         assert_eq!(st.active[0].count, 0.0);
         assert_eq!(st.settled[0].count, 1.0);

@@ -8,24 +8,23 @@
 //!
 //! Index designs answering the logical-time predicates:
 //!
-//! * [`avl::AvlIndex`] — dual AVL trees keyed on logical start and end
-//!   positions (the paper's winning design; O(log n) dynamic maintenance);
-//! * [`flat_avl::FlatAvlIndex`] — the same dual-AVL semantics with
-//!   struct-of-arrays node columns (cache-friendly range scans);
+//! * [`flat_avl::FlatAvlIndex`] — dual AVL trees keyed on logical start and
+//!   end positions (the paper's winning design; O(log n) dynamic
+//!   maintenance), stored as struct-of-arrays node columns so range scans
+//!   walk the key column sequentially;
 //! * [`interval_tree::IntervalTreeIndex`] — a centered interval tree;
-//! * [`sorted_array::SortedArrayIndex`] — static sorted event arrays;
-//! * [`eytzinger::EytzingerIndex`] — sorted event arrays searched through
-//!   an implicit-BFS (Eytzinger) layout;
+//! * [`sorted_array::SortedArrayIndex`] — static sorted event arrays (the
+//!   static-workload floor the trees trade against dynamic maintenance);
 //! * [`naive::NaiveJoinIndex`] — the materialized avail ⋈ RCC join scanned
-//!   per query (the Pandas-merge baseline).
+//!   per query (the Pandas-merge baseline, and the from-scratch oracle the
+//!   other designs are tested against).
 //!
 //! [`arena::RccArena`] is the columnar (struct-of-arrays) RCC table every
 //! engine aggregates from; its columns, the flat AVL node columns and the
 //! group-by trees keep their storage in [`chunked`]'s `Arc`-shared pieces,
 //! so an engine clone copies pointers and a delta copies only the pieces
-//! it writes. [`cache::CachedStatusQueryEngine`] memoizes
-//! whole query snapshots keyed on `(t*, group node, status, index epoch)`
-//! with epoch-based invalidation on dynamic maintenance.
+//! it writes. [`cache::LruCache`] is the bounded LRU behind the online
+//! feature snapshot cache in `domd-features`.
 //! [`durable::DurableIndex`] wraps any maintainable index with a
 //! write-ahead log and rolling checksummed checkpoints so dynamic
 //! maintenance survives process crashes (recovery replays the longest
@@ -38,20 +37,14 @@
 //! timeline touching only the RCCs whose endpoints fall in each new window.
 //! [`delta`] maintains a built engine against a typed insert/settle/remove
 //! stream in the DurableIndex WAL order — O(log n) per delta, bit-identical
-//! to a from-scratch rebuild over the live rows — and the snapshot cache
-//! invalidates surgically: only the keys a delta's (type, SWLIN, status,
-//! `t*`) footprint can touch are dropped, the rest are re-keyed to the new
-//! epoch (with a counted full-invalidation fallback when a delta cannot be
-//! classified).
+//! to a from-scratch rebuild over the live rows.
 
 #![deny(unsafe_code)]
 pub mod arena;
-pub mod avl;
 pub mod cache;
 pub mod chunked;
 pub mod delta;
 pub mod durable;
-pub mod eytzinger;
 pub mod flat_avl;
 pub mod group_tree;
 pub mod incremental;
@@ -64,17 +57,12 @@ pub mod traits;
 pub mod types;
 
 pub use arena::RccArena;
-pub use avl::{AvlIndex, AvlTree};
-pub use cache::{
-    CacheStats, CachedStatusQueryEngine, Invalidation, LruCache, SnapshotKey,
-    DEFAULT_CACHE_CAPACITY,
-};
+pub use cache::{CacheStats, LruCache, DEFAULT_CACHE_CAPACITY};
 pub use chunked::SortedRuns;
 pub use delta::RccDelta;
 pub use durable::{
     DurableIndex, RebuildError, RecoveryReport, StoredRow, DEFAULT_CHECKPOINT_EVERY,
 };
-pub use eytzinger::EytzingerIndex;
 pub use flat_avl::{FlatAvlIndex, FlatAvlTree};
 pub use group_tree::{RccTypeTree, SwlinTree};
 pub use incremental::{
@@ -85,5 +73,5 @@ pub use naive::NaiveJoinIndex;
 pub use snapshot::{EngineStore, EpochStore, Pinned};
 pub use sorted_array::SortedArrayIndex;
 pub use status_query::{GroupRows, StatusAggregate, StatusQuery, StatusQueryEngine};
-pub use traits::{EventRangeScan, LogicalTimeIndex, MaintainableIndex};
+pub use traits::{LogicalTimeIndex, MaintainableIndex};
 pub use types::{project_dataset, HeapSize, LogicalRcc, OrderedF64, RowId};

@@ -92,7 +92,7 @@ impl LogicalTimeIndex for SortedArrayIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avl::AvlIndex;
+    use crate::flat_avl::FlatAvlIndex;
     use domd_data::AvailId;
     use rand::{Rng, SeedableRng};
 
@@ -110,7 +110,7 @@ mod tests {
     fn agrees_with_avl_on_random_data() {
         let rccs = random_rccs(1500, 7);
         let sa = SortedArrayIndex::build(&rccs);
-        let avl = AvlIndex::build(&rccs);
+        let avl = FlatAvlIndex::build(&rccs);
         for t in [0.0, 13.7, 50.0, 88.8, 139.9, 200.0] {
             assert_eq!(sa.active_at(t), avl.active_at(t), "active at {t}");
             assert_eq!(sa.settled_by(t), avl.settled_by(t), "settled at {t}");
@@ -123,7 +123,7 @@ mod tests {
     fn most_compact_design() {
         let rccs = random_rccs(10_000, 8);
         let sa = SortedArrayIndex::build(&rccs);
-        let avl = AvlIndex::build(&rccs);
+        let avl = FlatAvlIndex::build(&rccs);
         assert!(
             sa.heap_bytes() < avl.heap_bytes(),
             "sorted array {} must undercut the dual AVL {}",

@@ -224,8 +224,7 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
 impl<I: MaintainableIndex> StatusQueryEngine<I> {
     /// Dynamic maintenance (Section 4.1): appends one RCC to the arena and
     /// inserts it into the logical index and both group trees, O(log n).
-    /// Bumps the index epoch, invalidating memoized snapshots. Returns the
-    /// new dense row id.
+    /// Bumps the index epoch. Returns the new dense row id.
     pub fn insert(&mut self, rcc: &Rcc, avail: &Avail) -> RowId {
         let arena = Arc::make_mut(&mut self.arena);
         let row = arena.push(rcc, avail);
@@ -320,7 +319,7 @@ fn intersect_into(out: &mut Vec<RowId>, a: &[RowId], b: &[RowId], j: &mut usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avl::AvlIndex;
+    use crate::flat_avl::FlatAvlIndex;
     use crate::naive::NaiveJoinIndex;
     use crate::types::project_dataset;
     use domd_data::{generate, GeneratorConfig};
@@ -340,7 +339,7 @@ mod tests {
 
     #[test]
     fn execute_matches_brute_force() {
-        let (ds, eng) = engine::<AvlIndex>();
+        let (ds, eng) = engine::<FlatAvlIndex>();
         let proj = project_dataset(&ds);
         let queries = [
             StatusQuery { rcc_type: Some(RccType::Growth), swlin_prefix: None, status: RccStatus::Active, t_star: 50.0 },
@@ -377,7 +376,7 @@ mod tests {
 
     #[test]
     fn all_backends_agree() {
-        let (ds, avl) = engine::<AvlIndex>();
+        let (ds, avl) = engine::<FlatAvlIndex>();
         let proj = project_dataset(&ds);
         let naive = StatusQueryEngine::<NaiveJoinIndex>::build(&ds, &proj);
         let itree = StatusQueryEngine::<crate::interval_tree::IntervalTreeIndex>::build(&ds, &proj);
@@ -393,7 +392,7 @@ mod tests {
 
     #[test]
     fn aggregate_sums_match_manual() {
-        let (ds, eng) = engine::<AvlIndex>();
+        let (ds, eng) = engine::<FlatAvlIndex>();
         let q = StatusQuery { rcc_type: Some(RccType::NewWork), swlin_prefix: None, status: RccStatus::Created, t_star: 60.0 };
         let ids = eng.execute(&q);
         let agg = eng.aggregate(&q);
@@ -406,7 +405,7 @@ mod tests {
 
     #[test]
     fn batch_execution_matches_sequential_for_every_thread_count() {
-        let (_, eng) = engine::<AvlIndex>();
+        let (_, eng) = engine::<FlatAvlIndex>();
         let mut queries = Vec::new();
         for t in 0..40u32 {
             for status in RccStatus::FEATURE_STATUSES {
@@ -428,7 +427,7 @@ mod tests {
 
     #[test]
     fn group_rows_avoids_allocation_on_hot_arms() {
-        let (ds, eng) = engine::<AvlIndex>();
+        let (ds, eng) = engine::<FlatAvlIndex>();
         let base = StatusQuery {
             rcc_type: None,
             swlin_prefix: None,
@@ -462,7 +461,7 @@ mod tests {
     #[test]
     fn dynamic_insert_updates_queries_and_epoch() {
         use domd_data::rcc::{Rcc, RccId};
-        let (ds, mut eng) = engine::<AvlIndex>();
+        let (ds, mut eng) = engine::<FlatAvlIndex>();
         assert_eq!(eng.epoch(), 0);
         let avail = ds.avails()[0].clone();
         let rcc = Rcc {
@@ -494,7 +493,7 @@ mod tests {
 
     #[test]
     fn empty_group_aggregates_to_zero() {
-        let (_, eng) = engine::<AvlIndex>();
+        let (_, eng) = engine::<FlatAvlIndex>();
         // SWLIN first digit 0 never occurs in generated data.
         let q = StatusQuery { rcc_type: None, swlin_prefix: Some((0, 1)), status: RccStatus::Created, t_star: 100.0 };
         let agg = eng.aggregate(&q);

@@ -54,9 +54,8 @@ pub trait LogicalTimeIndex: HeapSize {
 }
 
 /// A [`LogicalTimeIndex`] supporting the O(log n) dynamic maintenance of
-/// Section 4.1, with a monotone *epoch* counter that memoizing layers key
-/// on: every successful mutation bumps the epoch, so a snapshot cached
-/// under an older epoch can never be served again.
+/// Section 4.1, with a monotone *epoch* counter: every successful mutation
+/// bumps it, so anything derived from an older epoch is recognizably stale.
 pub trait MaintainableIndex: LogicalTimeIndex {
     /// Inserts one projected RCC; `false` if `(positions, id)` already exist.
     fn insert_logical(&mut self, rcc: &LogicalRcc) -> bool;
@@ -66,18 +65,6 @@ pub trait MaintainableIndex: LogicalTimeIndex {
 
     /// Mutation counter; bumped by every successful insert/remove.
     fn current_epoch(&self) -> u64;
-}
-
-/// Windowed event scans driving the incremental sweep of Section 4.3:
-/// stream every row whose start (created) or end (settled) position falls
-/// in `(lo, hi]`, as `(start, end, id)`. Implemented by both the
-/// pointer-based and the arena-backed dual-AVL index.
-pub trait EventRangeScan {
-    /// Rows with `lo < start <= hi`.
-    fn scan_created_in(&self, lo: f64, hi: f64, f: &mut dyn FnMut(f64, f64, RowId));
-
-    /// Rows with `lo < end <= hi`.
-    fn scan_settled_in(&self, lo: f64, hi: f64, f: &mut dyn FnMut(f64, f64, RowId));
 }
 
 /// Merges two ascending, disjoint id lists into one ascending list.

@@ -2,16 +2,14 @@
 //! typed deltas (insert / settle / remove), the maintained Status Query
 //! engine must be `to_bits`-identical to a from-scratch rebuild over the
 //! same arena's live rows — sequentially and on the worker pool at thread
-//! counts 1/2/3/8 — and the delta-aware snapshot cache must keep serving
-//! exactly the cold-path bits while invalidating surgically (with the
-//! counted full-invalidation fallback for deltas it cannot classify).
+//! counts 1/2/3/8 — and a pinned epoch must never observe a concurrently
+//! published delta.
 
 use domd_data::dataset::Dataset;
 use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{generate, GeneratorConfig};
 use domd_index::{
-    project_dataset, AvlIndex, CachedStatusQueryEngine, EpochStore, FlatAvlIndex, Invalidation,
-    RccDelta, RowId, StatusQuery, StatusQueryEngine,
+    project_dataset, EpochStore, FlatAvlIndex, RccDelta, RowId, StatusQuery, StatusQueryEngine,
 };
 use std::sync::{Arc, Mutex};
 
@@ -54,7 +52,12 @@ fn probe_queries() -> Vec<StatusQuery> {
     out
 }
 
-fn settle_delta(rng: &mut Mix, ds: &Dataset, eng: &StatusQueryEngine<AvlIndex>, row: RowId) -> RccDelta {
+fn settle_delta(
+    rng: &mut Mix,
+    ds: &Dataset,
+    eng: &StatusQueryEngine<FlatAvlIndex>,
+    row: RowId,
+) -> RccDelta {
     let avail = ds.avail(eng.arena().avail(row)).expect("row avail").clone();
     let settled = avail.actual_start + 1 + rng.below(200) as i32;
     RccDelta::Settle { row, settled, avail }
@@ -67,7 +70,7 @@ fn settle_delta(rng: &mut Mix, ds: &Dataset, eng: &StatusQueryEngine<AvlIndex>, 
 fn maintained_engine_matches_from_scratch_after_every_batch() {
     let ds = generate(&GeneratorConfig { n_avails: 12, target_rccs: 1_200, scale: 1, seed: 29 });
     let proj = project_dataset(&ds);
-    let mut eng = StatusQueryEngine::<AvlIndex>::build(&ds, &proj);
+    let mut eng = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
     let mut rng = Mix(0xD0D0_0001);
     let mut live: Vec<RowId> = (0..eng.arena().len() as RowId).collect();
     let mut arena_len = eng.arena().len() as u32;
@@ -103,7 +106,7 @@ fn maintained_engine_matches_from_scratch_after_every_batch() {
         assert_eq!(eng.live_rows(), live, "batch {batch}: live set diverged");
 
         let scratch =
-            StatusQueryEngine::<AvlIndex>::from_arena_rows(Arc::clone(eng.arena()), &live);
+            StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(eng.arena()), &live);
         let want = scratch.aggregate_batch(&queries, 1);
         for threads in [1usize, 2, 3, 8] {
             let got = eng.aggregate_batch(&queries, threads);
@@ -150,77 +153,6 @@ fn insert_delta(
     let row = *arena_len;
     *arena_len += 1;
     (RccDelta::Insert { rcc, avail }, row)
-}
-
-/// The delta-aware cache must serve exactly the cold-path bits after every
-/// delta, invalidate surgically for classifiable deltas (retaining warm
-/// entries), and count a full invalidation for ones it cannot classify.
-#[test]
-fn cached_engine_stays_bit_identical_and_invalidate_surgically() {
-    let ds = generate(&GeneratorConfig { n_avails: 12, target_rccs: 1_200, scale: 1, seed: 31 });
-    let proj = project_dataset(&ds);
-    let mut eng = CachedStatusQueryEngine::<AvlIndex>::build(&ds, &proj, 4096);
-    let queries = probe_queries();
-    let mut rng = Mix(0xD0D0_0002);
-    let mut arena_len = eng.arena().len() as u32;
-    let mut next_id = 0u32;
-
-    let mut saw_retained = false;
-    for step in 0..40 {
-        // Warm the cache, then apply one delta.
-        let _: Vec<_> = queries.iter().map(|q| eng.aggregate_cached(q)).collect();
-        let delta = match rng.below(3) {
-            0 => {
-                let live = eng.engine().live_rows();
-                let row = live[rng.below(live.len() as u64) as usize];
-                let avail =
-                    ds.avail(eng.arena().avail(row)).expect("row avail").clone();
-                let settled = avail.actual_start + 1 + rng.below(200) as i32;
-                RccDelta::Settle { row, settled, avail }
-            }
-            1 => {
-                let live = eng.engine().live_rows();
-                RccDelta::Remove { row: live[rng.below(live.len() as u64) as usize] }
-            }
-            _ => {
-                let (d, _) = insert_delta(&mut rng, &ds, &mut arena_len, &mut next_id);
-                d
-            }
-        };
-        let (row, inv) = eng.apply_delta(&delta);
-        assert!(row.is_some(), "step {step}: generated deltas always apply");
-        match inv {
-            Invalidation::Surgical { dropped, retained } => {
-                saw_retained |= retained > 0;
-                assert!(dropped + retained > 0, "warm cache had entries");
-            }
-            Invalidation::Full => panic!("step {step}: classifiable delta fell back to full"),
-        }
-        // Every post-delta read must equal the cold path bit-for-bit.
-        for q in &queries {
-            let cold = eng.engine().aggregate(q);
-            let warm = eng.aggregate_cached(q);
-            assert_eq!(cold.count, warm.count, "step {step} {q:?}");
-            assert_eq!(cold.sum_amount.to_bits(), warm.sum_amount.to_bits(), "step {step} {q:?}");
-            assert_eq!(
-                cold.sum_duration.to_bits(),
-                warm.sum_duration.to_bits(),
-                "step {step} {q:?}"
-            );
-        }
-    }
-    assert!(saw_retained, "surgical invalidation must retain unaffected snapshots");
-    assert_eq!(eng.full_invalidations(), 0, "no classifiable delta may fall back");
-
-    // A delta naming an unknown row is unclassifiable: counted full fallback.
-    let (row, inv) = eng.apply_delta(&RccDelta::Remove { row: arena_len + 9_999 });
-    assert_eq!(row, None);
-    assert_eq!(inv, Invalidation::Full);
-    assert_eq!(eng.full_invalidations(), 1);
-    for q in &queries {
-        let cold = eng.engine().aggregate(q);
-        assert_eq!(cold, eng.aggregate_cached(q), "post-fallback reads stay correct");
-    }
 }
 
 /// Satellite: `EpochStore` under a sustained delta burst. A reader pinned

@@ -4,7 +4,7 @@
 
 use domd_data::AvailId;
 use domd_index::{
-    sweep_from_scratch, sweep_incremental, AvlIndex, IntervalTreeIndex, LogicalTimeIndex,
+    sweep_from_scratch, sweep_incremental, FlatAvlIndex, IntervalTreeIndex, LogicalTimeIndex,
     NaiveJoinIndex, RowColumns, SwlinTree,
 };
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn all_indexes_agree_with_brute_force(rccs in intervals(120), t in -10.0f64..200.0) {
         let (want_a, want_s, want_c, want_n) = brute_force(&rccs, t);
-        let avl = AvlIndex::build(&rccs);
+        let avl = FlatAvlIndex::build(&rccs);
         let itree = IntervalTreeIndex::build(&rccs);
         let naive = NaiveJoinIndex::build(&rccs);
         for (name, idx) in [
@@ -78,7 +78,7 @@ proptest! {
         let durations: Vec<f64> = rccs.iter().map(|r| r.end - r.start).collect();
         let groups: Vec<usize> = (0..n).map(|i| i % 5).collect();
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rccs);
+        let avl = FlatAvlIndex::build(&rccs);
 
         let mut inc = Vec::new();
         sweep_incremental(&avl, cols, 5, &grid, |_, _, st| inc.push(st.clone()));
@@ -96,7 +96,7 @@ proptest! {
 
     #[test]
     fn avl_remove_restores_previous_answers(rccs in intervals(80), t in 0.0f64..120.0) {
-        let mut avl = AvlIndex::build(&rccs);
+        let mut avl = FlatAvlIndex::build(&rccs);
         let before = (avl.active_at(t), avl.settled_by(t), avl.created_by(t));
         // Insert a batch of extra intervals, then remove them again.
         let extras: Vec<domd_index::LogicalRcc> = (0..10)
@@ -118,7 +118,7 @@ proptest! {
 
     #[test]
     fn created_is_union_and_complement_partition(rccs in intervals(100), t in 0.0f64..150.0) {
-        let avl = AvlIndex::build(&rccs);
+        let avl = FlatAvlIndex::build(&rccs);
         let mut union = avl.active_at(t);
         union.extend(avl.settled_by(t));
         union.sort_unstable();

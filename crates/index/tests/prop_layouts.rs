@@ -1,15 +1,13 @@
-//! Property-based agreement tests for the PR-3 layout work: the columnar
-//! arena, the flat cache-friendly index variants (Eytzinger event arrays,
-//! arena-backed dual AVL), and the memoizing snapshot cache must all be
-//! observationally identical to the pointer-based reference designs —
-//! cold, hot, and across dynamic-maintenance epoch bumps.
+//! Property-based agreement tests for the columnar layouts: the RCC arena
+//! and the column-stored indexes (dual AVL, sorted event arrays) must be
+//! observationally identical to the paper's naive join — the from-scratch
+//! oracle — and the incremental sweep to from-scratch recomputation, cold
+//! and across dynamic-maintenance epoch bumps.
 
-use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{generate, AvailId, GeneratorConfig};
 use domd_index::{
-    project_dataset, sweep_from_scratch, sweep_incremental, AvlIndex, CachedStatusQueryEngine,
-    EytzingerIndex, FlatAvlIndex, IntervalTreeIndex, LogicalTimeIndex, MaintainableIndex,
-    NaiveJoinIndex, RccArena, RowColumns, StatusQuery, StatusQueryEngine,
+    project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, IntervalTreeIndex,
+    LogicalTimeIndex, MaintainableIndex, NaiveJoinIndex, RccArena, RowColumns, SortedArrayIndex,
 };
 use proptest::prelude::*;
 
@@ -28,33 +26,23 @@ fn intervals(max_n: usize) -> impl Strategy<Value = Vec<domd_index::LogicalRcc>>
     })
 }
 
-fn status_of(code: u8) -> RccStatus {
-    match code % 4 {
-        0 => RccStatus::Active,
-        1 => RccStatus::Settled,
-        2 => RccStatus::Created,
-        _ => RccStatus::NotCreated,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The flat layouts answer all four retrieval sets exactly like the
-    /// pointer-based reference indexes on arbitrary interval sets.
+    /// The column-stored indexes answer all four retrieval sets exactly
+    /// like the naive join over the same rows, on arbitrary interval sets.
     #[test]
     fn flat_layouts_agree_with_reference_indexes(rccs in intervals(120), t in -10.0f64..200.0) {
-        let avl = AvlIndex::build(&rccs);
-        let want = (avl.active_at(t), avl.settled_by(t), avl.created_by(t), avl.not_created_by(t));
-        let ey = EytzingerIndex::build(&rccs);
-        let favl = FlatAvlIndex::build(&rccs);
-        let itree = IntervalTreeIndex::build(&rccs);
         let naive = NaiveJoinIndex::build(&rccs);
+        let want =
+            (naive.active_at(t), naive.settled_by(t), naive.created_by(t), naive.not_created_by(t));
+        let favl = FlatAvlIndex::build(&rccs);
+        let sa = SortedArrayIndex::build(&rccs);
+        let itree = IntervalTreeIndex::build(&rccs);
         for (name, idx) in [
-            ("eytzinger", &ey as &dyn LogicalTimeIndex),
             ("flat-avl", &favl as &dyn LogicalTimeIndex),
+            ("sorted-array", &sa as &dyn LogicalTimeIndex),
             ("interval", &itree as &dyn LogicalTimeIndex),
-            ("naive", &naive as &dyn LogicalTimeIndex),
         ] {
             prop_assert_eq!(idx.active_at(t), want.0.clone(), "{} active", name);
             prop_assert_eq!(idx.settled_by(t), want.1.clone(), "{} settled", name);
@@ -63,10 +51,10 @@ proptest! {
         }
     }
 
-    /// The incremental sweep over the arena-backed AVL is bit-identical to
-    /// the pointer AVL sweep and to from-scratch recomputation.
+    /// The incremental sweep over the dual AVL matches from-scratch
+    /// recomputation over the same index at every grid point.
     #[test]
-    fn flat_avl_sweep_matches_pointer_avl(
+    fn flat_avl_sweep_matches_from_scratch(
         rccs in intervals(100),
         mut grid in prop::collection::vec(0.0f64..150.0, 1..12),
     ) {
@@ -76,22 +64,13 @@ proptest! {
         let durations: Vec<f64> = rccs.iter().map(|r| r.end - r.start).collect();
         let groups: Vec<usize> = (0..n).map(|i| i % 5).collect();
         let cols = RowColumns { amounts: &amounts, durations: &durations, groups: &groups };
-        let avl = AvlIndex::build(&rccs);
         let favl = FlatAvlIndex::build(&rccs);
 
-        let mut reference = Vec::new();
-        sweep_incremental(&avl, cols, 5, &grid, |_, _, st| reference.push(st.clone()));
         let mut flat = Vec::new();
         sweep_incremental(&favl, cols, 5, &grid, |_, _, st| flat.push(st.clone()));
         let mut scratch = Vec::new();
         sweep_from_scratch(&favl, cols, 5, &grid, |_, _, st| scratch.push(st.clone()));
-        for (a, b) in reference.iter().zip(&flat) {
-            for g in 0..5 {
-                prop_assert_eq!(a.active[g].sum_amount.to_bits(), b.active[g].sum_amount.to_bits());
-                prop_assert_eq!(a.settled[g].sum_duration.to_bits(), b.settled[g].sum_duration.to_bits());
-                prop_assert_eq!(a.created[g].count.to_bits(), b.created[g].count.to_bits());
-            }
-        }
+        prop_assert_eq!(flat.len(), scratch.len());
         for (a, b) in flat.iter().zip(&scratch) {
             for g in 0..5 {
                 prop_assert!((a.active[g].count - b.active[g].count).abs() < 1e-9);
@@ -102,7 +81,7 @@ proptest! {
 
     /// Dynamic maintenance on the flat AVL: inserts then removes restore
     /// previous answers exactly, and every successful mutation bumps the
-    /// epoch (the invalidation signal the snapshot caches key on).
+    /// epoch.
     #[test]
     fn flat_avl_maintenance_restores_answers_and_bumps_epoch(
         rccs in intervals(80),
@@ -149,49 +128,5 @@ proptest! {
             prop_assert_eq!(arena.rcc_type(i as u32), rcc.rcc_type);
             prop_assert_eq!(arena.swlin(i as u32), rcc.swlin);
         }
-    }
-
-    /// The memoizing Status Query engine agrees with the uncached engine
-    /// on every query of a random hot/cold sequence interleaved with
-    /// dynamic inserts (epoch bumps) — bit-identical aggregates throughout.
-    #[test]
-    fn cached_engine_agrees_with_uncached_across_epoch_bumps(
-        ops in prop::collection::vec((0.0f64..120.0, 0u8..4, 0u8..2), 5..20),
-    ) {
-        let ds = generate(&GeneratorConfig { n_avails: 8, target_rccs: 400, scale: 1, seed: 31 });
-        let projected = project_dataset(&ds);
-        let mut plain = StatusQueryEngine::<AvlIndex>::build(&ds, &projected);
-        let mut cached = CachedStatusQueryEngine::<AvlIndex>::build(&ds, &projected, 64);
-        let avail = ds.avails()[0].clone();
-        for (i, &(t_star, status, insert)) in ops.iter().enumerate() {
-            if insert == 1 {
-                let rcc = Rcc {
-                    id: RccId(9_000_000 + i as u32),
-                    avail: avail.id,
-                    rcc_type: RccType::Growth,
-                    swlin: "434-11-001".parse().unwrap(),
-                    created: avail.actual_start + 2,
-                    settled: avail.actual_start + 30,
-                    amount: 250.0 + i as f64,
-                };
-                plain.insert(&rcc, &avail);
-                cached.insert(&rcc, &avail);
-            }
-            let q = StatusQuery {
-                rcc_type: if i % 2 == 0 { Some(RccType::Growth) } else { None },
-                swlin_prefix: None,
-                status: status_of(status),
-                t_star,
-            };
-            let want = plain.aggregate(&q);
-            // Twice: a miss then a hit must both equal the cold answer.
-            for pass in 0..2 {
-                let got = cached.aggregate_cached(&q);
-                prop_assert_eq!(got.count, want.count, "count op {} pass {}", i, pass);
-                prop_assert_eq!(got.sum_amount.to_bits(), want.sum_amount.to_bits());
-                prop_assert_eq!(got.sum_duration.to_bits(), want.sum_duration.to_bits());
-            }
-        }
-        prop_assert!(cached.stats().hits > 0, "hot passes must hit");
     }
 }

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use domd::data::{generate, GeneratorConfig};
 use domd::index::{
-    project_dataset, sweep_from_scratch, sweep_incremental, AvlIndex, HeapSize,
+    project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, HeapSize,
     IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex, RowColumns,
 };
 
@@ -50,7 +50,7 @@ fn main() {
 
         // Dual AVL: incremental sweep (the paper's winning combination).
         let t0 = Instant::now();
-        let avl = AvlIndex::build(&projected);
+        let avl = FlatAvlIndex::build(&projected);
         let avl_build = t0.elapsed();
         let t0 = Instant::now();
         sweep_incremental(&avl, cols, 30, &grid, |_, _, _| {});

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Benchmarks the deterministic parallel execution layer (PR 2) at 1x and 4x
-# RCC scale into BENCH_pr2.json, then the PR-3 layout-and-caching work
-# (flat index variants + memoizing snapshot cache, query latency and peak
-# heap at 1x-20x, cache hit rate) into BENCH_pr3.json, then the PR-4
-# durability layer (WAL append overhead on the dynamic-maintenance path vs
-# the in-memory baseline, checkpoint cadence cost, recovery time) into
-# BENCH_pr4.json. Every timing is bit-identity-checked against its
+# RCC scale into BENCH_pr2.json, then the column-stored index layouts
+# (sorted event arrays and the dual AVL: build time, 11-step sweep time and
+# heap at 1x-20x, each checked against a naive-join sweep) into
+# BENCH_pr3.json, then the PR-4 durability layer (WAL append overhead on
+# the dynamic-maintenance path vs the in-memory baseline, checkpoint
+# cadence cost, recovery time) into BENCH_pr4.json. Every timing is bit-identity-checked against its
 # reference path first; the WAL arm warns if overhead reaches 10%. The
 # serve suite drives the overload-safe serving core open-loop at 1x-20x
 # data and 1x-10x offered load into BENCH_serve.json (p50/p99 latency of
@@ -23,7 +23,6 @@
 #   SUITE=gbt TREES=600 scripts/bench.sh          # flat-kernel suite only
 #   SUITE=ingest BATCHES=6 scripts/bench.sh       # delta-ingest suite only
 #   SUITE=restart INGESTS=512 scripts/bench.sh    # restart-recovery suite only
-#   SUITE=lint RUNS=5 scripts/bench.sh            # analyzer-cache suite only
 #
 # The restart suite measures recovery-to-first-answer for a restarted
 # durable server vs store size into BENCH_restart.json: the store-rebuild
@@ -38,18 +37,13 @@
 # into BENCH_ingest.json, bit-identity-gated on both the Status Query
 # aggregates and the patched tensor, warning if the delta path misses its
 # 10x ingest-to-queryable acceptance target at the largest scale.
-#
-# The lint suite times the workspace invariant analyzer's incremental
-# cache into BENCH_lint.json: a cold sweep (cache deleted first) vs a
-# warm sweep over the unchanged workspace, identity-gated byte-for-byte
-# on the JSON report — the harness asserts zero hits cold and zero
-# misses warm, and warns if the warm speedup misses its 5x target.
+
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 THREADS="${THREADS:-0}"        # 0 = auto-detect
 RUNS="${RUNS:-3}"
-SUITE="${SUITE:-all}"   # all | parallel | layout | wal | serve | gbt | ingest | restart | lint
+SUITE="${SUITE:-all}"   # all | parallel | layout | wal | serve | gbt | ingest | restart
 
 if [ "$SUITE" = "all" ] || [ "$SUITE" = "parallel" ]; then
   SCALES_PAR="${SCALES:-1,4}"
@@ -66,11 +60,9 @@ fi
 if [ "$SUITE" = "all" ] || [ "$SUITE" = "layout" ]; then
   SCALES_LAYOUT="${SCALES:-1,5,10,20}"
   OUT_LAYOUT="${OUT_PR3:-BENCH_pr3.json}"
-  PASSES="${PASSES:-3}"
   cargo build --release -p domd-bench --bin bench_layout
-  target/release/bench_layout --scales "$SCALES_LAYOUT" --runs "$RUNS" \
-    --passes "$PASSES" --out "$OUT_LAYOUT"
-  echo "layout/cache bench results written to $OUT_LAYOUT"
+  target/release/bench_layout --scales "$SCALES_LAYOUT" --runs "$RUNS" --out "$OUT_LAYOUT"
+  echo "layout bench results written to $OUT_LAYOUT"
 fi
 
 if [ "$SUITE" = "all" ] || [ "$SUITE" = "wal" ]; then
@@ -134,11 +126,4 @@ if [ "$SUITE" = "all" ] || [ "$SUITE" = "restart" ]; then
   target/release/bench_restart --scales "$SCALES_RESTART" --ingests "$INGESTS" \
     --runs "$RUNS" --out "$OUT_RESTART"
   echo "restart-recovery bench results written to $OUT_RESTART"
-fi
-
-if [ "$SUITE" = "all" ] || [ "$SUITE" = "lint" ]; then
-  OUT_LINT="${OUT_LINT:-BENCH_lint.json}"
-  cargo build --release -p domd-bench --bin bench_lint
-  target/release/bench_lint --runs "$RUNS" --out "$OUT_LINT"
-  echo "analyzer cold-vs-warm sweep results written to $OUT_LINT"
 fi

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Workspace lint gate: clippy across every target (including the
-# domd-runtime pool and the PR-3 layout modules: arena, eytzinger,
-# flat_avl, snapshot caches), warnings promoted to errors, then two fast
-# smoke suites — the parallel-equivalence tests run under a 2-worker pool
-# so any scheduling-dependent output fails the gate quickly, and the
-# cache-invalidation tests assert a dynamic-maintenance epoch bump retires
-# every memoized snapshot on both the index and feature layers. The PR-4
+# domd-runtime pool and the columnar layout modules: arena, chunked,
+# flat_avl), warnings promoted to errors, then two fast smoke suites — the
+# parallel-equivalence tests run under a 2-worker pool so any
+# scheduling-dependent output fails the gate quickly, and the feature
+# cache-invalidation test asserts an invalidation forces a bit-identical
+# recompute of every memoized feature snapshot. The PR-4
 # durability gate runs the storage crate (frame/WAL/checkpoint/atomic-write
 # units), the DurableIndex suite, and the crash-recovery + storage-fault
 # integration tests, so a change that weakens the "never serve torn state"
@@ -31,6 +31,10 @@
 # suite, and an end-to-end smoke that `kill -9`s a durable server right
 # after an ack and requires the restarted server to rebuild the acked
 # row from the store alone (plus a `domd migrate-store` run-through).
+# The benchmark gate builds and self-tests `perfbench/` (a workspace of
+# its own that links the library crates by path), so deleting or
+# renaming a public item the benchmark uses fails here, not in a later
+# benchmark run.
 # The gate is staged by LINT_PROFILE (default full): `fast` stops after
 # the analyzer sweep, clippy, and the workspace unit tests — the
 # inner-loop check while iterating on a change; `full` adds every
@@ -66,8 +70,11 @@ fi
 DOMD_THREADS=2 cargo test -q -p domd-runtime
 DOMD_THREADS=2 cargo test -q -p domd-features --test parallel_equivalence
 DOMD_THREADS=2 cargo test -q -p domd-core --test parallel_equivalence
-cargo test -q -p domd-index --test cache_invalidation
 cargo test -q -p domd --test cache_invalidation
+
+# Benchmark gate: perfbench compiles against the library as it is now and
+# its self-tests pass.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Delta-maintenance gate: the incremental Status Query engine and the
 # patched feature tensor must stay bit-identical to their from-scratch

@@ -6,7 +6,7 @@ use domd::core::{
     PipelineInputs, TrainedPipeline,
 };
 use domd::data::{censor_ongoing, generate, GeneratorConfig};
-use domd::index::{project_dataset, AvlIndex, LogicalTimeIndex, StatusQueryEngine};
+use domd::index::{project_dataset, FlatAvlIndex, LogicalTimeIndex, StatusQueryEngine};
 
 fn small_dataset() -> domd::data::Dataset {
     generate(&GeneratorConfig { n_avails: 100, target_rccs: 9000, scale: 1, seed: 99 })
@@ -46,7 +46,7 @@ fn status_query_engine_consistent_with_feature_tensor() {
     // The total created-RCC count feature must equal a Status Query count.
     let ds = small_dataset();
     let projected = project_dataset(&ds);
-    let engine = StatusQueryEngine::<AvlIndex>::build(&ds, &projected);
+    let engine = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &projected);
     let features = domd::features::FeatureEngine::default();
     let a = ds.avails()[0].id;
 
@@ -169,6 +169,6 @@ fn scaled_dataset_preserves_modeling_targets() {
     let scaled = generate(&GeneratorConfig { n_avails: 30, target_rccs: 2000, scale: 4, seed: 8 });
     assert_eq!(base.avails(), scaled.avails());
     assert_eq!(scaled.rccs().len(), base.rccs().len() * 4);
-    let idx = AvlIndex::build(&project_dataset(&scaled));
+    let idx = FlatAvlIndex::build(&project_dataset(&scaled));
     assert_eq!(idx.len(), scaled.rccs().len());
 }
