@@ -1,6 +1,6 @@
-//! Criterion bench: Algorithm StatusQ latency for single queries — the
-//! GROUP BY intersection plus index retrieval that the paper's Figure 3
-//! query shape repeats throughout the pipeline.
+//! Criterion bench: Status Query aggregate latency for single queries of
+//! the paper's Figure 3 shape — the GROUP BY rows probed for their status
+//! at `t*` and folded — as the pipeline repeats them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use domd_bench::util::scaled_dataset;

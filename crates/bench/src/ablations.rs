@@ -254,7 +254,8 @@ signal the subsystem totals hide)
 /// Status Query latency as the GROUP BY descends the SWLIN hierarchy
 /// (Figure 3 groups by `SWLIN_Level_no`): at depth `d` the workload runs
 /// one aggregate query per (hierarchy node at depth d x status) over the
-/// 11-step grid.
+/// 11-step grid. `StatusQueryEngine::aggregate` probes each node's rows
+/// against the arena, so the time per query follows the node's size.
 pub fn groupby_depth_ablation() -> String {
     groupby_depth_ablation_to(4)
 }
@@ -268,7 +269,7 @@ pub fn groupby_depth_ablation_to(max_depth: u32) -> String {
     let grid: Vec<f64> = (0..=10).map(|i| f64::from(i) * 10.0).collect();
 
     let mut out = String::from(
-        "Ablation — Status Query latency vs SWLIN GROUP BY depth (AVL engine, 11-step grid)
+        "Ablation — Status Query latency vs SWLIN GROUP BY depth (arena-probe aggregate, 11-step grid)
  depth | groups |  queries | total ms | us/query
 ",
     );

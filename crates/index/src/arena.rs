@@ -190,6 +190,19 @@ impl RccArena {
         LogicalRcc { id: row, avail: self.avails[i], start: self.starts[i], end: self.ends[i] }
     }
 
+    /// Every row's logical `start` and `end`, one chunk at a time: each
+    /// item is the chunk's first row id with its two equal-length column
+    /// slices, so a full scan streams both columns without per-row lookups.
+    pub fn logical_chunks(&self) -> impl Iterator<Item = (RowId, &[f64], &[f64])> + '_ {
+        let n = self.len();
+        let mut first: RowId = 0;
+        self.starts.slices(0..n).zip(self.ends.slices(0..n)).map(move |(starts, ends)| {
+            let chunk = (first, starts, ends);
+            first += starts.len() as RowId;
+            chunk
+        })
+    }
+
     /// Materializes the projection records (for `LogicalTimeIndex::build`).
     pub fn projected(&self) -> Vec<LogicalRcc> {
         (0..self.len() as RowId).map(|row| self.logical(row)).collect()

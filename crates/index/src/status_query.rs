@@ -6,6 +6,26 @@
 //! restricted to the subtree of the group-by hierarchies named in its
 //! `GROUP BY` clause — an RCC type and/or a SWLIN prefix — and aggregates
 //! their settled amounts and durations.
+//!
+//! Two plans answer it, with the same rows in the same order:
+//!
+//! * [`StatusQueryEngine::execute`] is the paper's index plan: Step 1
+//!   takes the group rows from the group-by trees, Step 2 takes the
+//!   fleet-wide status set from the logical-time index, and the answer is
+//!   their intersection. It returns row ids and is the reference the
+//!   aggregate plan is tested against.
+//! * [`StatusQueryEngine::aggregate`] evaluates Step 2 on the group rows
+//!   themselves: it visits them in ascending row-id order, reads each
+//!   row's logical `start`/`end` from the [`RccArena`], and folds the
+//!   matches as it goes. Its cost follows the group, not the fleet, and it
+//!   builds no id vector for an unfiltered or type-only query on an engine
+//!   without removed rows (every `domd serve` epoch). It applies the
+//!   index's own comparisons — `start <= t*` (created), `end <= t*`
+//!   (settled), both `start <= t*` and `end > t*` (active), and
+//!   `!(start <= t*)` (not-created) — so both plans pick the same rows
+//!   even at a NaN `t*` or for a row settled before its start, and every
+//!   sum adds the same values in the same order: the aggregates are
+//!   `to_bits`-identical.
 
 use crate::arena::RccArena;
 use crate::chunked::SortedRuns;
@@ -62,32 +82,17 @@ impl StatusAggregate {
 }
 
 /// Step-1 result of Algorithm StatusQ: the rows satisfying the group-by
-/// predicates, without forcing an allocation on paths that don't need one.
-///
-/// The type-only dispatch arm used to clone the whole type partition per
-/// query (`ids_of(t).to_vec()`); borrowing it instead makes the most common
-/// group-by shape allocation-free, and the no-predicate arm skips even the
-/// `0..n` materialization because every status row trivially qualifies.
+/// predicates, ascending, without forcing an allocation on paths that
+/// don't need one: the type-only arm borrows the type partition, and the
+/// no-predicate arm names the engine's whole row set without listing it.
 #[derive(Debug)]
 pub enum GroupRows<'a> {
-    /// Every row qualifies (no group-by predicates).
+    /// Every live row qualifies (no group-by predicates).
     All,
     /// A borrowed ascending partition (single type predicate).
     Borrowed(&'a SortedRuns<RowId>),
-    /// A computed ascending id list (SWLIN subtree / intersection arms).
+    /// A computed ascending id list (SWLIN subtree, alone or type-filtered).
     Owned(Vec<RowId>),
-}
-
-impl GroupRows<'_> {
-    /// Materializes the ascending id list, given the total row count
-    /// (needed only for the [`GroupRows::All`] arm).
-    pub fn to_vec(&self, n_rows: usize) -> Vec<RowId> {
-        match self {
-            GroupRows::All => (0..n_rows as RowId).collect(),
-            GroupRows::Borrowed(s) => s.iter().collect(),
-            GroupRows::Owned(v) => v.clone(),
-        }
-    }
 }
 
 /// Executes Status Queries: owns the two group-by trees, a logical-time
@@ -150,16 +155,18 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
     }
 
     /// Step 1 of Algorithm StatusQ: `R^M`, the rows satisfying the group-by
-    /// predicates (intersection of the type partition and SWLIN subtree).
+    /// predicates. A type + SWLIN group keeps the SWLIN subtree's rows of
+    /// that type, so it costs the subtree, not the type partition.
     pub fn group_rows(&self, q: &StatusQuery) -> GroupRows<'_> {
         match (q.rcc_type, q.swlin_prefix) {
             (None, None) => GroupRows::All,
             (Some(t), None) => GroupRows::Borrowed(self.type_tree.ids_of(t)),
             (None, Some((p, l))) => GroupRows::Owned(self.swlin_tree.ids_for_prefix(p, l)),
-            (Some(t), Some((p, l))) => GroupRows::Owned(intersect_runs(
-                self.type_tree.ids_of(t),
-                &self.swlin_tree.ids_for_prefix(p, l),
-            )),
+            (Some(t), Some((p, l))) => {
+                let mut ids = self.swlin_tree.ids_for_prefix(p, l);
+                ids.retain(|&id| self.arena.rcc_type(id) == t);
+                GroupRows::Owned(ids)
+            }
         }
     }
 
@@ -202,14 +209,52 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         }
     }
 
-    /// Executes and aggregates in one pass (the common pipeline call shape).
+    /// The aggregates of `q`'s rows, bit-identical to folding
+    /// [`Self::execute`]'s ids in order, in time proportional to the group:
+    /// Step 2's status predicate is tested on each group row's arena
+    /// `start`/`end` instead of taken from the index (see the module doc).
     pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
-        let ids = self.execute(q);
+        let t = q.t_star;
+        let created = |start: f64| start <= t;
+        match q.status {
+            RccStatus::Active => self.fold_group(q, |start, end| created(start) && end > t),
+            RccStatus::Settled => self.fold_group(q, |_, end| end <= t),
+            RccStatus::Created => self.fold_group(q, |start, _| created(start)),
+            RccStatus::NotCreated => self.fold_group(q, |start, _| !created(start)),
+        }
+    }
+
+    /// Folds the group rows of `q` whose logical `(start, end)` satisfy
+    /// `hit`, in ascending row-id order.
+    fn fold_group(&self, q: &StatusQuery, hit: impl Fn(f64, f64) -> bool) -> StatusAggregate {
+        let arena = &*self.arena;
         let mut agg = StatusAggregate::default();
-        for id in ids {
+        let mut add = |id: RowId| {
             agg.count += 1;
-            agg.sum_amount += self.arena.amount(id);
-            agg.sum_duration += self.arena.duration(id);
+            agg.sum_amount += arena.amount(id);
+            agg.sum_duration += arena.duration(id);
+        };
+        let probe = |id: RowId| {
+            if hit(arena.start(id), arena.end(id)) {
+                add(id);
+            }
+        };
+        match self.group_rows(q) {
+            // The type tree holds one entry per live row, all below
+            // `arena.len()`: equal counts mean every arena row is live, so
+            // the two logical columns stream without listing the rows.
+            GroupRows::All if self.type_tree.len() == arena.len() => {
+                for (first, starts, ends) in arena.logical_chunks() {
+                    for (id, (&start, &end)) in (first..).zip(starts.iter().zip(ends)) {
+                        if hit(start, end) {
+                            add(id);
+                        }
+                    }
+                }
+            }
+            GroupRows::All => self.live_rows().into_iter().for_each(probe),
+            GroupRows::Borrowed(ids) => ids.iter().for_each(probe),
+            GroupRows::Owned(ids) => ids.into_iter().for_each(probe),
         }
         agg
     }
@@ -390,17 +435,130 @@ mod tests {
         }
     }
 
+    /// The aggregate of `ids` folded in the given (ascending) order.
+    fn fold_ids<I>(eng: &StatusQueryEngine<I>, ids: &[RowId]) -> StatusAggregate {
+        let mut agg = StatusAggregate::default();
+        for &id in ids {
+            agg.count += 1;
+            agg.sum_amount += eng.arena.amount(id);
+            agg.sum_duration += eng.arena.duration(id);
+        }
+        agg
+    }
+
+    fn assert_same_bits(got: &StatusAggregate, want: &StatusAggregate, ctx: &str) {
+        assert_eq!(got.count, want.count, "count: {ctx}");
+        assert_eq!(got.sum_amount.to_bits(), want.sum_amount.to_bits(), "amount: {ctx}");
+        assert_eq!(got.sum_duration.to_bits(), want.sum_duration.to_bits(), "duration: {ctx}");
+    }
+
     #[test]
     fn aggregate_sums_match_manual() {
-        let (ds, eng) = engine::<FlatAvlIndex>();
+        let (_, eng) = engine::<FlatAvlIndex>();
         let q = StatusQuery { rcc_type: Some(RccType::NewWork), swlin_prefix: None, status: RccStatus::Created, t_star: 60.0 };
-        let ids = eng.execute(&q);
         let agg = eng.aggregate(&q);
-        assert_eq!(agg.count, ids.len());
-        let manual_amt: f64 = ids.iter().map(|&i| ds.rccs()[i as usize].amount).sum();
-        assert!((agg.sum_amount - manual_amt).abs() < 1e-6);
+        assert_same_bits(&agg, &fold_ids(&eng, &eng.execute(&q)), "NW created at 60");
+        assert!(agg.count > 0);
         assert!(agg.avg_amount() > 0.0);
         assert!(agg.avg_duration() > 0.0);
+    }
+
+    const STATUSES: [RccStatus; 4] =
+        [RccStatus::NotCreated, RccStatus::Active, RccStatus::Settled, RccStatus::Created];
+
+    /// Every query shape the aggregate plan has an arm for: all four
+    /// statuses; no group, each type, SWLIN nodes at depths 1–8 (plus an
+    /// absent node) alone and with a type; `t*` at both infinities, NaN,
+    /// a 0–110 grid, and the exact `start`/`end` of sampled rows.
+    fn probe_queries(arena: &RccArena) -> Vec<StatusQuery> {
+        let mut t_stars = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+        t_stars.extend((0..=22).map(|i| f64::from(i) * 5.0));
+        for row in (0..arena.len() as RowId).step_by(97) {
+            t_stars.extend([arena.start(row), arena.end(row)]);
+        }
+        let code = arena.swlin(arena.len() as RowId / 2).packed();
+        let mut groups = vec![(None, None), (None, Some((0, 1)))];
+        for t in RccType::ALL {
+            groups.push((Some(t), None));
+        }
+        for depth in 1..=8 {
+            let node = Some((code / 10u32.pow(8 - depth), depth));
+            groups.push((None, node));
+            groups.push((Some(RccType::ALL[depth as usize % 3]), node));
+        }
+        let mut out = Vec::new();
+        for &t_star in &t_stars {
+            for &(rcc_type, swlin_prefix) in &groups {
+                for status in STATUSES {
+                    out.push(StatusQuery { rcc_type, swlin_prefix, status, t_star });
+                }
+            }
+        }
+        out
+    }
+
+    /// `aggregate` against both references: the fold over the index plan's
+    /// `execute`, and the fold over a naive-join engine built from scratch
+    /// on the same arena and live rows.
+    fn assert_aggregate_is_exact(eng: &StatusQueryEngine<FlatAvlIndex>, label: &str) {
+        let live = eng.live_rows();
+        let naive =
+            StatusQueryEngine::<NaiveJoinIndex>::from_arena_rows(Arc::clone(eng.arena()), &live);
+        for q in &probe_queries(eng.arena()) {
+            let got = eng.aggregate(q);
+            let ctx = format!("{label}: {q:?}");
+            assert_same_bits(&got, &fold_ids(eng, &eng.execute(q)), &ctx);
+            assert_same_bits(&got, &fold_ids(&naive, &naive.execute(q)), &ctx);
+        }
+    }
+
+    #[test]
+    fn aggregate_is_bit_identical_to_the_index_plan_on_every_engine_shape() {
+        use crate::delta::RccDelta;
+        use domd_data::rcc::RccId;
+        let (ds, bulk) = engine::<FlatAvlIndex>();
+        assert_aggregate_is_exact(&bulk, "bulk-built");
+
+        // Single-row inserts clear the AVL's sorted layout.
+        let mut grown = bulk.clone();
+        for i in 0..200u32 {
+            let mut rcc = ds.rccs()[(i * 7) as usize].clone();
+            rcc.id = RccId(8_000_000 + i);
+            let avail = ds.avail(rcc.avail).expect("avail exists");
+            grown.insert(&rcc, avail);
+        }
+        assert_aggregate_is_exact(&grown, "200 single-row inserts");
+
+        // Built empty and filled row by row, as a restart rebuild is.
+        let empty = Dataset::new(ds.avails().to_vec(), Vec::new());
+        let mut replayed = StatusQueryEngine::<FlatAvlIndex>::build(&empty, &[]);
+        for r in ds.rccs() {
+            let avail = ds.avail(r.avail).expect("avail exists").clone();
+            replayed.apply_delta(&RccDelta::Insert { rcc: r.clone(), avail });
+        }
+        assert_aggregate_is_exact(&replayed, "rebuilt delta by delta");
+
+        // Settles, half of them before their row's start (`end < start`),
+        // and removals, which leave orphaned arena rows.
+        let mut maintained = bulk.clone();
+        for i in 0..60u32 {
+            let row = i * 31;
+            let avail = ds.avail(maintained.arena().avail(row)).expect("avail exists").clone();
+            let delta = match i % 3 {
+                0 => RccDelta::Remove { row },
+                1 => RccDelta::Settle { row, settled: maintained.arena().settled(row) + 9, avail },
+                _ => RccDelta::Settle { row, settled: maintained.arena().created(row) + -3, avail },
+            };
+            assert_eq!(maintained.apply_delta(&delta), Some(row), "{delta:?}");
+        }
+        assert!(maintained.live_rows().len() < maintained.arena().len(), "orphans exist");
+        assert_aggregate_is_exact(&maintained, "after settles and removals");
+
+        // A from-scratch engine over a subset of the arena's rows.
+        let subset: Vec<RowId> = (0..bulk.arena().len() as RowId).filter(|r| r % 5 != 2).collect();
+        let partial =
+            StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(bulk.arena()), &subset);
+        assert_aggregate_is_exact(&partial, "from_arena_rows subset");
     }
 
     #[test]
@@ -454,8 +612,6 @@ mod tests {
             eng.group_rows(&StatusQuery { swlin_prefix: Some((4, 1)), ..base }),
             GroupRows::Owned(_)
         ));
-        // to_vec materializes the All arm over the full row universe.
-        assert_eq!(eng.group_rows(&base).to_vec(3), vec![0, 1, 2]);
     }
 
     #[test]

@@ -518,6 +518,14 @@ impl ServeCore {
         query: &domd_index::StatusQuery,
     ) -> Result<Reply, DomdError> {
         self.deadline_check(req, "status aggregate")?;
+        // ±inf name the ends of the timeline and are answered; a NaN `t*`
+        // names no position, so it is refused like predict's and alert's.
+        if query.t_star.is_nan() {
+            return Err(DomdError::NonFinite {
+                feature: "t_star".into(),
+                step: "serve status".into(),
+            });
+        }
         Ok(Reply::Status(pinned.engine.aggregate(query)))
     }
 
@@ -977,5 +985,49 @@ pub fn announce_recovery(err: &mut dyn std::io::Write, report: &RecoveryReport) 
             "serve: WARNING damaged WAL tail quarantined at {}",
             quarantined.display()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::ManualClock;
+    use domd_core::{PipelineConfig, PipelineInputs};
+    use domd_data::rcc::RccStatus;
+    use domd_data::{generate, GeneratorConfig};
+    use domd_index::StatusQuery;
+
+    fn core() -> ServeCore {
+        let ds = generate(&GeneratorConfig { n_avails: 8, target_rccs: 300, scale: 1, seed: 5 });
+        let inputs = PipelineInputs::build(&ds, 50.0);
+        let mut cfg = PipelineConfig::default0();
+        cfg.k = 6;
+        cfg.grid_step = 50.0;
+        cfg.gbt.n_estimators = 5;
+        let pipeline = Arc::new(TrainedPipeline::fit(&inputs, &ds.split(1).train, &cfg));
+        let model = SharedModel { pipeline, features: FeatureEngine::default() };
+        let snapshot = TenantSnapshot::from_dataset(ds);
+        ServeCore::new(ServeConfig::default(), ManualClock::new(), model, vec![snapshot])
+    }
+
+    #[test]
+    fn status_refuses_a_nan_t_star_and_answers_the_timeline_ends() {
+        let core = core();
+        let ask = |seq: u64, t_star: f64, status: RccStatus| {
+            let q = StatusQuery { rcc_type: None, swlin_prefix: None, status, t_star };
+            core.serve_one(core.stamp(seq, 0, Op::Status(q))).outcome
+        };
+        for (seq, status) in [RccStatus::Active, RccStatus::NotCreated].into_iter().enumerate() {
+            let e = ask(seq as u64, f64::NAN, status).expect_err("NaN t* must be refused");
+            assert_eq!(e.kind(), "non-finite", "{e}");
+        }
+        let rows = core.tenants[0].store.pin().engine.arena().len();
+        let count = |outcome: Result<Reply, DomdError>| match outcome {
+            Ok(Reply::Status(agg)) => agg.count,
+            other => panic!("expected a status answer, got {other:?}"),
+        };
+        assert_eq!(count(ask(2, f64::INFINITY, RccStatus::Settled)), rows);
+        assert_eq!(count(ask(3, f64::NEG_INFINITY, RccStatus::NotCreated)), rows);
+        assert_eq!(count(ask(4, f64::NEG_INFINITY, RccStatus::Created)), 0);
     }
 }

@@ -22,10 +22,11 @@
 # training, and a tiny-scale identity-gated bench smoke).
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
-# (plus one malformed line and one out-of-range SWLIN depth, each refused
-# on its own seq without killing the session), clean `quit` shutdown, and
-# a second session whose driving process is SIGTERM-killed mid-stream —
-# the server must see EOF, drain, and still exit 0.
+# (plus one malformed line, one out-of-range SWLIN depth and one NaN
+# status time, each refused on its own seq without killing the session),
+# clean `quit` shutdown, and a second session whose driving process is
+# SIGTERM-killed mid-stream — the server must see EOF, drain, and still
+# exit 0.
 # The restart gate then proves the store is the system of record: the
 # kill–restart chaos suite (every WAL byte offset), the v1→v2 migration
 # suite, and an end-to-end smoke that `kill -9`s a durable server right
@@ -79,8 +80,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Delta-maintenance gate: the incremental Status Query engine and the
 # patched feature tensor must stay bit-identical to their from-scratch
 # recomputes after every delta batch, at every thread count, and a pinned
-# epoch must never observe a concurrently published delta.
-DOMD_THREADS=2 cargo test -q -p domd-index --test delta_equivalence
+# epoch must never observe a concurrently published delta. The index
+# crate's other integration suites (the index and layout property tests,
+# the heap-size ceilings) run here too.
+DOMD_THREADS=2 cargo test -q -p domd-index --tests
 DOMD_THREADS=2 cargo test -q -p domd-features --test maintained_equivalence
 
 # Flat-forest kernel gate: the compiled descent (plain, batch, quantized)
@@ -114,6 +117,7 @@ ingest avail=1 type=NW swlin=123-45-678 created=4/1/2015 settled=5/1/2015 amount
 not-a-command
 status t=10 swlin=000-00-001:9
 status t=55 status=settled swlin=000-00-001:1
+status t=NaN status=not-created
 quit
 EOF
 SERVE_OUT="$(target/release/domd serve --data-dir "$SERVE_DIR" \
@@ -130,6 +134,9 @@ echo "$SERVE_OUT" | grep -q '^err seq=5 .*kind=config' || {
   echo "serve smoke: out-of-range swlin depth was not refused" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q '^ok seq=6 .*op=status' || {
   echo "serve smoke: no answer after the refused swlin depth" >&2; exit 1; }
+# A NaN t* names no point of the timeline: refused, not answered.
+echo "$SERVE_OUT" | grep -q '^err seq=7 .*kind=non-finite' || {
+  echo "serve smoke: status at t=NaN was not refused" >&2; exit 1; }
 # Killed-driver shutdown: SIGTERM the writer mid-session; the server must
 # treat the closed pipe as EOF, drain, and exit 0.
 SERVE_FIFO="$SERVE_DIR/in.fifo"
