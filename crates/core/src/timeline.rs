@@ -7,13 +7,26 @@
 //! * **stacked** — a static-only base model produces a "base prediction",
 //!   which the per-step timeline models consume alongside the selected RCC
 //!   features.
+//!
+//! Online prediction (a DoMD query on a live avail) runs three stages:
+//! a feature stage that evaluates, per avail and reached step, only the
+//! step model's `selected` catalog columns; a model stage in which each
+//! reached step predicts every avail of the request as one block; and a
+//! per-avail repair of non-finite steps followed by fusion. An alert runs
+//! them over all ongoing avails at once
+//! ([`TrainedPipeline::predict_online_batch`]); a single predict is the
+//! one-avail case, and the cached predict takes its rows from full
+//! memoized feature rows instead of the feature stage.
 
 use crate::config::{ModelFamily, PipelineConfig};
 use domd_data::dataset::Dataset;
 use domd_data::logical_time::TimeGrid;
-use domd_data::AvailId;
-use domd_features::{static_matrix, FeatureCache, FeatureEngine, FeatureTensor, STATIC_FEATURE_NAMES};
+use domd_data::{Avail, AvailId};
+use domd_features::{
+    static_matrix, FeatureCache, FeatureEngine, FeatureTensor, N_STATIC, STATIC_FEATURE_NAMES,
+};
 use domd_ml::{DenseMatrix, GbtParams, ModelSpec, TrainedModel};
+use domd_runtime::Cancelled;
 
 /// Everything the pipeline needs to train and evaluate: the feature tensor,
 /// the static matrix, and the delay targets for a fixed avail ordering.
@@ -268,6 +281,8 @@ impl TrainedPipeline {
     ///   (by grid index) step that produced a finite prediction;
     /// * when *every* reached step is non-finite, or the pipeline has no
     ///   step models at all, the answer carries no estimates.
+    ///
+    /// The one-avail case of [`TrainedPipeline::predict_online_batch`].
     pub fn predict_online_checked(
         &self,
         dataset: &Dataset,
@@ -275,16 +290,17 @@ impl TrainedPipeline {
         avail: AvailId,
         t_star: f64,
     ) -> OnlinePrediction {
-        self.predict_online_impl(dataset, avail, t_star, &mut |t| {
-            engine.features_for_avail_at(dataset, avail, t).into()
-        })
+        let reached = self.reached_steps(t_star);
+        let rows = [project_steps(dataset, engine, avail, reached)];
+        self.predict_projected(dataset, &[avail], reached, &rows).swap_remove(0)
     }
 
     /// As [`TrainedPipeline::predict_online_checked`], but memoizing the
-    /// per-anchor feature snapshots in `cache`. A warm cache answers the
-    /// whole timeline walk without touching the Status-Query layer; hits
-    /// return the exact vectors the cold path stored, so cached and
-    /// uncached serving emit identical bits.
+    /// full per-anchor feature rows in `cache` and projecting each reached
+    /// step's columns from them. A warm cache answers the whole timeline
+    /// walk without touching the RCC rows; a projected column has the
+    /// full row's bits, so cached and uncached serving emit identical
+    /// bits.
     pub fn predict_online_cached(
         &self,
         dataset: &Dataset,
@@ -293,83 +309,166 @@ impl TrainedPipeline {
         avail: AvailId,
         t_star: f64,
     ) -> OnlinePrediction {
-        self.predict_online_impl(dataset, avail, t_star, &mut |t| {
-            cache.features_at(engine, dataset, avail, t)
-        })
+        let reached = self.reached_steps(t_star);
+        let rows = match dataset.avail(avail) {
+            Some(_) => reached
+                .iter()
+                .flat_map(|step| {
+                    let full = cache.features_at(engine, dataset, avail, step.t_star);
+                    step.selected.iter().map(move |&j| full[j])
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        self.predict_projected(dataset, &[avail], reached, &[rows]).swap_remove(0)
     }
 
-    /// Shared serving body; `features_at` yields the feature snapshot for
-    /// one timeline anchor (cold compute or cache, caller's choice).
-    fn predict_online_impl(
+    /// Uncached online prediction for every avail of `avails` at one
+    /// `t_star`, answer for answer equal to
+    /// [`TrainedPipeline::predict_online_checked`] on each avail.
+    ///
+    /// * **Feature stage** — each avail's projected rows of every reached
+    ///   step, fanned over at most `threads` workers with `cancel` polled
+    ///   before every avail; results merge in input order, so the output
+    ///   is identical for every thread count. When `cancel` fires, the
+    ///   call returns `Err(Cancelled)` and predicts nothing.
+    /// * **Model stage** — each reached step predicts all avails with one
+    ///   [`TrainedModel::predict`] over a block (the flat kernel's lockstep
+    ///   sweep, bit-identical to per-row descents); a stacked pipeline's
+    ///   base model predicts all statics the same way.
+    /// * **Repair and fusion** — per avail, as documented on
+    ///   [`TrainedPipeline::predict_online_checked`].
+    pub fn predict_online_batch(
         &self,
         dataset: &Dataset,
-        avail: AvailId,
+        engine: &FeatureEngine,
+        avails: &[AvailId],
         t_star: f64,
-        features_at: &mut dyn FnMut(f64) -> std::sync::Arc<[f64]>,
-    ) -> OnlinePrediction {
-        let mut warnings = Vec::new();
-        let Some(a) = dataset.avail(avail) else {
-            return OnlinePrediction {
-                estimates: Vec::new(),
-                warnings: vec![format!("avail {avail} is not in the bound dataset")],
-            };
+        threads: usize,
+        cancel: impl Fn() -> bool + Sync,
+    ) -> Result<Vec<OnlinePrediction>, Cancelled> {
+        let reached = self.reached_steps(t_star);
+        let rows = domd_runtime::par_map_cancellable(threads, avails, cancel, |_, &avail| {
+            project_steps(dataset, engine, avail, reached)
+        })?;
+        Ok(self.predict_projected(dataset, avails, reached, &rows))
+    }
+
+    /// The steps an online prediction at `t_star` reaches: the first step,
+    /// then every later one up to the first anchored past `t_star` (a NaN
+    /// `t_star` reaches them all).
+    fn reached_steps(&self, t_star: f64) -> &[StepModel] {
+        let end = self
+            .steps
+            .iter()
+            .enumerate()
+            .position(|(s, step)| s > 0 && step.t_star > t_star)
+            .unwrap_or(self.steps.len());
+        &self.steps[..end]
+    }
+
+    /// Model stage, repair and fusion of every online predict. `rows[i]`
+    /// holds `avails[i]`'s feature-stage output: each reached step's
+    /// `selected` columns at the step's anchor, in step order.
+    fn predict_projected(
+        &self,
+        dataset: &Dataset,
+        avails: &[AvailId],
+        reached: &[StepModel],
+        rows: &[Vec<f64>],
+    ) -> Vec<OnlinePrediction> {
+        let found: Vec<Option<&Avail>> = avails.iter().map(|&id| dataset.avail(id)).collect();
+        // The avails the models see, as (position in `avails`, avail).
+        let live: Vec<(usize, &Avail)> = if self.steps.is_empty() {
+            Vec::new()
+        } else {
+            found.iter().enumerate().filter_map(|(i, a)| Some((i, (*a)?))).collect()
         };
-        if self.steps.is_empty() {
-            return OnlinePrediction {
-                estimates: Vec::new(),
-                warnings: vec!["pipeline has no trained step models".to_string()],
-            };
+        let mut statics = DenseMatrix::zeros(live.len(), N_STATIC);
+        for (r, (_, a)) in live.iter().enumerate() {
+            statics.row_mut(r).copy_from_slice(&domd_features::static_row(a));
         }
-        let static_row: Vec<f64> = domd_features::static_row(a).to_vec();
-        let statics = DenseMatrix::from_vec_of_rows(std::slice::from_ref(&static_row));
-        let static_pred = if self.config.stacked {
-            match &self.static_model {
-                Some(m) => {
-                    let p = m.predict(&statics)[0];
+        let mut warnings: Vec<Vec<String>> = vec![Vec::new(); avails.len()];
+        let base: Option<Vec<f64>> = self.config.stacked.then(|| match &self.static_model {
+            Some(m) => m
+                .predict(&statics)
+                .into_iter()
+                .zip(&live)
+                .map(|(p, &(i, _))| {
                     if p.is_finite() {
-                        Some(p)
-                    } else {
-                        warnings.push(format!(
-                            "static base model produced a non-finite prediction ({p}); \
-                             serving with 0.0 base prediction"
-                        ));
-                        Some(0.0)
+                        return p;
                     }
-                }
-                None => {
-                    warnings.push(
+                    warnings[i].push(format!(
+                        "static base model produced a non-finite prediction ({p}); \
+                         serving with 0.0 base prediction"
+                    ));
+                    0.0
+                })
+                .collect(),
+            None => {
+                for &(i, _) in &live {
+                    warnings[i].push(
                         "stacked pipeline is missing its static base model; \
                          serving with 0.0 base prediction"
                             .to_string(),
                     );
-                    Some(0.0)
                 }
+                vec![0.0; live.len()]
             }
-        } else {
-            None
-        };
+        });
 
-        // Raw per-step predictions for every reached grid point.
-        let mut raw = Vec::new();
-        let mut reached = Vec::new();
-        for step in &self.steps {
-            if step.t_star > t_star && !raw.is_empty() {
-                break;
+        // Raw per-step predictions: one block per reached step.
+        let lead = if base.is_some() { 1 } else { N_STATIC };
+        let mut raw: Vec<Vec<f64>> =
+            avails.iter().map(|_| Vec::with_capacity(reached.len())).collect();
+        let mut off = 0;
+        for step in reached {
+            let cols = off..off + step.selected.len();
+            let mut x = DenseMatrix::zeros(live.len(), lead + cols.len());
+            for (r, &(i, _)) in live.iter().enumerate() {
+                let row = x.row_mut(r);
+                match &base {
+                    Some(b) => row[0] = b[r],
+                    None => row[..lead].copy_from_slice(statics.row(r)),
+                }
+                row[lead..].copy_from_slice(&rows[i][cols.clone()]);
             }
-            let feats = features_at(step.t_star);
-            let rcc: Vec<f64> = step.selected.iter().map(|&j| feats[j]).collect();
-            let mut row = Vec::with_capacity(static_row.len() + rcc.len() + 1);
-            if let Some(base) = static_pred {
-                row.push(base);
-            } else {
-                row.extend_from_slice(&static_row);
+            for (p, &(i, _)) in step.model.predict(&x).into_iter().zip(&live) {
+                raw[i].push(p);
             }
-            row.extend_from_slice(&rcc);
-            raw.push(step.model.predict_row(&row));
-            reached.push(step.t_star);
+            off = cols.end;
         }
 
-        // Repair non-finite steps from the nearest finite neighbour.
+        avails
+            .iter()
+            .zip(found)
+            .zip(warnings.into_iter().zip(raw))
+            .map(|((&avail, a), (warnings, raw))| {
+                if a.is_none() {
+                    return OnlinePrediction {
+                        estimates: Vec::new(),
+                        warnings: vec![format!("avail {avail} is not in the bound dataset")],
+                    };
+                }
+                if self.steps.is_empty() {
+                    return OnlinePrediction {
+                        estimates: Vec::new(),
+                        warnings: vec!["pipeline has no trained step models".to_string()],
+                    };
+                }
+                self.repair_and_fuse(reached, warnings, raw)
+            })
+            .collect()
+    }
+
+    /// Repairs non-finite step predictions from the nearest finite
+    /// neighbour, then fuses each reached prefix.
+    fn repair_and_fuse(
+        &self,
+        reached: &[StepModel],
+        mut warnings: Vec<String>,
+        mut raw: Vec<f64>,
+    ) -> OnlinePrediction {
         let finite: Vec<usize> =
             raw.iter().enumerate().filter(|(_, v)| v.is_finite()).map(|(i, _)| i).collect();
         if finite.is_empty() {
@@ -388,7 +487,7 @@ impl TrainedPipeline {
                     warnings.push(format!(
                         "step t*={} produced a non-finite prediction; \
                          substituted nearest trained step t*={}",
-                        reached[i], reached[nearest]
+                        reached[i].t_star, reached[nearest].t_star
                     ));
                     raw[i] = raw[nearest];
                 }
@@ -396,7 +495,7 @@ impl TrainedPipeline {
         }
 
         let estimates = (0..raw.len())
-            .map(|s| (reached[s], self.config.fusion.fuse(&raw[..=s])))
+            .map(|s| (reached[s].t_star, self.config.fusion.fuse(&raw[..=s])))
             .collect();
         OnlinePrediction { estimates, warnings }
     }
@@ -413,6 +512,28 @@ impl TrainedPipeline {
         names.extend(self.steps[step].selected.iter().map(|&j| self.feature_names[j].clone()));
         names
     }
+}
+
+/// Feature stage of one avail: each reached step's `selected` columns at
+/// the step's anchor, concatenated in step order (empty for an avail that
+/// is not in `dataset`).
+fn project_steps(
+    dataset: &Dataset,
+    engine: &FeatureEngine,
+    avail: AvailId,
+    reached: &[StepModel],
+) -> Vec<f64> {
+    let Some(a) = dataset.avail(avail) else {
+        return Vec::new();
+    };
+    let mut row = vec![0.0; reached.iter().map(|step| step.selected.len()).sum()];
+    let mut off = 0;
+    for step in reached {
+        let cols = off..off + step.selected.len();
+        engine.project_for_avail_at(dataset, a, step.t_star, &step.selected, &mut row[cols.clone()]);
+        off = cols.end;
+    }
+    row
 }
 
 /// Assembles the model input matrix for one architecture.
@@ -665,6 +786,130 @@ mod tests {
         let missing = p.predict_online_checked(&ds, &engine, AvailId(424242), 50.0);
         assert!(missing.estimates.is_empty());
         assert!(!missing.warnings.is_empty());
+    }
+
+    /// Asserts two answer lists equal: estimates `to_bits`, warnings
+    /// string for string.
+    fn assert_same_answers(got: &[OnlinePrediction], want: &[OnlinePrediction], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let bits = |p: &OnlinePrediction| -> Vec<(u64, u64)> {
+                p.estimates.iter().map(|(t, e)| (t.to_bits(), e.to_bits())).collect()
+            };
+            assert_eq!(bits(g), bits(w), "{ctx}, answer {i}: {g:?} vs {w:?}");
+            assert_eq!(g.warnings, w.warnings, "{ctx}, answer {i}");
+        }
+    }
+
+    #[test]
+    fn batch_online_prediction_matches_the_full_row_path_to_the_bit() {
+        let (ds, inputs) = setup();
+        let split = ds.split(1);
+        // Censor six avails mid-flight so ongoing avails, some not yet
+        // started, sit beside closed ones.
+        let victims: Vec<AvailId> = split.validation.iter().take(6).copied().collect();
+        let as_of = ds.avail(victims[0]).unwrap().actual_start + 60;
+        let (live, _) = domd_data::censor_ongoing(&ds, &victims, as_of);
+        let mut ids: Vec<AvailId> = live.avails().iter().map(|a| a.id).collect();
+        ids.insert(7, AvailId(424242)); // unknown to the dataset
+        let engine = FeatureEngine::default();
+
+        let plain = TrainedPipeline::fit(&inputs, &split.train, &quick_config());
+        let mut cfg = quick_config();
+        cfg.stacked = true;
+        let stacked = TrainedPipeline::fit(&inputs, &split.train, &cfg);
+        let mut nan_step = plain.clone();
+        nan_step.steps[2].model = nan_model();
+        let mut stacked_nan_step = stacked.clone();
+        stacked_nan_step.steps[1].model = nan_model();
+        let mut no_base = stacked.clone();
+        no_base.static_model = None;
+        let mut nan_base = stacked.clone();
+        nan_base.static_model = Some(nan_model());
+        let mut all_nan = plain.clone();
+        for s in &mut all_nan.steps {
+            s.model = nan_model();
+        }
+        let mut no_steps = plain.clone();
+        no_steps.steps.clear();
+
+        let pipelines = [
+            ("non-stacked", &plain),
+            ("stacked", &stacked),
+            ("one NaN step", &nan_step),
+            ("stacked, one NaN step", &stacked_nan_step),
+            ("missing base model", &no_base),
+            ("NaN base model", &nan_base),
+            ("all steps NaN", &all_nan),
+            ("no steps", &no_steps),
+        ];
+        for (name, p) in pipelines {
+            for t in [-5.0, 0.0, 25.0, 55.0, 100.0, 150.0] {
+                // The full-row path: a fresh cache computes every anchor's
+                // whole catalog row and indexes the step's columns.
+                let want: Vec<OnlinePrediction> = ids
+                    .iter()
+                    .map(|&id| {
+                        p.predict_online_cached(&live, &engine, &mut FeatureCache::new(16), id, t)
+                    })
+                    .collect();
+                for threads in [1, 2] {
+                    let got = p
+                        .predict_online_batch(&live, &engine, &ids, t, threads, || false)
+                        .expect("a cancel that never fires");
+                    let ctx = format!("{name}, t*={t}, {threads} thread(s)");
+                    assert_same_answers(&got, &want, &ctx);
+                }
+                let single: Vec<OnlinePrediction> =
+                    ids.iter().map(|&id| p.predict_online_checked(&live, &engine, id, t)).collect();
+                assert_same_answers(&single, &want, &format!("{name}, t*={t}, one avail"));
+            }
+        }
+
+        // An oracle that shares no serving code: the per-anchor loop with
+        // a full catalog row and one `predict_row` descent per step.
+        for p in [&plain, &stacked] {
+            for t in [-5.0, 25.0, 55.0, 150.0] {
+                for a in live.avails() {
+                    let statics = domd_features::static_row(a);
+                    let base = p.static_model.as_ref().map(|m| m.predict_row(&statics));
+                    let (mut raw, mut want) = (Vec::new(), Vec::new());
+                    for step in &p.steps {
+                        if step.t_star > t && !raw.is_empty() {
+                            break;
+                        }
+                        let full = engine.features_for_avail_at(&live, a.id, step.t_star);
+                        let mut row = base.map_or(statics.to_vec(), |b| vec![b]);
+                        row.extend(step.selected.iter().map(|&j| full[j]));
+                        raw.push(step.model.predict_row(&row));
+                        want.push((step.t_star.to_bits(), p.config.fusion.fuse(&raw).to_bits()));
+                    }
+                    let got: Vec<(u64, u64)> = p
+                        .predict_online_checked(&live, &engine, a.id, t)
+                        .estimates
+                        .iter()
+                        .map(|(t, e)| (t.to_bits(), e.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "avail {} at t*={t}", a.id);
+                }
+            }
+        }
+
+        // The degraded cases really degrade, and a healthy answer is clean.
+        let answer = |p: &TrainedPipeline| p.predict_online_checked(&live, &engine, ids[0], 100.0);
+        assert!(answer(&plain).warnings.is_empty());
+        for p in [&nan_step, &stacked_nan_step, &no_base, &nan_base, &all_nan, &no_steps] {
+            assert!(!answer(p).warnings.is_empty());
+        }
+
+        // A cancel that fires abandons the batch at every thread count.
+        for threads in [1, 2] {
+            let cancelled =
+                plain.predict_online_batch(&live, &engine, &ids, 55.0, threads, || true);
+            assert!(cancelled.is_err(), "{threads} thread(s)");
+        }
+        let empty = plain.predict_online_batch(&live, &engine, &[], 55.0, 2, || true);
+        assert!(empty.expect("nothing to cancel").is_empty());
     }
 
     #[test]

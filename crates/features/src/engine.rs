@@ -9,9 +9,18 @@
 //! type and SWLIN hierarchies and the catalog's aggregations are applied —
 //! so generating all slices costs one pass over the RCCs instead of
 //! `steps × |RCC|` work.
+//!
+//! The online path serves one avail at one anchor: a scan of the avail's
+//! rows into the same cells and rollup, then one of two evaluators over
+//! that rollup — the full catalog row
+//! ([`FeatureEngine::features_for_avail_at`]) or only the columns a step
+//! model reads ([`FeatureEngine::project_for_avail_at`]). Both apply the
+//! same spec evaluation to the same rollup, so a projected value is the
+//! full row's column to the bit.
 
 use crate::spec::{CatalogDepth, FeatureCatalog, FeatureSpec, StatusFilter, SwlinGroup, TypeFilter};
 use crate::tensor::FeatureTensor;
+use domd_data::avail::Avail;
 use domd_data::dataset::Dataset;
 use domd_data::rcc::RccType;
 use domd_data::AvailId;
@@ -298,8 +307,8 @@ impl FeatureEngine {
     }
 
     /// Features of a single avail at one logical time, computed directly
-    /// from its RCC rows — the online path for DoMD queries on ongoing
-    /// avails, where building a full index is overkill.
+    /// from its RCC rows — the full catalog row, and the reference every
+    /// projection is checked against.
     pub fn features_for_avail_at(
         &self,
         dataset: &Dataset,
@@ -308,10 +317,40 @@ impl FeatureEngine {
     ) -> Vec<f64> {
         // domd-lint: allow(no-panic) — caller contract: the queried avail id comes from this dataset
         let a = dataset.avail(avail).expect("avail exists");
+        let rollup = self.rollup_at(dataset, a, t_star);
+        self.catalog.specs().iter().map(|s| eval_spec(s, &rollup, t_star)).collect()
+    }
+
+    /// The projection of [`FeatureEngine::features_for_avail_at`] onto the
+    /// catalog columns `cols`: writes column `cols[i]` into `out[i]` and
+    /// evaluates no other spec. `avail` is one of `dataset`'s avails.
+    ///
+    /// Both evaluators read the same scan-and-rollup through the same spec
+    /// evaluation, so every projected value has the full row's bits. This
+    /// is the online path for DoMD queries: a step model reads only its
+    /// `selected` columns, a few dozen of the catalog's 1,490.
+    pub fn project_for_avail_at(
+        &self,
+        dataset: &Dataset,
+        avail: &Avail,
+        t_star: f64,
+        cols: &[usize],
+        out: &mut [f64],
+    ) {
+        let rollup = self.rollup_at(dataset, avail, t_star);
+        let specs = self.catalog.specs();
+        for (o, &j) in out.iter_mut().zip(cols) {
+            *o = eval_spec(&specs[j], &rollup, t_star);
+        }
+    }
+
+    /// Scans `a`'s RCC rows into per-cell accumulators at `t_star` and
+    /// rolls them up across the type and SWLIN hierarchies.
+    fn rollup_at(&self, dataset: &Dataset, a: &Avail, t_star: f64) -> Rollup {
         let planned = a.planned_duration().max(1);
         let space = CellSpace { depth: self.catalog.depth() };
         let mut st = StatStructure::new(space.cells_per_avail());
-        for r in dataset.rccs_of(avail) {
+        for r in dataset.rccs_of(a.id) {
             let start = domd_data::logical_time(r.created, a.actual_start, planned);
             let end = domd_data::logical_time(r.settled, a.actual_start, planned);
             if start > t_star {
@@ -327,8 +366,7 @@ impl FeatureEngine {
                 st.active[cell].add(amt, dur);
             }
         }
-        let rollup = Rollup::from_cells(space, &st, 0);
-        self.catalog.specs().iter().map(|s| eval_spec(s, &rollup, t_star)).collect()
+        Rollup::from_cells(space, &st, 0)
     }
 }
 
@@ -524,6 +562,43 @@ mod extended_tests {
                 "avail {a}: module counts {total} != subsystem {}",
                 t.slice(0).get(a, parent)
             );
+        }
+    }
+
+    #[test]
+    fn projected_columns_equal_the_full_row_to_the_bit() {
+        let ds = small();
+        for catalog in [FeatureCatalog::standard(), FeatureCatalog::extended()] {
+            let eng = FeatureEngine::new(catalog);
+            let n = eng.catalog().len();
+            // Every column once in a scrambled order (7919 is prime and
+            // divides neither catalog width), then repeats: the projection
+            // must not rely on a step's ascending `selected`.
+            let cols: Vec<usize> = (0..n).map(|i| i * 7919 % n).chain([0, n - 1, 0]).collect();
+            for a in ds.avails() {
+                let planned = a.planned_duration().max(1);
+                let mut anchors = vec![f64::NEG_INFINITY, f64::INFINITY];
+                anchors.extend((0..=22).map(|i| f64::from(i) * 5.0));
+                for r in ds.rccs_of(a.id) {
+                    anchors.push(domd_data::logical_time(r.created, a.actual_start, planned));
+                    anchors.push(domd_data::logical_time(r.settled, a.actual_start, planned));
+                }
+                for &t in &anchors {
+                    let full = eng.features_for_avail_at(&ds, a.id, t);
+                    let mut out = vec![f64::NAN; cols.len()];
+                    eng.project_for_avail_at(&ds, a, t, &cols, &mut out);
+                    for (&j, v) in cols.iter().zip(&out) {
+                        assert_eq!(
+                            v.to_bits(),
+                            full[j].to_bits(),
+                            "{} of avail {} at t*={t}: {v} vs {}",
+                            eng.catalog().names()[j],
+                            a.id,
+                            full[j]
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -261,11 +261,21 @@ impl FlatForest {
     /// node records stay hot in L1 across the whole block. Per row the
     /// trees still accumulate in ascending order, so outputs match
     /// [`FlatForest::predict_one`] (and therefore the pointer walkers)
-    /// bit for bit.
+    /// bit for bit. A batch of fewer than [`LANES`] rows (a single online
+    /// predict is one row) fills no lockstep group, so each of its rows
+    /// runs [`FlatForest::predict_one`] itself.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must go right, like the pointer walk
     pub fn predict_into(&self, x: &DenseMatrix, out: &mut [f64]) {
         let n = x.n_rows();
         assert_eq!(out.len(), n, "output buffer must match the row count");
+        if n < LANES {
+            // Too few rows for one lockstep group: nothing to overlap, so
+            // each row walks every tree in turn with its sum in a register.
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = self.predict_one(x.row(j));
+            }
+            return;
+        }
         let (init, mul) = self.accum();
         out.fill(init);
         let stride = x.n_cols();
@@ -700,8 +710,9 @@ mod tests {
 
     #[test]
     fn lockstep_batch_matches_single_row_path_off_lane_boundaries() {
-        // 77 rows = 9 full lanes of 8 + a 5-row remainder inside the last
-        // block; both the lockstep loop and the scalar epilogue run.
+        // 77 rows = 4 full lockstep groups of 16 + a 13-row remainder
+        // inside the last block, so both the lockstep loop and the scalar
+        // epilogue run; 15 and 1 rows are batches smaller than one group.
         let (x, y) = lcg_matrix(512, 5, 7);
         let trees: Vec<RegressionTree> = (3..7)
             .map(|d| fit_tree(&x, &y, TreeParams { max_depth: d, ..Default::default() }))
@@ -710,10 +721,13 @@ mod tests {
             &trees,
             Combine::Boosted { base_score: 2.5, learning_rate: 0.3 },
         );
-        let (probe, _) = lcg_matrix(77, 5, 8);
-        let batch = flat.predict(&probe);
-        for (i, b) in batch.iter().enumerate() {
-            assert_eq!(b.to_bits(), flat.predict_one(probe.row(i)).to_bits(), "row {i}");
+        for n in [77, 15, 1] {
+            let (probe, _) = lcg_matrix(n, 5, 8);
+            let batch = flat.predict(&probe);
+            for (i, b) in batch.iter().enumerate() {
+                let one = flat.predict_one(probe.row(i));
+                assert_eq!(b.to_bits(), one.to_bits(), "row {i} of {n}");
+            }
         }
     }
 

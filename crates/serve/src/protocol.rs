@@ -131,9 +131,12 @@ pub fn parse_line(
             Op::Status(StatusQuery { rcc_type, swlin_prefix, status, t_star })
         }
         "predict" => {
-            let avail = parse_u64("avail")?
+            let avail = get("avail")
                 .ok_or_else(|| DomdError::config("predict requires avail=<id>"))?;
-            Op::Predict { avail: AvailId(avail as u32), t_star: require_t()? }
+            let avail = avail
+                .parse::<u32>()
+                .map_err(|e| DomdError::config(format!("bad avail={avail}: {e}")))?;
+            Op::Predict { avail: AvailId(avail), t_star: require_t()? }
         }
         "alert" => Op::Alerts {
             t_star: require_t()?,
@@ -431,6 +434,22 @@ mod tests {
             100
         )
         .is_err());
+    }
+
+    #[test]
+    fn predict_avail_out_of_u32_range_is_refused() {
+        let avail = |line: &str| {
+            let r = parse_line(line, 1, 0, 100).unwrap().unwrap();
+            let Op::Predict { avail, .. } = r.op else { panic!("expected predict") };
+            avail.0
+        };
+        assert_eq!(avail("predict avail=72 t=50"), 72);
+        assert_eq!(avail("predict avail=4294967295 t=50"), u32::MAX);
+        // 2^32 + 72 once wrapped to avail 72 and was answered for it.
+        for bad in ["4294967296", "4294967368", "-1", "7.0"] {
+            let e = parse_line(&format!("predict avail={bad} t=50"), 1, 0, 100).unwrap_err();
+            assert_eq!(e.kind(), "config", "avail={bad}");
+        }
     }
 
     #[test]

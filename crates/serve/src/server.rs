@@ -664,6 +664,14 @@ impl ServeCore {
                 step: "serve alerts".into(),
             });
         }
+        // A NaN cut admits every avail (`x < NaN` is false), so it names no
+        // threshold; ±inf keep their meaning (everything, nothing).
+        if min_delay.is_nan() {
+            return Err(DomdError::NonFinite {
+                feature: "min_delay".into(),
+                step: "serve alerts".into(),
+            });
+        }
         let route = self.lock_breaker(tenant).admit();
         self.fire(Stage::PreSweep, req);
         let ongoing: Vec<domd_data::AvailId> = pinned
@@ -673,7 +681,7 @@ impl ServeCore {
             .filter(|a| a.actual_end.is_none())
             .map(|a| a.id)
             .collect();
-        // The expensive index sweep: deadline re-checked cooperatively
+        // The expensive feature stage: deadline re-checked cooperatively
         // every chunk, so an exhausted budget abandons the sweep instead
         // of finishing it late. Chunk counting keeps clock reads off the
         // per-avail fast path. Saturating: the budget is client-supplied,
@@ -686,20 +694,13 @@ impl ServeCore {
             counter.fetch_add(1, Ordering::Relaxed).is_multiple_of(chunk)
                 && self.clock.now() >= deadline
         };
-        let swept = domd_runtime::par_map_cancellable(
-            domd_runtime::threads(),
+        let swept = self.model.pipeline.predict_online_batch(
+            &pinned.dataset,
+            &self.model.features,
             &ongoing,
+            t_star,
+            domd_runtime::threads(),
             cancel,
-            |_, &avail| {
-                let online = self.model.pipeline.predict_online_checked(
-                    &pinned.dataset,
-                    &self.model.features,
-                    avail,
-                    t_star,
-                );
-                let headline = online.estimates.last().map(|&(_, e)| e);
-                (avail, headline, !online.warnings.is_empty())
-            },
         );
         let per_avail = match swept {
             Ok(v) => v,
@@ -718,11 +719,13 @@ impl ServeCore {
         };
         let degraded_route = matches!(route, Route::Degraded { .. });
         let mut repairs = false;
-        let mut alerts: Vec<Alert> = per_avail
+        let mut alerts: Vec<Alert> = ongoing
             .into_iter()
-            .filter_map(|(avail, headline, repaired)| {
+            .zip(per_avail)
+            .filter_map(|(avail, online)| {
+                let repaired = !online.warnings.is_empty();
                 repairs |= repaired;
-                let estimated_delay = headline?;
+                let estimated_delay = online.estimates.last()?.1;
                 if !estimated_delay.is_finite() || estimated_delay < min_delay {
                     return None;
                 }
@@ -994,7 +997,7 @@ mod tests {
     use crate::clock::ManualClock;
     use domd_core::{PipelineConfig, PipelineInputs};
     use domd_data::rcc::RccStatus;
-    use domd_data::{generate, GeneratorConfig};
+    use domd_data::{censor_ongoing, generate, AvailId, GeneratorConfig};
     use domd_index::StatusQuery;
 
     fn core() -> ServeCore {
@@ -1029,5 +1032,145 @@ mod tests {
         assert_eq!(count(ask(2, f64::INFINITY, RccStatus::Settled)), rows);
         assert_eq!(count(ask(3, f64::NEG_INFINITY, RccStatus::NotCreated)), rows);
         assert_eq!(count(ask(4, f64::NEG_INFINITY, RccStatus::Created)), 0);
+    }
+
+    /// A core over a dataset whose every other avail is censored 40 days
+    /// after the latest of their starts, with a breaker that cannot trip
+    /// within a test (a tripped route would flag every alert degraded).
+    fn censored_core(pipeline: TrainedPipeline) -> ServeCore {
+        let ds = generate(&GeneratorConfig { n_avails: 16, target_rccs: 1200, scale: 1, seed: 5 });
+        let ongoing: Vec<AvailId> = ds.avails().iter().step_by(2).map(|a| a.id).collect();
+        let latest = ongoing.iter().filter_map(|&id| ds.avail(id)).map(|a| a.actual_start).max();
+        let (live, _) = censor_ongoing(&ds, &ongoing, latest.expect("ongoing avails") + 40);
+        let model = SharedModel { pipeline: Arc::new(pipeline), features: FeatureEngine::default() };
+        let config = ServeConfig {
+            breaker: BreakerConfig { window: 256, trip_failures: 256, cooldown: 8 },
+            ..ServeConfig::default()
+        };
+        ServeCore::new(config, ManualClock::new(), model, vec![TenantSnapshot::from_dataset(live)])
+    }
+
+    fn alert_pipeline() -> TrainedPipeline {
+        let ds = generate(&GeneratorConfig { n_avails: 16, target_rccs: 1200, scale: 1, seed: 5 });
+        let inputs = PipelineInputs::build(&ds, 25.0);
+        let mut cfg = PipelineConfig::default0();
+        cfg.k = 8;
+        cfg.grid_step = 25.0;
+        cfg.gbt.n_estimators = 10;
+        TrainedPipeline::fit(&inputs, &ds.split(1).train, &cfg)
+    }
+
+    fn ask_alert(
+        core: &ServeCore,
+        seq: u64,
+        t_star: f64,
+        k: usize,
+        min_delay: f64,
+    ) -> Result<Reply, DomdError> {
+        core.serve_one(core.stamp(seq, 0, Op::Alerts { t_star, k, min_delay })).outcome
+    }
+
+    #[test]
+    fn alerts_match_the_per_avail_full_row_reference_across_an_ingest() {
+        let healthy = alert_pipeline();
+        // A NaN step at t* = 50 repairs every answer from there on, so the
+        // degraded flags are exercised as well.
+        let mut broken = healthy.clone();
+        let x = domd_ml::DenseMatrix::from_vec_of_rows(std::slice::from_ref(&vec![1.0]));
+        broken.steps[2].model = domd_ml::ModelSpec::ElasticNet(domd_ml::ElasticNetParams::default())
+            .fit(&x, &[f64::NAN]);
+        for pipeline in [healthy, broken] {
+            let core = censored_core(pipeline.clone());
+            let store = core.tenant_store(0).expect("tenant 0");
+            let mut seq = 0;
+            for round in 0..2 {
+                let pinned = store.pin();
+                let ds = &pinned.dataset;
+                let ongoing: Vec<AvailId> =
+                    ds.avails().iter().filter(|a| a.actual_end.is_none()).map(|a| a.id).collect();
+                for t_star in [10.0, 25.0, 60.0, 100.0] {
+                    // Per-avail full-row answers: a fresh cache computes
+                    // every anchor's whole catalog row.
+                    let scored: Vec<(AvailId, f64, bool)> = ongoing
+                        .iter()
+                        .filter_map(|&id| {
+                            let mut cache = FeatureCache::new(16);
+                            let features = &core.model.features;
+                            let online =
+                                pipeline.predict_online_cached(ds, features, &mut cache, id, t_star);
+                            let e = online.estimates.last()?.1;
+                            Some((id, e, !online.warnings.is_empty()))
+                        })
+                        .collect();
+                    let mut sorted: Vec<f64> = scored.iter().map(|s| s.1).collect();
+                    sorted.sort_by(f64::total_cmp);
+                    let median = sorted[sorted.len() / 2];
+                    let cuts = [
+                        (100, f64::NEG_INFINITY),
+                        (100, 0.0),
+                        (3, f64::NEG_INFINITY),
+                        (0, f64::NEG_INFINITY),
+                        (100, median),
+                        (2, median),
+                        (100, f64::INFINITY),
+                    ];
+                    for (k, min_delay) in cuts {
+                        let mut want: Vec<(AvailId, u64, bool)> = scored
+                            .iter()
+                            .filter(|s| s.1.is_finite() && s.1 >= min_delay)
+                            .map(|s| (s.0, s.1.to_bits(), s.2))
+                            .collect();
+                        want.sort_by(|a, b| {
+                            let (ea, eb) = (f64::from_bits(a.1), f64::from_bits(b.1));
+                            eb.total_cmp(&ea).then(a.0 .0.cmp(&b.0 .0))
+                        });
+                        want.truncate(k);
+                        seq += 1;
+                        let got = match ask_alert(&core, seq, t_star, k, min_delay) {
+                            Ok(Reply::Alerts(alerts)) => alerts
+                                .iter()
+                                .map(|a| (a.avail, a.estimated_delay.to_bits(), a.degraded))
+                                .collect::<Vec<_>>(),
+                            other => panic!("expected alerts, got {other:?}"),
+                        };
+                        assert_eq!(got, want, "round {round}, t*={t_star}, k={k}, min={min_delay}");
+                    }
+                }
+                if round == 0 {
+                    // Ingest into an ongoing avail; round 1 answers from the
+                    // epoch it publishes.
+                    let a = ds.avail(ongoing[0]).expect("ongoing avail");
+                    let row = IngestRow {
+                        avail: a.id,
+                        rcc_type: domd_data::RccType::Growth,
+                        swlin: domd_data::Swlin::from_packed(12_345_678).expect("8-digit swlin"),
+                        created: a.actual_start + 2,
+                        settled: a.actual_start + 30,
+                        amount: 900.0,
+                    };
+                    seq += 1;
+                    let ack = core.serve_one(core.stamp(seq, 0, Op::Ingest { rows: vec![row] }));
+                    assert!(ack.outcome.is_ok(), "{:?}", ack.outcome);
+                    assert_eq!(store.pin().epoch(), pinned.epoch() + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alert_refuses_a_nan_min_and_answers_infinite_cuts() {
+        let core = censored_core(alert_pipeline());
+        let e = ask_alert(&core, 1, 60.0, 100, f64::NAN).expect_err("NaN min must be refused");
+        assert_eq!(e.kind(), "non-finite", "{e}");
+        assert!(e.to_string().contains("min_delay"), "{e}");
+        let n = |outcome: Result<Reply, DomdError>| match outcome {
+            Ok(Reply::Alerts(alerts)) => alerts.len(),
+            other => panic!("expected alerts, got {other:?}"),
+        };
+        let pinned = core.tenant_store(0).expect("tenant 0").pin();
+        let ongoing = pinned.dataset.avails().iter().filter(|a| a.actual_end.is_none()).count();
+        assert!(ongoing > 0);
+        assert_eq!(n(ask_alert(&core, 2, 60.0, 100, f64::NEG_INFINITY)), ongoing);
+        assert_eq!(n(ask_alert(&core, 3, 60.0, 100, f64::INFINITY)), 0);
     }
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Workspace lint gate: clippy across every target (including the
 # domd-runtime pool and the columnar layout modules: arena, chunked,
-# flat_avl), warnings promoted to errors, then two fast smoke suites — the
-# parallel-equivalence tests run under a 2-worker pool so any
-# scheduling-dependent output fails the gate quickly, and the feature
-# cache-invalidation test asserts an invalidation forces a bit-identical
-# recompute of every memoized feature snapshot. The PR-4
+# flat_avl), warnings promoted to errors, then fast smoke suites — every
+# domd-features and domd-core integration suite (parallel equivalence,
+# properties, the thread cap, the maintained tensor) runs under a 2-worker
+# pool so any scheduling-dependent output fails the gate quickly, and the
+# feature cache-invalidation test asserts an invalidation forces a
+# bit-identical recompute of every memoized feature snapshot. The PR-4
 # durability gate runs the storage crate (frame/WAL/checkpoint/atomic-write
 # units), the DurableIndex suite, and the crash-recovery + storage-fault
 # integration tests, so a change that weakens the "never serve torn state"
@@ -22,8 +23,9 @@
 # training, and a tiny-scale identity-gated bench smoke).
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
-# (plus one malformed line, one out-of-range SWLIN depth and one NaN
-# status time, each refused on its own seq without killing the session),
+# (plus one malformed line, one out-of-range SWLIN depth, one NaN status
+# time, one predict avail past u32 and one NaN alert cut, each refused on
+# its own seq without killing the session),
 # clean `quit` shutdown, and a second session whose driving process is
 # SIGTERM-killed mid-stream — the server must see EOF, drain, and still
 # exit 0.
@@ -69,22 +71,22 @@ fi
 
 # Stage 2 — full profile only: integration, chaos, and smoke gates.
 DOMD_THREADS=2 cargo test -q -p domd-runtime
-DOMD_THREADS=2 cargo test -q -p domd-features --test parallel_equivalence
-DOMD_THREADS=2 cargo test -q -p domd-core --test parallel_equivalence
+DOMD_THREADS=2 cargo test -q -p domd-features --tests
+DOMD_THREADS=2 cargo test -q -p domd-core --tests
 cargo test -q -p domd --test cache_invalidation
 
 # Benchmark gate: perfbench compiles against the library as it is now and
 # its self-tests pass.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-# Delta-maintenance gate: the incremental Status Query engine and the
-# patched feature tensor must stay bit-identical to their from-scratch
-# recomputes after every delta batch, at every thread count, and a pinned
-# epoch must never observe a concurrently published delta. The index
-# crate's other integration suites (the index and layout property tests,
-# the heap-size ceilings) run here too.
+# Delta-maintenance gate: the incremental Status Query engine must stay
+# bit-identical to its from-scratch recompute after every delta batch, at
+# every thread count, and a pinned epoch must never observe a concurrently
+# published delta (the patched feature tensor's twin check runs with the
+# domd-features suites above). The index crate's other integration suites
+# (the index and layout property tests, the heap-size ceilings) run here
+# too.
 DOMD_THREADS=2 cargo test -q -p domd-index --tests
-DOMD_THREADS=2 cargo test -q -p domd-features --test maintained_equivalence
 
 # Flat-forest kernel gate: the compiled descent (plain, batch, quantized)
 # must stay bit-identical to the pointer walker — property suite plus the
@@ -118,6 +120,8 @@ not-a-command
 status t=10 swlin=000-00-001:9
 status t=55 status=settled swlin=000-00-001:1
 status t=NaN status=not-created
+predict avail=4294967297 t=40
+alert t=80 k=3 min=NaN
 quit
 EOF
 SERVE_OUT="$(target/release/domd serve --data-dir "$SERVE_DIR" \
@@ -137,6 +141,12 @@ echo "$SERVE_OUT" | grep -q '^ok seq=6 .*op=status' || {
 # A NaN t* names no point of the timeline: refused, not answered.
 echo "$SERVE_OUT" | grep -q '^err seq=7 .*kind=non-finite' || {
   echo "serve smoke: status at t=NaN was not refused" >&2; exit 1; }
+# An avail id past u32 names no avail (it once wrapped onto a real one),
+# and a NaN alert cut names no threshold: both refused on their own seq.
+echo "$SERVE_OUT" | grep -q '^err seq=8 .*kind=config' || {
+  echo "serve smoke: predict avail=2^32+1 was not refused" >&2; exit 1; }
+echo "$SERVE_OUT" | grep -q '^err seq=9 .*kind=non-finite' || {
+  echo "serve smoke: alert min=NaN was not refused" >&2; exit 1; }
 # Killed-driver shutdown: SIGTERM the writer mid-session; the server must
 # treat the closed pipe as EOF, drain, and exit 0.
 SERVE_FIFO="$SERVE_DIR/in.fifo"
