@@ -5,13 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use domd_bench::util::scaled_dataset;
 use domd_data::rcc::{RccStatus, RccType};
-use domd_index::{project_dataset, FlatAvlIndex, StatusQuery, StatusQueryEngine};
+use domd_index::{RccArena, StatusQuery, StatusView};
 use std::hint::black_box;
 
 fn bench_status_query(c: &mut Criterion) {
     let ds = scaled_dataset(1);
-    let projected = project_dataset(&ds);
-    let engine = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &projected);
+    let view = StatusView::from_arena(std::sync::Arc::new(RccArena::from_dataset(&ds)));
     let mut group = c.benchmark_group("status_query");
     group.sample_size(20);
 
@@ -43,7 +42,7 @@ fn bench_status_query(c: &mut Criterion) {
     ];
     for (name, q) in cases {
         group.bench_with_input(BenchmarkId::new("aggregate", name), &q, |b, q| {
-            b.iter(|| black_box(engine.aggregate(q)))
+            b.iter(|| black_box(view.aggregate(q)))
         });
     }
     group.finish();

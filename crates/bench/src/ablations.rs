@@ -14,7 +14,7 @@ use crate::util::{mean_time_ms, scaled_dataset};
 use domd_core::{timeline_mae_series, Fusion, PipelineConfig, TrainedPipeline};
 use domd_index::{
     project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, LogicalTimeIndex,
-    NaiveJoinIndex, RowColumns, StatusQuery, StatusQueryEngine,
+    NaiveJoinIndex, RccArena, RowColumns, StatusQuery, StatusView,
 };
 use domd_data::rcc::RccStatus;
 use domd_ml::{
@@ -254,8 +254,8 @@ signal the subsystem totals hide)
 /// Status Query latency as the GROUP BY descends the SWLIN hierarchy
 /// (Figure 3 groups by `SWLIN_Level_no`): at depth `d` the workload runs
 /// one aggregate query per (hierarchy node at depth d x status) over the
-/// 11-step grid. `StatusQueryEngine::aggregate` probes each node's rows
-/// against the arena, so the time per query follows the node's size.
+/// 11-step grid. `StatusView::aggregate` probes each node's rows against
+/// the arena, so the time per query follows the node's size.
 pub fn groupby_depth_ablation() -> String {
     groupby_depth_ablation_to(4)
 }
@@ -264,8 +264,7 @@ pub fn groupby_depth_ablation() -> String {
 /// shallow sweep; depth 4 alone runs ~300k queries).
 pub fn groupby_depth_ablation_to(max_depth: u32) -> String {
     let ds = scaled_dataset(1);
-    let projected = project_dataset(&ds);
-    let engine = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &projected);
+    let view = StatusView::from_arena(std::sync::Arc::new(RccArena::from_dataset(&ds)));
     let grid: Vec<f64> = (0..=10).map(|i| f64::from(i) * 10.0).collect();
 
     let mut out = String::from(
@@ -280,7 +279,7 @@ pub fn groupby_depth_ablation_to(max_depth: u32) -> String {
             nodes = nodes
                 .iter()
                 .flat_map(|&(p, l)| {
-                    engine.swlin_children(p, l).into_iter().map(move |c| (c, l + 1))
+                    view.swlin_children(p, l).into_iter().map(move |c| (c, l + 1))
                 })
                 .collect();
         }
@@ -296,7 +295,7 @@ pub fn groupby_depth_ablation_to(max_depth: u32) -> String {
                             status,
                             t_star,
                         };
-                        acc += engine.aggregate(&q).sum_amount;
+                        acc += view.aggregate(&q).sum_amount;
                     }
                 }
             }

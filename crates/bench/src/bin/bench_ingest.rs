@@ -1,24 +1,21 @@
 //! `bench_ingest` — ingest-to-queryable latency of the delta-maintained
-//! path versus the full re-sweep it replaced.
+//! path versus the full rebuild it replaced.
 //!
 //! Each batch of fresh RCC rows must become visible to Status Queries and
-//! to the feature tensor before the next epoch can publish. The `full`
+//! to the feature path (the dataset predictions read) before the next
+//! epoch can publish. Both arms build what a `TenantSnapshot` holds: a
+//! dataset and a Status-Query view (arena + group-by trees). The `full`
 //! arm pays what the pre-delta serving code paid: re-sort the dataset
-//! (`Dataset::new`), rebuild the Status-Query engine from scratch (the
-//! index and both group-by trees), and regenerate the feature tensor. The
-//! `delta` arm pays what `TenantSnapshot::ingest_batch` pays now: clone
-//! the standing state copy-on-write (chunk pointers, not rows), apply the
-//! batch as a typed [`RccDelta`] stream (each insert copies only the
-//! chunks its appends and AVL path writes land in), merge the dataset by
-//! copying the unchanged runs between fresh rows
-//! (`Dataset::with_rccs_merged`), and patch only the touched avails' rows
-//! of the maintained tensor (`MaintainedTensor::patch_avails`).
+//! (`Dataset::new`) and build the view from scratch. The `delta` arm pays
+//! what `TenantSnapshot::ingest_batch` pays now: clone the standing view
+//! copy-on-write (chunk pointers, not rows), apply the batch as a typed
+//! [`RccDelta`] stream (each insert copies only the arena chunks and
+//! group-tree runs its appends land in), and merge the dataset by copying
+//! the unchanged runs between fresh rows (`Dataset::with_rccs_merged`).
 //!
 //! Before any timing counts, every batch is gated on bit-identity: the
-//! maintained engine's aggregates must equal a from-scratch
-//! `StatusQueryEngine::from_arena_rows` over the same arena to the bit,
-//! and the patched tensor must equal a full `generate_tensor_threaded`
-//! over the merged dataset to the bit.
+//! maintained view's aggregates must equal a from-scratch
+//! `StatusView::from_arena_rows` over the same arena to the bit.
 //!
 //! Per-arm columns report minima over `--runs` interleaved rounds; the
 //! headline speedup is the *median of per-round paired ratios* (both arms
@@ -27,7 +24,7 @@
 //!
 //! ```text
 //! bench_ingest [--scales 1,2,4] [--batches 6] [--batch-rows 8]
-//!              [--runs 3] [--threads 1] [--out FILE]
+//!              [--runs 3] [--out FILE]
 //! ```
 
 use std::sync::Arc;
@@ -35,10 +32,7 @@ use std::sync::Arc;
 use domd_bench::util::time_ms;
 use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{generate, AvailId, Dataset, GeneratorConfig};
-use domd_features::{FeatureEngine, FeatureTensor, MaintainedTensor};
-use domd_index::{
-    project_dataset, FlatAvlIndex, RccArena, RccDelta, RowId, StatusQuery, StatusQueryEngine,
-};
+use domd_index::{RccArena, RccDelta, RowId, StatusQuery, StatusView};
 
 /// Deterministic SplitMix64 stream for batch synthesis.
 struct Mix(u64);
@@ -56,8 +50,6 @@ impl Mix {
         self.next() % n
     }
 }
-
-type Engine = StatusQueryEngine<FlatAvlIndex>;
 
 /// Fresh RCC rows for the batch, templated off each touched avail's own
 /// rows so types and SWLINs stay in-distribution.
@@ -108,13 +100,13 @@ fn probe_queries() -> Vec<StatusQuery> {
     qs
 }
 
-/// Bit-identity gate: the maintained engine against a from-scratch
-/// rebuild over the same arena (same ascending-id aggregation order).
-fn assert_engine_matches_scratch(eng: &Engine, scale: u32, batch: usize) {
-    let live: Vec<RowId> = (0..eng.arena().len() as RowId).collect();
-    let scratch = Engine::from_arena_rows(Arc::clone(eng.arena()), &live);
+/// Bit-identity gate: the maintained view against a from-scratch build
+/// over the same arena (same ascending-id aggregation order).
+fn assert_view_matches_scratch(view: &StatusView, scale: u32, batch: usize) {
+    let live: Vec<RowId> = (0..view.arena().len() as RowId).collect();
+    let scratch = StatusView::from_arena_rows(Arc::clone(view.arena()), &live);
     for q in probe_queries() {
-        let (a, b) = (eng.aggregate(&q), scratch.aggregate(&q));
+        let (a, b) = (view.aggregate(&q), scratch.aggregate(&q));
         assert_eq!(a.count, b.count, "scale {scale} batch {batch}: count diverged on {q:?}");
         assert_eq!(
             a.sum_amount.to_bits(),
@@ -126,20 +118,6 @@ fn assert_engine_matches_scratch(eng: &Engine, scale: u32, batch: usize) {
             b.sum_duration.to_bits(),
             "scale {scale} batch {batch}: sum_duration diverged on {q:?}"
         );
-    }
-}
-
-fn assert_tensor_bits(a: &FeatureTensor, b: &FeatureTensor, scale: u32, batch: usize) {
-    for s in 0..a.n_steps() {
-        let (xs, ys) = (a.slice(s).as_slice(), b.slice(s).as_slice());
-        assert_eq!(xs.len(), ys.len(), "scale {scale} batch {batch}: slice {s} size");
-        for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "scale {scale} batch {batch}: tensor slice {s} flat index {i}"
-            );
-        }
     }
 }
 
@@ -156,14 +134,13 @@ struct ScaleResult {
     delta_ms: f64,
     engine_ms: f64,
     merge_ms: f64,
-    patch_ms: f64,
     speedup: f64,
 }
 
 impl ScaleResult {
     fn json(&self) -> String {
         format!(
-            "{{\"scale\":{},\"n_rccs\":{},\"n_avails\":{},\"full_ms\":{:.3},\"delta_ms\":{:.3},\"engine_ms\":{:.3},\"merge_ms\":{:.3},\"patch_ms\":{:.3},\"speedup\":{:.2},\"bit_identical\":true}}",
+            "{{\"scale\":{},\"n_rccs\":{},\"n_avails\":{},\"full_ms\":{:.3},\"delta_ms\":{:.3},\"engine_ms\":{:.3},\"merge_ms\":{:.3},\"speedup\":{:.2},\"bit_identical\":true}}",
             self.scale,
             self.n_rccs,
             self.n_avails,
@@ -171,20 +148,12 @@ impl ScaleResult {
             self.delta_ms,
             self.engine_ms,
             self.merge_ms,
-            self.patch_ms,
             self.speedup
         )
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bench_scale(
-    scale: u32,
-    batches: usize,
-    rows_per_batch: usize,
-    runs: usize,
-    threads: usize,
-) -> ScaleResult {
+fn bench_scale(scale: u32, batches: usize, rows_per_batch: usize, runs: usize) -> ScaleResult {
     let mut rng = Mix(0x001A_6E57 ^ u64::from(scale));
     let ds0 = generate(&GeneratorConfig {
         n_avails: 120,
@@ -193,20 +162,16 @@ fn bench_scale(
         seed: 0xD0_4D,
     });
     let all: Vec<AvailId> = ds0.avails().iter().map(|a| a.id).collect();
-    let grid: Vec<f64> = (0..=6).map(|i| f64::from(i) * 20.0).collect();
-    let fe = FeatureEngine::default();
     let mut next_id = ds0.rccs().iter().map(|r| r.id.0).max().unwrap_or(0);
 
     // Standing state the delta arm maintains across batches.
     let mut ds = Arc::new(ds0);
-    let mut eng = Engine::from_arena(Arc::new(RccArena::from_dataset(&ds)));
-    let mut maintained =
-        MaintainedTensor::from_tensor(&fe.generate_tensor_threaded(&ds, &all, &grid, threads));
+    let mut view = StatusView::from_arena(Arc::new(RccArena::from_dataset(&ds)));
 
     let mut full_total = 0.0;
     let mut delta_total = 0.0;
-    // Delta-arm stage minima summed over batches: [engine, merge, patch].
-    let mut stage_totals = [0.0f64; 3];
+    // Delta-arm stage minima summed over batches: [engine, merge].
+    let mut stage_totals = [0.0f64; 2];
     let mut ratios = Vec::with_capacity(batches * runs);
     for batch in 0..batches {
         // 1–3 distinct touched avails, rows spread round-robin.
@@ -224,58 +189,42 @@ fn bench_scale(
             })
             .collect();
 
-        // The delta arm pays the whole copy-on-write epoch build: clone
-        // the standing state, apply the stream, merge, patch.
+        // The delta arm pays the whole copy-on-write epoch build, staged:
+        // clone the standing view and apply the stream, then merge.
         let delta_epoch = || {
-            let mut next_eng = eng.clone();
-            next_eng.apply_deltas(&deltas);
-            let next_ds = Arc::new(ds.with_rccs_merged(fresh.clone()));
-            let mut next_mt = maintained.clone();
-            next_mt.patch_avails(&fe, &next_ds, &touched, threads);
-            (next_eng, next_ds, next_mt)
+            let (next_view, e_ms) = time_ms(|| {
+                let mut next_view = view.clone();
+                next_view.apply_deltas(&deltas);
+                next_view
+            });
+            let (next_ds, m_ms) = time_ms(|| Arc::new(ds.with_rccs_merged(fresh.clone())));
+            (next_view, next_ds, [e_ms, m_ms])
         };
         // The full arm pays what the pre-delta code paid for the same
-        // visibility: re-sort, rebuild, regenerate.
+        // visibility: re-sort, rebuild.
         let avail_vec = ds.avails().to_vec();
         let full_epoch = || {
             let mut rccs = ds.rccs().to_vec();
             rccs.extend(fresh.iter().cloned());
             let next_ds = Dataset::new(avail_vec.clone(), rccs);
-            let projected = project_dataset(&next_ds);
-            let next_eng = Engine::build(&next_ds, &projected);
-            let tensor = fe.generate_tensor_threaded(&next_ds, &all, &grid, threads);
-            (next_eng, next_ds, tensor)
+            let next_view = StatusView::from_arena(Arc::new(RccArena::from_dataset(&next_ds)));
+            (next_view, next_ds)
         };
 
-        // Bit-identity gates before any timing counts.
-        let (next_eng, next_ds, next_mt) = delta_epoch();
-        assert_engine_matches_scratch(&next_eng, scale, batch);
-        let regenerated = fe.generate_tensor_threaded(&next_ds, &all, &grid, threads);
-        assert_tensor_bits(&next_mt.to_tensor(), &regenerated, scale, batch);
+        // Bit-identity gate before any timing counts.
+        let (next_view, next_ds, _) = delta_epoch();
+        assert_view_matches_scratch(&next_view, scale, batch);
 
         // Interleaved rounds: per-arm minima + paired per-round ratios.
-        // The delta arm is additionally timed per stage (engine clone +
-        // delta application / dataset merge / tensor patch) so a
-        // regression in one stage is visible in the report.
+        // The delta arm is additionally timed per stage (view clone +
+        // delta application / dataset merge) so a regression in one
+        // stage is visible in the report.
         let mut full_min = f64::INFINITY;
         let mut delta_min = f64::INFINITY;
-        let mut stage_min = [f64::INFINITY; 3];
+        let mut stage_min = [f64::INFINITY; 2];
         for _ in 0..runs {
             let (_, f_ms) = time_ms(full_epoch);
-            let (stages, d_ms) = time_ms(|| {
-                let (_, e_ms) = time_ms(|| {
-                    let mut next_eng = eng.clone();
-                    next_eng.apply_deltas(&deltas);
-                    next_eng
-                });
-                let (next_ds, m_ms) = time_ms(|| Arc::new(ds.with_rccs_merged(fresh.clone())));
-                let (_, p_ms) = time_ms(|| {
-                    let mut next_mt = maintained.clone();
-                    next_mt.patch_avails(&fe, &next_ds, &touched, threads);
-                    next_mt
-                });
-                [e_ms, m_ms, p_ms]
-            });
+            let ((_, _, stages), d_ms) = time_ms(delta_epoch);
             full_min = full_min.min(f_ms);
             delta_min = delta_min.min(d_ms);
             for (acc, s) in stage_min.iter_mut().zip(stages) {
@@ -290,9 +239,8 @@ fn bench_scale(
         }
 
         // Commit the batch: the next batch mutates the grown state.
-        eng = next_eng;
+        view = next_view;
         ds = next_ds;
-        maintained = next_mt;
     }
 
     ScaleResult {
@@ -303,7 +251,6 @@ fn bench_scale(
         delta_ms: delta_total,
         engine_ms: stage_totals[0],
         merge_ms: stage_totals[1],
-        patch_ms: stage_totals[2],
         speedup: median(ratios),
     }
 }
@@ -334,21 +281,19 @@ fn main() {
     let rows_per_batch: usize =
         get("--batch-rows").map(|v| v.parse().expect("--batch-rows takes a number")).unwrap_or(8);
     let runs: usize = get("--runs").map(|v| v.parse().expect("--runs takes a number")).unwrap_or(3);
-    let threads: usize =
-        get("--threads").map(|v| v.parse().expect("--threads takes a number")).unwrap_or(1);
     let out_path = get("--out");
 
     eprintln!(
-        "bench_ingest: scales={scales:?}, batches={batches}, batch_rows={rows_per_batch}, runs={runs}, threads={threads}"
+        "bench_ingest: scales={scales:?}, batches={batches}, batch_rows={rows_per_batch}, runs={runs}"
     );
     let largest = scales.iter().copied().max().unwrap_or(1);
     let mut blocks = Vec::new();
     for &scale in &scales {
-        let r = bench_scale(scale, batches, rows_per_batch, runs, threads);
+        let r = bench_scale(scale, batches, rows_per_batch, runs);
         eprintln!(
-            "  scale {:>2}x ({:>6} rccs, {} avails)  full {:>8.1} ms  delta {:>6.1} ms ({:.1}x; engine {:.1} merge {:.1} patch {:.1})",
+            "  scale {:>2}x ({:>6} rccs, {} avails)  full {:>8.1} ms  delta {:>6.1} ms ({:.1}x; engine {:.2} merge {:.2})",
             r.scale, r.n_rccs, r.n_avails, r.full_ms, r.delta_ms, r.speedup, r.engine_ms,
-            r.merge_ms, r.patch_ms
+            r.merge_ms
         );
         if scale == largest && r.speedup < 10.0 {
             eprintln!(
@@ -359,12 +304,11 @@ fn main() {
         blocks.push(r.json());
     }
     let json = format!(
-        "{{\"bench\":\"ingest_delta\",\"cpu\":{{\"model\":\"{}\"}},\"runs\":{},\"batches\":{},\"batch_rows\":{},\"threads\":{},\"scales\":[{}]}}\n",
+        "{{\"bench\":\"ingest_delta\",\"cpu\":{{\"model\":\"{}\"}},\"runs\":{},\"batches\":{},\"batch_rows\":{},\"scales\":[{}]}}\n",
         cpu_model().replace('"', "'"),
         runs,
         batches,
         rows_per_batch,
-        threads,
         blocks.join(",")
     );
     match out_path {

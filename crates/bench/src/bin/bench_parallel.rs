@@ -15,7 +15,7 @@
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::{generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
-use domd_index::{project_dataset, FlatAvlIndex, StatusQuery, StatusQueryEngine};
+use domd_index::{RccArena, StatusQuery, StatusView};
 use domd_ml::{DenseMatrix, GbtModel, GbtParams};
 use std::time::Instant;
 
@@ -112,9 +112,8 @@ fn bench_scale(scale: u32, threads: usize, runs: usize) -> Vec<PathResult> {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     out.push(PathResult { name: "predict_steps", seq_ms, par_ms, identical });
 
-    // Path 3: batch Status Queries over the dual-AVL index.
-    let proj = project_dataset(&ds);
-    let sq = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
+    // Path 3: batch Status Query aggregates over the arena and group trees.
+    let sq = StatusView::from_arena(std::sync::Arc::new(RccArena::from_dataset(&ds)));
     let mut queries = Vec::new();
     for t in 0..200u32 {
         for status in domd_data::rcc::RccStatus::FEATURE_STATUSES {

@@ -13,15 +13,17 @@
 //!   a *baseline*, not an alternative.
 //!
 //! The store-rebuild arm is bit-identity-gated first: its aggregates
-//! must equal a from-scratch snapshot over the store's own rows. Each
-//! timing column reports its minimum over `--runs` repetitions.
+//! must equal, to the bit, a from-scratch snapshot's over the store's own
+//! rows for every status, for an unfiltered, a one-type and a SWLIN-node
+//! group, at four values of `t*`. Each timing column reports its minimum
+//! over `--runs` repetitions.
 //!
 //! ```text
 //! bench_restart [--scales 1,4] [--ingests N] [--runs N] [--out FILE]
 //! ```
 
 use domd_bench::util::{scaled_dataset, time_ms};
-use domd_data::rcc::{Rcc, RccId, RccStatus};
+use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{logical_time, Dataset};
 use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc, StatusQuery};
 use domd_serve::{rebuild_tenant, TenantSnapshot};
@@ -68,17 +70,36 @@ fn dir_bytes(dir: &Path) -> u64 {
         .sum()
 }
 
-/// The "first answer" a restarted server produces: one Status Query
-/// aggregate, fingerprinted for the identity gate.
-fn first_answer(snap: &TenantSnapshot) -> (usize, u64) {
+/// The "first answer" a restarted server produces: one Status Query.
+fn first_answer(snap: &TenantSnapshot) -> usize {
     let q = StatusQuery {
         rcc_type: None,
         swlin_prefix: None,
         status: RccStatus::Active,
         t_star: 60.0,
     };
-    let agg = snap.engine.aggregate(&q);
-    (agg.count, agg.sum_amount.to_bits())
+    snap.engine.aggregate(&q).count
+}
+
+/// Identity gate: `got` answers every probe — each status, unfiltered /
+/// one type / one SWLIN node, `t*` in {0, 25, 60, 110} — with the same
+/// count and sums, to the bit, as `want`.
+fn assert_same_answers(got: &TenantSnapshot, want: &TenantSnapshot, scale: u32) {
+    let statuses =
+        [RccStatus::Active, RccStatus::Settled, RccStatus::Created, RccStatus::NotCreated];
+    let groups = [(None, None), (Some(RccType::NewWork), None), (None, Some((4, 1)))];
+    for status in statuses {
+        for (rcc_type, swlin_prefix) in groups {
+            for t_star in [0.0, 25.0, 60.0, 110.0] {
+                let q = StatusQuery { rcc_type, swlin_prefix, status, t_star };
+                let (a, b) = (got.engine.aggregate(&q), want.engine.aggregate(&q));
+                let ctx = format!("store-rebuild diverged from from-scratch at scale {scale}");
+                assert_eq!(a.count, b.count, "{ctx}: count of {q:?}");
+                assert_eq!(a.sum_amount.to_bits(), b.sum_amount.to_bits(), "{ctx}: {q:?}");
+                assert_eq!(a.sum_duration.to_bits(), b.sum_duration.to_bits(), "{ctx}: {q:?}");
+            }
+        }
+    }
 }
 
 struct ScaleResult {
@@ -129,11 +150,7 @@ fn bench_scale(scale: u32, ingests: usize, runs: usize) -> ScaleResult {
         .collect();
     let reference =
         TenantSnapshot::from_dataset(Dataset::new(ds.avails().to_vec(), reference_rccs));
-    assert_eq!(
-        first_answer(&rebuilt),
-        first_answer(&reference),
-        "store-rebuild answers diverged from from-scratch at scale {scale}"
-    );
+    assert_same_answers(&rebuilt, &reference, scale);
     let rows = index.len();
     drop((index, rebuilt));
 

@@ -79,20 +79,6 @@ impl Dataset {
         Dataset { avails: self.avails.clone(), rccs, by_avail }
     }
 
-    /// A dataset restricted to `ids` (ids without an avail here are
-    /// dropped), preserving each kept avail's RCC rows and their relative
-    /// order. Because the RCC table is sorted by `(avail, created, id)`,
-    /// any per-avail computation over the selection — a feature sweep, a
-    /// per-avail aggregate — sees exactly the row sequence the full
-    /// dataset holds, at the cost of only the selected rows.
-    pub fn select_avails(&self, ids: &[AvailId]) -> Dataset {
-        let avails: Vec<Avail> =
-            ids.iter().filter_map(|id| self.avail(*id)).cloned().collect();
-        let rccs: Vec<Rcc> =
-            avails.iter().flat_map(|a| self.rccs_of(a.id)).cloned().collect();
-        Dataset::new(avails, rccs)
-    }
-
     /// All avails, in insertion order.
     pub fn avails(&self) -> &[Avail] {
         &self.avails

@@ -13,22 +13,21 @@
 //! * [`cache`] — a memoizing LRU over the online per-avail feature
 //!   snapshots with epoch-based invalidation (plus surgical per-avail
 //!   invalidation for classified deltas);
-//! * [`tensor`] — the materialized tensor with per-grid-point slices;
-//! * [`maintain`] — the delta-maintained tensor: copy-on-write slices
-//!   whose affected avail rows are patched by subset re-sweeps instead of
-//!   regenerating, bit-identical to a full regeneration.
+//! * [`tensor`] — the materialized tensor with per-grid-point slices.
+//!
+//! `domd serve` holds no tensor: an online query computes the feature rows
+//! it needs from the pinned dataset ([`engine`]'s online path), so an
+//! ingest changes the dataset and nothing here needs patching.
 
 #![deny(unsafe_code)]
 pub mod cache;
 pub mod engine;
-pub mod maintain;
 pub mod spec;
 pub mod static_features;
 pub mod tensor;
 
 pub use cache::{FeatureCache, FeatureKey};
 pub use engine::FeatureEngine;
-pub use maintain::MaintainedTensor;
 pub use spec::{Aggregation, FeatureCatalog, FeatureSpec, StatusFilter, SwlinGroup, TypeFilter};
 pub use static_features::{static_matrix, static_row, N_STATIC, STATIC_FEATURE_NAMES};
 pub use tensor::FeatureTensor;

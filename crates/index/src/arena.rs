@@ -111,15 +111,11 @@ impl RccArena {
     /// Re-settles `row` at `settled`, recomputing the logical end with the
     /// identical `domd_data::logical_time` call [`Self::push`] uses, so a
     /// settled row is bit-identical to one freshly pushed with that date.
-    /// Returns the row's *old* logical record (the index entry a maintainer
-    /// must retire before inserting [`Self::logical`] of the new state).
-    pub fn settle(&mut self, row: RowId, settled: Date, avail: &Avail) -> LogicalRcc {
+    pub fn settle(&mut self, row: RowId, settled: Date, avail: &Avail) {
         assert_eq!(self.avails[row as usize], avail.id, "row must belong to the given avail");
-        let old = self.logical(row);
         let planned = avail.planned_duration().max(1);
         self.settled.set(row as usize, settled - self.base);
         self.ends.set(row as usize, domd_data::logical_time(settled, avail.actual_start, planned));
-        old
     }
 
     /// Number of rows stored.

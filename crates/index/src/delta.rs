@@ -1,9 +1,10 @@
-//! Typed delta stream and incremental view maintenance (ROADMAP item 1).
+//! Typed delta stream and incremental view maintenance.
 //!
 //! The grouped Status Query aggregates are hierarchical queries over the
 //! avail⋈RCC join; per Kara/Nikolic/Olteanu/Zhang (PAPERS.md), maintaining
 //! such views by deltas beats recomputation whenever mutation traffic is a
-//! small fraction of the dataset. A [`RccDelta`] describes one mutation of
+//! small fraction of the dataset, and the cost of maintenance is the set
+//! of views it must keep current. A [`RccDelta`] describes one mutation of
 //! the RCC relation — insert, settle (the logical end moves), or remove —
 //! and is emitted at the *same call sites*, in the *same order*, as the
 //! serving layer's `DurableIndex` WAL-before-apply mutations: the stream
@@ -13,19 +14,21 @@
 //! no type, SWLIN, or amount — which is why the typed stream is extracted
 //! where the mutation is issued rather than parsed back out of the log.)
 //!
-//! Propagation is O(log n) per delta instead of the O(n log n) rebuild of
-//! a from-scratch engine: the logical index absorbs the row via
-//! `insert_logical` / `remove_logical`, and each group tree touches only
-//! the mutated row's type partition and SWLIN root-to-leaf path. The arena
-//! is append-only — a removed row stays behind as an orphan no index or
-//! tree references — so every aggregate, visited in ascending row-id
-//! order, stays bit-identical to a from-scratch
-//! [`StatusQueryEngine::from_arena_rows`] over the live rows of the same
-//! arena. That bit-identity is the correctness gate of the delta
+//! The maintained view is a [`StatusView`]: the arena and the two group
+//! trees, which is everything `domd serve` reads. It holds no logical-time
+//! index, so a delta mutates none: an insert appends to the arena and
+//! touches one type partition and one SWLIN entry, a settle rewrites the
+//! row's arena chunk, and a removal deletes the row from both group trees,
+//! each `O(log n)`. The arena is append-only — a removed row stays behind
+//! as an orphan no tree references — so every aggregate, visited in
+//! ascending row-id order, stays bit-identical to a from-scratch
+//! [`StatusView::from_arena_rows`] over the live rows of the same arena,
+//! and to folding the index plan
+//! ([`crate::status_query::StatusQueryEngine::execute`]) built over those
+//! rows. That bit-identity is the correctness gate of the delta
 //! equivalence suite.
 
-use crate::status_query::StatusQueryEngine;
-use crate::traits::MaintainableIndex;
+use crate::status_query::StatusView;
 use crate::types::RowId;
 use domd_data::avail::Avail;
 use domd_data::date::Date;
@@ -46,7 +49,7 @@ pub enum RccDelta {
     /// Row `row` re-settles at `settled` (covers both settle and reopen:
     /// the new date may precede or follow the old one).
     Settle {
-        /// The maintained engine's row id.
+        /// The maintained view's row id.
         row: RowId,
         /// The new settlement date.
         settled: Date,
@@ -57,43 +60,36 @@ pub enum RccDelta {
     },
     /// Row `row` leaves the relation; its arena storage is orphaned.
     Remove {
-        /// The maintained engine's row id.
+        /// The maintained view's row id.
         row: RowId,
     },
 }
 
-impl<I: MaintainableIndex> StatusQueryEngine<I> {
+impl StatusView {
     /// Applies one delta in O(log n). Returns the affected row id, or
-    /// `None` when the delta names a row the engine does not hold (out of
-    /// bounds, already removed, or under a mismatched avail) — the engine
+    /// `None` when the delta names a row the view does not hold (out of
+    /// bounds, already removed, or under a mismatched avail) — the view
     /// is left untouched in that case, so a malformed delta can never
-    /// corrupt the view.
+    /// corrupt it.
     pub fn apply_delta(&mut self, delta: &RccDelta) -> Option<RowId> {
         match delta {
-            RccDelta::Insert { rcc, avail } => Some(self.insert(rcc, avail)),
+            RccDelta::Insert { rcc, avail } => {
+                let row = Arc::make_mut(&mut self.arena).push(rcc, avail);
+                self.type_tree.insert(rcc.rcc_type, row);
+                self.swlin_tree.insert(rcc.swlin, row);
+                Some(row)
+            }
             RccDelta::Settle { row, settled, avail } => {
                 if !self.is_live(*row) || self.arena.avail(*row) != avail.id {
                     return None;
                 }
-                let arena = Arc::make_mut(&mut self.arena);
-                let old = arena.settle(*row, *settled, avail);
-                let new = arena.logical(*row);
-                // domd-lint: allow(wal-order) — applies a settle the serving layer's DurableIndex already WAL-logged; the delta stream is derived from that log order
-                let removed = self.index.remove_logical(&old);
-                debug_assert!(removed, "live rows are indexed");
-                // domd-lint: allow(wal-order) — applies a settle the serving layer's DurableIndex already WAL-logged; the delta stream is derived from that log order
-                let inserted = self.index.insert_logical(&new);
-                debug_assert!(inserted, "a re-settled row cannot collide with itself");
+                Arc::make_mut(&mut self.arena).settle(*row, *settled, avail);
                 Some(*row)
             }
             RccDelta::Remove { row } => {
                 if !self.is_live(*row) {
                     return None;
                 }
-                let lr = self.arena.logical(*row);
-                // domd-lint: allow(wal-order) — applies a removal the serving layer's DurableIndex already WAL-logged; the delta stream is derived from that log order
-                let removed = self.index.remove_logical(&lr);
-                debug_assert!(removed, "live rows are indexed");
                 let rcc_type = self.arena.rcc_type(*row);
                 let swlin = self.arena.swlin(*row);
                 self.type_tree.remove(rcc_type, *row);
@@ -125,18 +121,22 @@ impl<I: MaintainableIndex> StatusQueryEngine<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::RccArena;
     use crate::flat_avl::FlatAvlIndex;
+    use crate::status_query::tests::assert_matches_index_plans;
     use crate::status_query::{StatusQuery, StatusQueryEngine};
-    use crate::traits::LogicalTimeIndex;
-    use crate::types::project_dataset;
+    use domd_data::dataset::Dataset;
     use domd_data::rcc::{RccId, RccStatus, RccType};
     use domd_data::{generate, GeneratorConfig};
 
-    fn engine() -> (domd_data::dataset::Dataset, StatusQueryEngine<FlatAvlIndex>) {
+    fn view_of(ds: &Dataset) -> StatusView {
+        StatusView::from_arena(Arc::new(RccArena::from_dataset(ds)))
+    }
+
+    fn view() -> (Dataset, StatusView) {
         let ds = generate(&GeneratorConfig { n_avails: 10, target_rccs: 600, scale: 1, seed: 3 });
-        let proj = project_dataset(&ds);
-        let eng = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
-        (ds, eng)
+        let view = view_of(&ds);
+        (ds, view)
     }
 
     fn probe_queries() -> Vec<StatusQuery> {
@@ -163,22 +163,23 @@ mod tests {
         out
     }
 
-    fn assert_matches_scratch<I: LogicalTimeIndex>(eng: &StatusQueryEngine<I>) {
-        let live = eng.live_rows();
-        let scratch = StatusQueryEngine::<I>::from_arena_rows(Arc::clone(eng.arena()), &live);
-        for q in probe_queries() {
-            assert_eq!(eng.execute(&q), scratch.execute(&q), "rows diverge on {q:?}");
-            let a = eng.aggregate(&q);
-            let b = scratch.aggregate(&q);
-            assert_eq!(a.count, b.count, "count diverges on {q:?}");
-            assert_eq!(a.sum_amount.to_bits(), b.sum_amount.to_bits(), "amount bits {q:?}");
-            assert_eq!(a.sum_duration.to_bits(), b.sum_duration.to_bits(), "duration bits {q:?}");
-        }
+    /// The rows a flat-AVL index plan built from scratch over `view`'s
+    /// arena and live rows returns for `q`.
+    fn scratch_rows(view: &StatusView, q: &StatusQuery) -> Vec<RowId> {
+        let live = view.live_rows();
+        StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(view.arena()), &live)
+            .execute(q)
+    }
+
+    /// The maintained view against the flat-AVL and naive-join index plans
+    /// built from scratch over its arena and live rows.
+    fn assert_matches_scratch(view: &StatusView) {
+        assert_matches_index_plans(view, &probe_queries(), "maintained view");
     }
 
     #[test]
     fn settle_moves_row_between_status_sets() {
-        let (ds, mut eng) = engine();
+        let (ds, mut view) = view();
         let avail = ds.avails()[0].clone();
         let rcc = Rcc {
             id: RccId(9_100_000),
@@ -189,49 +190,50 @@ mod tests {
             settled: avail.actual_start + 10,
             amount: 900.0,
         };
-        let row = eng
+        let row = view
             .apply_delta(&RccDelta::Insert { rcc, avail: avail.clone() })
             .expect("insert always applies");
-        let start = eng.arena().start(row);
-        let old_end = eng.arena().end(row);
+        let start = view.arena().start(row);
+        let old_end = view.arena().end(row);
         let probe = (start + old_end) / 2.0;
-        assert!(eng.execute(&active_q(probe)).contains(&row));
+        assert!(scratch_rows(&view, &active_q(probe)).contains(&row));
         // Push the settlement far out: the row must become active at the
         // old end and stop being settled there.
-        eng.apply_delta(&RccDelta::Settle {
+        view.apply_delta(&RccDelta::Settle {
             row,
             settled: avail.actual_start + 400,
             avail: avail.clone(),
         })
         .expect("live row settles");
-        assert!(eng.arena().end(row) > old_end);
-        assert!(eng.execute(&active_q(old_end)).contains(&row));
-        assert_matches_scratch(&eng);
+        assert!(view.arena().end(row) > old_end);
+        assert!(scratch_rows(&view, &active_q(old_end)).contains(&row));
+        assert_matches_scratch(&view);
     }
 
     #[test]
     fn remove_orphans_row_everywhere() {
-        let (_, mut eng) = engine();
+        let (_, mut view) = view();
         let row = 5;
-        assert!(eng.is_live(row));
-        let t = eng.arena().start(row);
-        eng.apply_delta(&RccDelta::Remove { row }).expect("live row removes");
-        assert!(!eng.is_live(row));
-        assert!(!eng.execute(&created_q(t + 1.0)).contains(&row));
+        assert!(view.is_live(row));
+        let t = view.arena().start(row);
+        view.apply_delta(&RccDelta::Remove { row }).expect("live row removes");
+        assert!(!view.is_live(row));
+        assert!(!view.live_rows().contains(&row));
+        assert!(!scratch_rows(&view, &created_q(t + 1.0)).contains(&row));
         // Idempotence: a second removal is refused, not corrupting.
-        assert_eq!(eng.apply_delta(&RccDelta::Remove { row }), None);
-        assert_matches_scratch(&eng);
+        assert_eq!(view.apply_delta(&RccDelta::Remove { row }), None);
+        assert_matches_scratch(&view);
     }
 
     #[test]
-    fn malformed_deltas_leave_engine_untouched() {
-        let (ds, mut eng) = engine();
-        let before = eng.epoch();
+    fn malformed_deltas_leave_view_untouched() {
+        let (ds, mut view) = view();
+        let before = view.clone();
         let avail = ds.avails()[0].clone();
-        let out_of_bounds = eng.arena().len() as RowId + 7;
-        assert_eq!(eng.apply_delta(&RccDelta::Remove { row: out_of_bounds }), None);
+        let out_of_bounds = view.arena().len() as RowId + 7;
+        assert_eq!(view.apply_delta(&RccDelta::Remove { row: out_of_bounds }), None);
         assert_eq!(
-            eng.apply_delta(&RccDelta::Settle {
+            view.apply_delta(&RccDelta::Settle {
                 row: out_of_bounds,
                 settled: avail.actual_start + 5,
                 avail: avail.clone(),
@@ -240,13 +242,13 @@ mod tests {
         );
         // Mismatched avail on a live row is refused too.
         let row = 0;
-        let wrong = ds.avails().iter().find(|a| a.id != eng.arena().avail(row)).unwrap().clone();
+        let wrong = ds.avails().iter().find(|a| a.id != view.arena().avail(row)).unwrap().clone();
         assert_eq!(
-            eng.apply_delta(&RccDelta::Settle { row, settled: wrong.actual_start + 5, avail: wrong }),
+            view.apply_delta(&RccDelta::Settle { row, settled: wrong.actual_start + 5, avail: wrong }),
             None
         );
-        assert_eq!(eng.epoch(), before, "refused deltas must not bump the epoch");
-        assert_matches_scratch(&eng);
+        assert_eq!(unshared(&view, &before), 0, "refused deltas must not copy a piece");
+        assert_matches_scratch(&view);
     }
 
     fn active_q(t: f64) -> StatusQuery {
@@ -257,25 +259,21 @@ mod tests {
         StatusQuery { rcc_type: None, swlin_prefix: None, status: RccStatus::Created, t_star: t }
     }
 
-    /// Storage pieces (arena and AVL column chunks, group-tree runs) of
-    /// `child` that no longer share memory with `parent`'s.
-    fn unshared(
-        child: &StatusQueryEngine<FlatAvlIndex>,
-        parent: &StatusQueryEngine<FlatAvlIndex>,
-    ) -> usize {
+    /// Storage pieces (arena column chunks, group-tree runs) of `child`
+    /// that no longer share memory with `parent`'s.
+    fn unshared(child: &StatusView, parent: &StatusView) -> usize {
         child.arena.unshared_chunks(&parent.arena)
-            + child.index.unshared_chunks(&parent.index)
             + child.type_tree.unshared_runs(&parent.type_tree)
             + child.swlin_tree.unshared_runs(&parent.swlin_tree)
     }
 
-    /// Builds a flat-AVL engine over about `target_rccs` generated rows,
-    /// clones it as `domd serve` does per epoch, applies an insert, a
-    /// settle and a removal to the clone, checks both engines, and returns
-    /// how many storage pieces the clone had to copy.
+    /// Builds a view over about `target_rccs` generated rows, clones it as
+    /// `domd serve` does per epoch, applies an insert, a settle and a
+    /// removal to the clone, checks both views, and returns how many
+    /// storage pieces the clone had to copy.
     fn epoch_copy(target_rccs: usize) -> usize {
         let ds = generate(&GeneratorConfig { n_avails: 40, target_rccs, scale: 1, seed: 29 });
-        let parent = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &project_dataset(&ds));
+        let parent = view_of(&ds);
         let probes = probe_queries();
         let before: Vec<_> = probes.iter().map(|q| parent.aggregate(q)).collect();
 
@@ -318,11 +316,10 @@ mod tests {
     #[test]
     fn epoch_clone_copies_a_size_independent_number_of_pieces() {
         // The batch's writes: 9 arena tail chunks for the insert plus the
-        // settled row's 2; per AVL tree, 6 slot columns per allocation and
-        // the links and heights that change along four O(log n) paths; one
-        // run per group-tree write plus a split. Measured 51 and 48. At
-        // 20k rows the engine holds over 400 pieces, at 80k over 1,600.
-        const BOUND: usize = 64;
+        // settled row's 2; one run per group-tree write plus a split.
+        // Measured 16 and 16. At 20k rows the view holds 261 pieces, at
+        // 80k 1,025.
+        const BOUND: usize = 20;
         let (small, large) = (epoch_copy(20_000), epoch_copy(80_000));
         assert!(small <= BOUND, "{small} pieces copied at 20k rows");
         assert!(large <= BOUND, "{large} pieces copied at 80k rows");

@@ -396,17 +396,6 @@ impl FlatAvlTree {
             sorted_layout: true,
         }
     }
-
-    /// Column chunks not shared with `base`'s columns.
-    #[cfg(test)]
-    pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
-        self.keys.unshared_chunks(&base.keys)
-            + self.others.unshared_chunks(&base.others)
-            + self.ids.unshared_chunks(&base.ids)
-            + self.lefts.unshared_chunks(&base.lefts)
-            + self.rights.unshared_chunks(&base.rights)
-            + self.heights.unshared_chunks(&base.heights)
-    }
 }
 
 impl HeapSize for FlatAvlTree {
@@ -475,12 +464,6 @@ impl FlatAvlIndex {
     /// Testing/inspection hook: depths of the two trees.
     pub fn depths(&self) -> (usize, usize) {
         (self.starts.depth(), self.ends.depth())
-    }
-
-    /// Column chunks not shared with `base`'s trees.
-    #[cfg(test)]
-    pub(crate) fn unshared_chunks(&self, base: &Self) -> usize {
-        self.starts.unshared_chunks(&base.starts) + self.ends.unshared_chunks(&base.ends)
     }
 }
 

@@ -20,10 +20,10 @@
 //!   other designs are tested against).
 //!
 //! [`arena::RccArena`] is the columnar (struct-of-arrays) RCC table every
-//! engine aggregates from; its columns, the flat AVL node columns and the
+//! view aggregates from; its columns, the flat AVL node columns and the
 //! group-by trees keep their storage in [`chunked`]'s `Arc`-shared pieces,
-//! so an engine clone copies pointers and a delta copies only the pieces
-//! it writes. [`cache::LruCache`] is the bounded LRU behind the online
+//! so a view clone copies pointers and a delta copies only the pieces it
+//! writes. [`cache::LruCache`] is the bounded LRU behind the online
 //! feature snapshot cache in `domd-features`.
 //! [`durable::DurableIndex`] wraps any maintainable index with a
 //! write-ahead log and rolling checksummed checkpoints so dynamic
@@ -31,13 +31,17 @@
 //! valid WAL prefix onto the newest intact checkpoint).
 //!
 //! [`group_tree`] holds the RCC-Type-Tree and SWLIN tree of Algorithm
-//! StatusQ; [`status_query`] implements the algorithm itself; and
+//! StatusQ; [`status_query`] implements the algorithm itself, as one type
+//! per use: [`status_query::StatusView`] (the arena and the group trees,
+//! which `domd serve` reads and maintains) and
+//! [`status_query::StatusQueryEngine`] (a view plus a logical-time index,
+//! the paper's index plan, built once and never maintained); and
 //! [`incremental`] provides the `StatStructure` delta computation of
 //! Section 4.3, which advances per-group aggregates across the logical
 //! timeline touching only the RCCs whose endpoints fall in each new window.
-//! [`delta`] maintains a built engine against a typed insert/settle/remove
-//! stream in the DurableIndex WAL order — O(log n) per delta, bit-identical
-//! to a from-scratch rebuild over the live rows.
+//! [`delta`] maintains a view against a typed insert/settle/remove stream
+//! in the DurableIndex WAL order — O(log n) per delta, bit-identical to a
+//! from-scratch rebuild over the live rows.
 
 #![deny(unsafe_code)]
 pub mod arena;
@@ -70,8 +74,8 @@ pub use incremental::{
 };
 pub use interval_tree::IntervalTreeIndex;
 pub use naive::NaiveJoinIndex;
-pub use snapshot::{EngineStore, EpochStore, Pinned};
+pub use snapshot::{EpochStore, Pinned};
 pub use sorted_array::SortedArrayIndex;
-pub use status_query::{GroupRows, StatusAggregate, StatusQuery, StatusQueryEngine};
+pub use status_query::{GroupRows, StatusAggregate, StatusQuery, StatusQueryEngine, StatusView};
 pub use traits::{LogicalTimeIndex, MaintainableIndex};
 pub use types::{project_dataset, HeapSize, LogicalRcc, OrderedF64, RowId};

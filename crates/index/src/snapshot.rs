@@ -1,7 +1,7 @@
-//! Epoch-pinned snapshot publication over maintainable indexes.
+//! Epoch-pinned snapshot publication for copy-on-write serving state.
 //!
-//! A serving loop needs two guarantees that `StatusQueryEngine`'s
-//! epoch counter alone does not give it:
+//! A serving loop that maintains its state by copy-on-write needs two
+//! guarantees from whatever publishes the next version:
 //!
 //! 1. **Pinned reads** — a request that starts against epoch `e` must see
 //!    epoch `e` for its whole lifetime, even if ingest publishes `e + 1`
@@ -21,15 +21,12 @@
 //! touch; the previous epoch is freed when its last pinned reader drops.
 //!
 //! The store is payload-generic (`EpochStore<S>`): `domd serve` publishes
-//! a bundle of `StatusQueryEngine` + dataset + trained model as one
-//! atomically-versioned unit, and the property suite in `domd-serve`
-//! proves `to_bits`-identical reads across concurrent swaps.
+//! a bundle of `StatusView` + dataset as one atomically-versioned unit,
+//! and the property suite in `domd-serve` proves `to_bits`-identical reads
+//! across concurrent swaps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::status_query::StatusQueryEngine;
-use crate::traits::MaintainableIndex;
 
 /// A snapshot pinned at publication epoch `epoch`. The payload is shared,
 /// immutable, and survives unchanged for as long as the pin is held.
@@ -152,65 +149,50 @@ impl<S> EpochStore<S> {
     }
 }
 
-/// The `MaintainableIndex` tie-in: an [`EpochStore`] over a
-/// [`StatusQueryEngine`] whose publishes are proven monotone in the
-/// engine's own maintenance epoch.
-pub type EngineStore<I> = EpochStore<StatusQueryEngine<I>>;
-
-impl<I: MaintainableIndex + Clone> EngineStore<I> {
-    /// Copy-on-write maintenance: applies `mutate` to a private clone of
-    /// the current engine and publishes the result, asserting the engine's
-    /// internal maintenance epoch never moved backwards (a regression
-    /// would mean a stale clone overwrote a newer publish).
-    pub fn maintain<R>(&self, mutate: impl FnOnce(&mut StatusQueryEngine<I>) -> R) -> (u64, R) {
-        let before = self.pin().snapshot().epoch();
-        let (epoch, (after, out)) = self.update(|engine| {
-            let r = mutate(engine);
-            (engine.epoch(), r)
-        });
-        debug_assert!(after >= before, "maintenance epoch regressed: {after} < {before}");
-        (epoch, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat_avl::FlatAvlIndex;
-    use crate::status_query::{StatusQuery, StatusQueryEngine};
+    use crate::arena::RccArena;
+    use crate::delta::RccDelta;
+    use crate::status_query::{StatusQuery, StatusView};
     use domd_data::generator::{generate, GeneratorConfig};
     use domd_data::rcc::RccStatus;
 
-    fn small_engine() -> (domd_data::dataset::Dataset, StatusQueryEngine<FlatAvlIndex>) {
+    fn small_view() -> (domd_data::dataset::Dataset, StatusView) {
         let ds = generate(&GeneratorConfig { n_avails: 8, target_rccs: 600, scale: 1, seed: 11 });
-        let arena = Arc::new(crate::arena::RccArena::from_dataset(&ds));
-        let engine = StatusQueryEngine::<FlatAvlIndex>::from_arena(arena);
-        (ds, engine)
+        let view = StatusView::from_arena(Arc::new(RccArena::from_dataset(&ds)));
+        (ds, view)
     }
 
-    fn count_all(engine: &StatusQueryEngine<FlatAvlIndex>) -> usize {
+    fn count_all(view: &StatusView) -> usize {
         let q = StatusQuery {
             rcc_type: None,
             swlin_prefix: None,
             status: RccStatus::Created,
             t_star: f64::INFINITY,
         };
-        engine.aggregate(&q).count
+        view.aggregate(&q).count
+    }
+
+    /// An insert of a copy of the dataset's first row.
+    fn insert_delta(ds: &domd_data::dataset::Dataset) -> RccDelta {
+        let rcc = ds.rccs()[0].clone();
+        let avail = ds.avail(rcc.avail).unwrap().clone();
+        RccDelta::Insert { rcc, avail }
     }
 
     #[test]
     fn pins_survive_publishes() {
-        let (ds, engine) = small_engine();
-        let rows = count_all(&engine);
-        let store = EpochStore::new(engine);
+        let (ds, view) = small_view();
+        let rows = count_all(&view);
+        let store = EpochStore::new(view);
         let old = store.pin();
         assert_eq!(old.epoch(), 0);
 
-        let rcc = ds.rccs()[0].clone();
-        let avail = ds.avail(rcc.avail).unwrap().clone();
-        let (epoch, row) = store.maintain(|e| e.insert(&rcc, &avail));
+        let insert = insert_delta(&ds);
+        let (epoch, row) = store.update(|v| v.apply_delta(&insert));
         assert_eq!(epoch, 1);
-        assert!(row as usize >= rows);
+        assert!(row.expect("insert applies") as usize >= rows);
 
         // The pre-swap pin still sees the old epoch's contents.
         assert_eq!(count_all(old.snapshot()), rows);
@@ -223,16 +205,15 @@ mod tests {
 
     #[test]
     fn concurrent_publishes_never_lose_updates() {
-        let (ds, engine) = small_engine();
-        let base = count_all(&engine);
-        let store = EpochStore::new(engine);
-        let rcc = ds.rccs()[0].clone();
-        let avail = ds.avail(rcc.avail).unwrap().clone();
+        let (ds, view) = small_view();
+        let base = count_all(&view);
+        let store = EpochStore::new(view);
+        let insert = insert_delta(&ds);
         const WRITERS: usize = 4;
         const EACH: usize = 8;
         domd_runtime::run_workers(WRITERS, |_| {
             for _ in 0..EACH {
-                store.maintain(|e| e.insert(&rcc, &avail));
+                store.update(|v| v.apply_delta(&insert));
             }
         });
         let total = WRITERS * EACH;
@@ -242,20 +223,19 @@ mod tests {
 
     #[test]
     fn pinned_reads_are_bit_identical_under_swaps() {
-        let (ds, engine) = small_engine();
+        let (ds, view) = small_view();
         let q = StatusQuery {
             rcc_type: None,
             swlin_prefix: None,
             status: RccStatus::Active,
             t_star: 0.75,
         };
-        let expect = engine.aggregate(&q);
-        let store = EpochStore::new(engine);
+        let expect = view.aggregate(&q);
+        let store = EpochStore::new(view);
         let pinned = store.pin();
-        let rcc = ds.rccs()[0].clone();
-        let avail = ds.avail(rcc.avail).unwrap().clone();
+        let insert = insert_delta(&ds);
         for _ in 0..5 {
-            store.maintain(|e| e.insert(&rcc, &avail));
+            store.update(|v| v.apply_delta(&insert));
             let got = pinned.aggregate(&q);
             assert_eq!(got.count, expect.count);
             assert_eq!(got.sum_amount.to_bits(), expect.sum_amount.to_bits());

@@ -7,34 +7,39 @@
 //! `GROUP BY` clause — an RCC type and/or a SWLIN prefix — and aggregates
 //! their settled amounts and durations.
 //!
-//! Two plans answer it, with the same rows in the same order:
+//! The module has one type per use:
 //!
-//! * [`StatusQueryEngine::execute`] is the paper's index plan: Step 1
+//! * [`StatusView`] holds what `domd serve` reads and writes: the shared
+//!   columnar [`RccArena`] and the two group-by trees. It answers
+//!   [`StatusView::aggregate`] and absorbs the typed delta stream
+//!   ([`crate::delta`]). It holds no logical-time index.
+//! * [`StatusQueryEngine`] is the paper's index plan: a view plus a
+//!   logical-time index `I` built once over the view's live rows. Step 1
 //!   takes the group rows from the group-by trees, Step 2 takes the
-//!   fleet-wide status set from the logical-time index, and the answer is
-//!   their intersection. It returns row ids and is the reference the
-//!   aggregate plan is tested against.
-//! * [`StatusQueryEngine::aggregate`] evaluates Step 2 on the group rows
-//!   themselves: it visits them in ascending row-id order, reads each
-//!   row's logical `start`/`end` from the [`RccArena`], and folds the
-//!   matches as it goes. Its cost follows the group, not the fleet, and it
-//!   builds no id vector for an unfiltered or type-only query on an engine
-//!   without removed rows (every `domd serve` epoch). It applies the
-//!   index's own comparisons — `start <= t*` (created), `end <= t*`
-//!   (settled), both `start <= t*` and `end > t*` (active), and
-//!   `!(start <= t*)` (not-created) — so both plans pick the same rows
-//!   even at a NaN `t*` or for a row settled before its start, and every
-//!   sum adds the same values in the same order: the aggregates are
-//!   `to_bits`-identical.
+//!   fleet-wide status set from the index, and [`StatusQueryEngine::execute`]
+//!   returns their intersection as row ids. Folding those ids is the
+//!   reference the view's aggregates are tested against; `repro fig5` and
+//!   Table 6 time the logical-time indexes themselves.
+//!
+//! [`StatusView::aggregate`] evaluates Step 2 on the group rows
+//! themselves: it visits them in ascending row-id order, reads each row's
+//! logical `start`/`end` from the arena, and folds the matches as it goes.
+//! Its cost follows the group, not the fleet, and it builds no id vector
+//! for an unfiltered or type-only query on a view without removed rows
+//! (every `domd serve` epoch). It applies the index's own comparisons —
+//! `start <= t*` (created), `end <= t*` (settled), both `start <= t*` and
+//! `end > t*` (active), and `!(start <= t*)` (not-created) — so both plans
+//! pick the same rows even at a NaN `t*` or for a row settled before its
+//! start, and every sum adds the same values in the same order: the
+//! aggregate equals folding `execute`'s ids to the bit.
 
 use crate::arena::RccArena;
 use crate::chunked::SortedRuns;
 use crate::group_tree::{RccTypeTree, SwlinTree};
-use crate::traits::{LogicalTimeIndex, MaintainableIndex};
+use crate::traits::LogicalTimeIndex;
 use crate::types::{HeapSize, LogicalRcc, RowId};
-use domd_data::avail::Avail;
 use domd_data::dataset::Dataset;
-use domd_data::rcc::{Rcc, RccStatus, RccType};
+use domd_data::rcc::{RccStatus, RccType};
 use std::sync::Arc;
 
 /// A parsed Status Query: group-by predicates + status + logical timestamp.
@@ -84,7 +89,7 @@ impl StatusAggregate {
 /// Step-1 result of Algorithm StatusQ: the rows satisfying the group-by
 /// predicates, ascending, without forcing an allocation on paths that
 /// don't need one: the type-only arm borrows the type partition, and the
-/// no-predicate arm names the engine's whole row set without listing it.
+/// no-predicate arm names the view's whole row set without listing it.
 #[derive(Debug)]
 pub enum GroupRows<'a> {
     /// Every live row qualifies (no group-by predicates).
@@ -95,58 +100,42 @@ pub enum GroupRows<'a> {
     Owned(Vec<RowId>),
 }
 
-/// Executes Status Queries: owns the two group-by trees, a logical-time
-/// index `I`, and a shared columnar [`RccArena`] for aggregation.
+/// The serving half of Algorithm StatusQ: the shared columnar
+/// [`RccArena`] and the two group-by trees, with no logical-time index.
 ///
-/// With the flat AVL index every part keeps its storage in
-/// [`crate::chunked`] pieces, so a clone — one per `domd serve` ingest
-/// epoch — copies piece pointers, not rows, and applying a batch copies
-/// only the pieces its writes land in.
+/// Every part keeps its storage in [`crate::chunked`] pieces, so a clone —
+/// one per `domd serve` ingest epoch — copies piece pointers, not rows,
+/// and applying a batch copies only the pieces its writes land in.
 #[derive(Debug, Clone)]
-pub struct StatusQueryEngine<I> {
-    pub(crate) index: I,
+pub struct StatusView {
     pub(crate) type_tree: RccTypeTree,
     pub(crate) swlin_tree: SwlinTree,
     /// Columnar RCC storage; `Arc` so feature/bench layers can share it
-    /// without cloning columns. Dynamic inserts copy-on-write via
+    /// without cloning columns. Deltas copy-on-write via
     /// [`Arc::make_mut`], which clones chunk pointers, not rows.
     pub(crate) arena: Arc<RccArena>,
 }
 
-impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
-    /// Builds the engine for `dataset` using its logical projection
-    /// (`projected[i]` must describe `dataset.rccs()[i]`).
-    pub fn build(dataset: &Dataset, projected: &[LogicalRcc]) -> Self {
-        let arena = Arc::new(RccArena::from_projected(dataset, projected));
-        Self::from_arena(arena)
-    }
-
-    /// Builds the engine over an existing arena (shared, not copied).
+impl StatusView {
+    /// Builds the view over every row of an existing arena (shared, not
+    /// copied).
     pub fn from_arena(arena: Arc<RccArena>) -> Self {
-        let index = I::build(&arena.projected());
         let type_tree = RccTypeTree::build(arena.type_rows());
         let swlin_tree = SwlinTree::build(arena.swlin_rows());
-        StatusQueryEngine { index, type_tree, swlin_tree, arena }
+        StatusView { type_tree, swlin_tree, arena }
     }
 
-    /// Builds the engine over the subset `live` (ascending row ids) of an
+    /// Builds the view over the subset `live` (ascending row ids) of an
     /// existing arena. This is the from-scratch reference for delta
     /// maintenance (see [`crate::delta`]): removed rows stay in the arena
-    /// as orphans, so a recompute must index only the surviving rows — over
+    /// as orphans, so a recompute must group only the surviving rows — over
     /// the *same* arena, in the same ascending-id visit order, so that every
-    /// `f64` aggregation is bit-identical to the maintained engine's.
+    /// `f64` aggregation is bit-identical to the maintained view's.
     pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
         debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live rows must ascend");
-        let projected: Vec<LogicalRcc> = live.iter().map(|&r| arena.logical(r)).collect();
-        let index = I::build(&projected);
         let type_tree = RccTypeTree::build(live.iter().map(|&r| (arena.rcc_type(r), r)));
         let swlin_tree = SwlinTree::build(live.iter().map(|&r| (arena.swlin(r), r)));
-        StatusQueryEngine { index, type_tree, swlin_tree, arena }
-    }
-
-    /// The underlying logical-time index.
-    pub fn index(&self) -> &I {
-        &self.index
+        StatusView { type_tree, swlin_tree, arena }
     }
 
     /// The shared columnar RCC storage.
@@ -170,23 +159,6 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         }
     }
 
-    /// Step 2: rows of the requested status at `t*` from the logical index.
-    fn status_rows(&self, q: &StatusQuery) -> Vec<RowId> {
-        match q.status {
-            RccStatus::Active => self.index.active_at(q.t_star),
-            RccStatus::Settled => self.index.settled_by(q.t_star),
-            RccStatus::Created => self.index.created_by(q.t_star),
-            // The index's `not_created_by` complements over a dense
-            // `0..len` universe, which breaks once delta maintenance
-            // removes rows (ids go sparse, see `crate::delta`); complement
-            // against the live rows the group trees hold instead. With no
-            // removals the two are identical.
-            RccStatus::NotCreated => {
-                difference_sorted(&self.live_rows(), &self.index.created_by(q.t_star))
-            }
-        }
-    }
-
     /// Every live row id, ascending: the union of the three type-tree
     /// partitions (disjoint by construction). Delta removal deletes from
     /// the group trees, so this — not `0..arena.len()` — is the row
@@ -198,21 +170,11 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         crate::traits::merge_disjoint_sorted(&merged, &ids(RccType::NewGrowth))
     }
 
-    /// Full Algorithm StatusQ: ascending row ids answering the query.
-    pub fn execute(&self, q: &StatusQuery) -> Vec<RowId> {
-        let status = self.status_rows(q);
-        match self.group_rows(q) {
-            // Status rows are already a subset of all rows.
-            GroupRows::All => status,
-            GroupRows::Borrowed(s) => intersect_runs(s, &status),
-            GroupRows::Owned(v) => intersect_sorted(&v, &status),
-        }
-    }
-
     /// The aggregates of `q`'s rows, bit-identical to folding
-    /// [`Self::execute`]'s ids in order, in time proportional to the group:
-    /// Step 2's status predicate is tested on each group row's arena
-    /// `start`/`end` instead of taken from the index (see the module doc).
+    /// [`StatusQueryEngine::execute`]'s ids in order, in time proportional
+    /// to the group: Step 2's status predicate is tested on each group
+    /// row's arena `start`/`end` instead of taken from an index (see the
+    /// module doc).
     pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
         let t = q.t_star;
         let created = |start: f64| start <= t;
@@ -259,6 +221,12 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
         agg
     }
 
+    /// Batched [`Self::aggregate`] on the shared worker pool, results in
+    /// input order.
+    pub fn aggregate_batch(&self, queries: &[StatusQuery], threads: usize) -> Vec<StatusAggregate> {
+        domd_runtime::par_map(threads, queries, |_, q| self.aggregate(q))
+    }
+
     /// SWLIN hierarchy children of `(prefix, len)` present in the data —
     /// used by harnesses that enumerate group-by nodes.
     pub fn swlin_children(&self, prefix: u32, len: u32) -> Vec<u32> {
@@ -266,24 +234,88 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
     }
 }
 
-impl<I: MaintainableIndex> StatusQueryEngine<I> {
-    /// Dynamic maintenance (Section 4.1): appends one RCC to the arena and
-    /// inserts it into the logical index and both group trees, O(log n).
-    /// Bumps the index epoch. Returns the new dense row id.
-    pub fn insert(&mut self, rcc: &Rcc, avail: &Avail) -> RowId {
-        let arena = Arc::make_mut(&mut self.arena);
-        let row = arena.push(rcc, avail);
-        let lr = arena.logical(row);
-        let inserted = self.index.insert_logical(&lr);
-        debug_assert!(inserted, "fresh row ids cannot collide");
-        self.type_tree.insert(rcc.rcc_type, row);
-        self.swlin_tree.insert(rcc.swlin, row);
-        row
+impl HeapSize for StatusView {
+    fn heap_bytes(&self) -> usize {
+        self.type_tree.heap_bytes() + self.swlin_tree.heap_bytes() + self.arena.heap_bytes()
+    }
+}
+
+/// The paper's index plan: a [`StatusView`] plus a logical-time index `I`
+/// built once over the view's live rows. It is built, queried and
+/// dropped; nothing maintains it (`domd serve` holds only the view).
+#[derive(Debug, Clone)]
+pub struct StatusQueryEngine<I> {
+    view: StatusView,
+    index: I,
+}
+
+impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
+    /// Builds the engine for `dataset` using its logical projection
+    /// (`projected[i]` must describe `dataset.rccs()[i]`).
+    pub fn build(dataset: &Dataset, projected: &[LogicalRcc]) -> Self {
+        let arena = Arc::new(RccArena::from_projected(dataset, projected));
+        Self::from_arena(arena)
     }
 
-    /// The index mutation epoch (see [`MaintainableIndex::current_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.index.current_epoch()
+    /// Builds the engine over every row of an existing arena (shared, not
+    /// copied).
+    pub fn from_arena(arena: Arc<RccArena>) -> Self {
+        let index = I::build(&arena.projected());
+        StatusQueryEngine { view: StatusView::from_arena(arena), index }
+    }
+
+    /// Builds the engine over the subset `live` (ascending row ids) of an
+    /// existing arena: [`StatusView::from_arena_rows`] plus an index over
+    /// the same rows. Folding its [`Self::execute`] is the from-scratch
+    /// reference a maintained view's aggregates are checked against.
+    pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
+        let projected: Vec<LogicalRcc> = live.iter().map(|&r| arena.logical(r)).collect();
+        let index = I::build(&projected);
+        StatusQueryEngine { view: StatusView::from_arena_rows(arena, live), index }
+    }
+
+    /// The underlying logical-time index.
+    pub fn index(&self) -> &I {
+        &self.index
+    }
+
+    /// The arena and group-by trees the index plan intersects with.
+    pub fn view(&self) -> &StatusView {
+        &self.view
+    }
+
+    /// Step 2: rows of the requested status at `t*` from the logical index.
+    fn status_rows(&self, q: &StatusQuery) -> Vec<RowId> {
+        match q.status {
+            RccStatus::Active => self.index.active_at(q.t_star),
+            RccStatus::Settled => self.index.settled_by(q.t_star),
+            RccStatus::Created => self.index.created_by(q.t_star),
+            // The index's `not_created_by` complements over a dense
+            // `0..len` universe, which breaks when the engine covers a
+            // subset of its arena's rows (`from_arena_rows` over a view
+            // with removals); complement against the live rows the group
+            // trees hold instead. Over every row the two are identical.
+            RccStatus::NotCreated => {
+                difference_sorted(&self.view.live_rows(), &self.index.created_by(q.t_star))
+            }
+        }
+    }
+
+    /// Full Algorithm StatusQ: ascending row ids answering the query.
+    pub fn execute(&self, q: &StatusQuery) -> Vec<RowId> {
+        let status = self.status_rows(q);
+        match self.view.group_rows(q) {
+            // Status rows are already a subset of all rows.
+            GroupRows::All => status,
+            GroupRows::Borrowed(s) => intersect_runs(s, &status),
+            GroupRows::Owned(v) => intersect_sorted(&v, &status),
+        }
+    }
+
+    /// The aggregates of `q`'s rows: [`StatusView::aggregate`] on this
+    /// engine's view, bit-identical to folding [`Self::execute`].
+    pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
+        self.view.aggregate(q)
     }
 }
 
@@ -295,19 +327,11 @@ impl<I: LogicalTimeIndex + Sync> StatusQueryEngine<I> {
     pub fn execute_batch(&self, queries: &[StatusQuery], threads: usize) -> Vec<Vec<RowId>> {
         domd_runtime::par_map(threads, queries, |_, q| self.execute(q))
     }
-
-    /// Batched [`StatusQueryEngine::aggregate`], results in input order.
-    pub fn aggregate_batch(&self, queries: &[StatusQuery], threads: usize) -> Vec<StatusAggregate> {
-        domd_runtime::par_map(threads, queries, |_, q| self.aggregate(q))
-    }
 }
 
 impl<I: HeapSize> HeapSize for StatusQueryEngine<I> {
     fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes()
-            + self.type_tree.heap_bytes()
-            + self.swlin_tree.heap_bytes()
-            + self.arena.heap_bytes()
+        self.index.heap_bytes() + self.view.heap_bytes()
     }
 }
 
@@ -362,7 +386,7 @@ fn intersect_into(out: &mut Vec<RowId>, a: &[RowId], b: &[RowId], j: &mut usize)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::flat_avl::FlatAvlIndex;
     use crate::naive::NaiveJoinIndex;
@@ -436,17 +460,17 @@ mod tests {
     }
 
     /// The aggregate of `ids` folded in the given (ascending) order.
-    fn fold_ids<I>(eng: &StatusQueryEngine<I>, ids: &[RowId]) -> StatusAggregate {
+    pub(crate) fn fold_ids(arena: &RccArena, ids: &[RowId]) -> StatusAggregate {
         let mut agg = StatusAggregate::default();
         for &id in ids {
             agg.count += 1;
-            agg.sum_amount += eng.arena.amount(id);
-            agg.sum_duration += eng.arena.duration(id);
+            agg.sum_amount += arena.amount(id);
+            agg.sum_duration += arena.duration(id);
         }
         agg
     }
 
-    fn assert_same_bits(got: &StatusAggregate, want: &StatusAggregate, ctx: &str) {
+    pub(crate) fn assert_same_bits(got: &StatusAggregate, want: &StatusAggregate, ctx: &str) {
         assert_eq!(got.count, want.count, "count: {ctx}");
         assert_eq!(got.sum_amount.to_bits(), want.sum_amount.to_bits(), "amount: {ctx}");
         assert_eq!(got.sum_duration.to_bits(), want.sum_duration.to_bits(), "duration: {ctx}");
@@ -457,7 +481,7 @@ mod tests {
         let (_, eng) = engine::<FlatAvlIndex>();
         let q = StatusQuery { rcc_type: Some(RccType::NewWork), swlin_prefix: None, status: RccStatus::Created, t_star: 60.0 };
         let agg = eng.aggregate(&q);
-        assert_same_bits(&agg, &fold_ids(&eng, &eng.execute(&q)), "NW created at 60");
+        assert_same_bits(&agg, &fold_ids(eng.view().arena(), &eng.execute(&q)), "NW created at 60");
         assert!(agg.count > 0);
         assert!(agg.avg_amount() > 0.0);
         assert!(agg.avg_duration() > 0.0);
@@ -497,41 +521,51 @@ mod tests {
         out
     }
 
-    /// `aggregate` against both references: the fold over the index plan's
-    /// `execute`, and the fold over a naive-join engine built from scratch
-    /// on the same arena and live rows.
-    fn assert_aggregate_is_exact(eng: &StatusQueryEngine<FlatAvlIndex>, label: &str) {
-        let live = eng.live_rows();
-        let naive =
-            StatusQueryEngine::<NaiveJoinIndex>::from_arena_rows(Arc::clone(eng.arena()), &live);
-        for q in &probe_queries(eng.arena()) {
-            let got = eng.aggregate(q);
+    /// The view's `aggregate` of every query against two index plans built
+    /// from scratch over its arena and live rows: the folds of the flat-AVL
+    /// engine's `execute` and of the naive-join engine's.
+    pub(crate) fn assert_matches_index_plans(
+        view: &StatusView,
+        queries: &[StatusQuery],
+        label: &str,
+    ) {
+        let live = view.live_rows();
+        let arena = view.arena();
+        let avl = StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(arena), &live);
+        let naive = StatusQueryEngine::<NaiveJoinIndex>::from_arena_rows(Arc::clone(arena), &live);
+        for q in queries {
+            let got = view.aggregate(q);
             let ctx = format!("{label}: {q:?}");
-            assert_same_bits(&got, &fold_ids(eng, &eng.execute(q)), &ctx);
-            assert_same_bits(&got, &fold_ids(&naive, &naive.execute(q)), &ctx);
+            assert_same_bits(&got, &fold_ids(arena, &avl.execute(q)), &ctx);
+            assert_same_bits(&got, &fold_ids(arena, &naive.execute(q)), &ctx);
         }
+    }
+
+    fn assert_aggregate_is_exact(view: &StatusView, label: &str) {
+        assert_matches_index_plans(view, &probe_queries(view.arena()), label);
     }
 
     #[test]
     fn aggregate_is_bit_identical_to_the_index_plan_on_every_engine_shape() {
         use crate::delta::RccDelta;
         use domd_data::rcc::RccId;
-        let (ds, bulk) = engine::<FlatAvlIndex>();
+        let ds = generate(&GeneratorConfig { n_avails: 20, target_rccs: 2000, scale: 1, seed: 11 });
+        let bulk = StatusView::from_arena(Arc::new(RccArena::from_dataset(&ds)));
         assert_aggregate_is_exact(&bulk, "bulk-built");
 
-        // Single-row inserts clear the AVL's sorted layout.
+        // Single-row inserts append to the arena and both group trees.
         let mut grown = bulk.clone();
         for i in 0..200u32 {
             let mut rcc = ds.rccs()[(i * 7) as usize].clone();
             rcc.id = RccId(8_000_000 + i);
-            let avail = ds.avail(rcc.avail).expect("avail exists");
-            grown.insert(&rcc, avail);
+            let avail = ds.avail(rcc.avail).expect("avail exists").clone();
+            grown.apply_delta(&RccDelta::Insert { rcc, avail });
         }
         assert_aggregate_is_exact(&grown, "200 single-row inserts");
 
         // Built empty and filled row by row, as a restart rebuild is.
         let empty = Dataset::new(ds.avails().to_vec(), Vec::new());
-        let mut replayed = StatusQueryEngine::<FlatAvlIndex>::build(&empty, &[]);
+        let mut replayed = StatusView::from_arena(Arc::new(RccArena::from_dataset(&empty)));
         for r in ds.rccs() {
             let avail = ds.avail(r.avail).expect("avail exists").clone();
             replayed.apply_delta(&RccDelta::Insert { rcc: r.clone(), avail });
@@ -554,10 +588,9 @@ mod tests {
         assert!(maintained.live_rows().len() < maintained.arena().len(), "orphans exist");
         assert_aggregate_is_exact(&maintained, "after settles and removals");
 
-        // A from-scratch engine over a subset of the arena's rows.
+        // A from-scratch view over a subset of the arena's rows.
         let subset: Vec<RowId> = (0..bulk.arena().len() as RowId).filter(|r| r % 5 != 2).collect();
-        let partial =
-            StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(bulk.arena()), &subset);
+        let partial = StatusView::from_arena_rows(Arc::clone(bulk.arena()), &subset);
         assert_aggregate_is_exact(&partial, "from_arena_rows subset");
     }
 
@@ -579,7 +612,8 @@ mod tests {
         let seq_aggs: Vec<StatusAggregate> = queries.iter().map(|q| eng.aggregate(q)).collect();
         for threads in [1, 2, 3, 7] {
             assert_eq!(eng.execute_batch(&queries, threads), seq_rows, "threads={threads}");
-            assert_eq!(eng.aggregate_batch(&queries, threads), seq_aggs, "threads={threads}");
+            let aggs = eng.view().aggregate_batch(&queries, threads);
+            assert_eq!(aggs, seq_aggs, "threads={threads}");
         }
     }
 
@@ -592,9 +626,10 @@ mod tests {
             status: RccStatus::Created,
             t_star: 50.0,
         };
-        assert!(matches!(eng.group_rows(&base), GroupRows::All));
+        let view = eng.view();
+        assert!(matches!(view.group_rows(&base), GroupRows::All));
         let by_type = StatusQuery { rcc_type: Some(RccType::Growth), ..base };
-        match eng.group_rows(&by_type) {
+        match view.group_rows(&by_type) {
             GroupRows::Borrowed(s) => {
                 // Borrowed straight from the type tree, not a copy.
                 let want: Vec<RowId> = ds
@@ -609,16 +644,17 @@ mod tests {
             other => panic!("type-only arm must borrow, got {other:?}"),
         }
         assert!(matches!(
-            eng.group_rows(&StatusQuery { swlin_prefix: Some((4, 1)), ..base }),
+            view.group_rows(&StatusQuery { swlin_prefix: Some((4, 1)), ..base }),
             GroupRows::Owned(_)
         ));
     }
 
     #[test]
-    fn dynamic_insert_updates_queries_and_epoch() {
+    fn dynamic_insert_updates_queries() {
+        use crate::delta::RccDelta;
         use domd_data::rcc::{Rcc, RccId};
-        let (ds, mut eng) = engine::<FlatAvlIndex>();
-        assert_eq!(eng.epoch(), 0);
+        let (ds, eng) = engine::<FlatAvlIndex>();
+        let mut view = eng.view().clone();
         let avail = ds.avails()[0].clone();
         let rcc = Rcc {
             id: RccId(9_000_001),
@@ -629,22 +665,23 @@ mod tests {
             settled: avail.actual_start + 40,
             amount: 1234.5,
         };
-        let n_before = eng.arena().len();
+        let n_before = view.arena().len();
         let q = StatusQuery {
             rcc_type: Some(RccType::Growth),
             swlin_prefix: Some((434, 3)),
             status: RccStatus::Created,
             t_star: 1e6, // far past every logical settlement
         };
-        let before = eng.aggregate(&q);
-        let row = eng.insert(&rcc, &avail);
+        let before = view.aggregate(&q);
+        let row = view.apply_delta(&RccDelta::Insert { rcc, avail }).expect("insert applies");
         assert_eq!(row as usize, n_before);
-        assert_eq!(eng.epoch(), 1, "the O(log n) insert path must bump the epoch");
-        let ids = eng.execute(&q);
-        assert!(ids.contains(&row), "inserted row must answer matching queries");
-        let after = eng.aggregate(&q);
+        let live = view.live_rows();
+        let scratch = StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(view.arena()), &live);
+        assert!(scratch.execute(&q).contains(&row), "inserted row must answer matching queries");
+        let after = view.aggregate(&q);
         assert_eq!(after.count, before.count + 1);
         assert!((after.sum_amount - before.sum_amount - 1234.5).abs() < 1e-9);
+        assert_eq!(eng.aggregate(&q), before, "the engine's own view is untouched");
     }
 
     #[test]

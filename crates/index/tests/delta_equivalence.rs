@@ -1,15 +1,17 @@
 //! Delta-equivalence gate (run by `scripts/lint.sh`): after every batch of
-//! typed deltas (insert / settle / remove), the maintained Status Query
-//! engine must be `to_bits`-identical to a from-scratch rebuild over the
-//! same arena's live rows — sequentially and on the worker pool at thread
-//! counts 1/2/3/8 — and a pinned epoch must never observe a concurrently
-//! published delta.
+//! typed deltas (insert / settle / remove), the maintained Status-Query
+//! view must answer every probe `to_bits`-identically to two index plans
+//! built from scratch over the same arena's live rows — the flat dual AVL
+//! and the naive avail ⋈ RCC join, the paper's oracle — sequentially and
+//! on the worker pool at thread counts 1/2/3/8, and a pinned epoch must
+//! never observe a concurrently published delta.
 
 use domd_data::dataset::Dataset;
 use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{generate, GeneratorConfig};
 use domd_index::{
-    project_dataset, EpochStore, FlatAvlIndex, RccDelta, RowId, StatusQuery, StatusQueryEngine,
+    EpochStore, FlatAvlIndex, NaiveJoinIndex, RccArena, RccDelta, RowId, StatusAggregate,
+    StatusQuery, StatusQueryEngine, StatusView,
 };
 use std::sync::{Arc, Mutex};
 
@@ -52,28 +54,61 @@ fn probe_queries() -> Vec<StatusQuery> {
     out
 }
 
-fn settle_delta(
-    rng: &mut Mix,
-    ds: &Dataset,
-    eng: &StatusQueryEngine<FlatAvlIndex>,
-    row: RowId,
-) -> RccDelta {
-    let avail = ds.avail(eng.arena().avail(row)).expect("row avail").clone();
+fn view_of(ds: &Dataset) -> StatusView {
+    StatusView::from_arena(Arc::new(RccArena::from_dataset(ds)))
+}
+
+fn settle_delta(rng: &mut Mix, ds: &Dataset, view: &StatusView, row: RowId) -> RccDelta {
+    let avail = ds.avail(view.arena().avail(row)).expect("row avail").clone();
     let settled = avail.actual_start + 1 + rng.below(200) as i32;
     RccDelta::Settle { row, settled, avail }
 }
 
-/// Mixed seeded delta batches: the maintained engine must stay
-/// bit-identical to `from_arena_rows` over the tracked live set, at every
-/// thread count, after every batch.
+/// The aggregate of `ids` folded in ascending order.
+fn fold(arena: &RccArena, ids: &[RowId]) -> StatusAggregate {
+    let mut agg = StatusAggregate::default();
+    for &id in ids {
+        agg.count += 1;
+        agg.sum_amount += arena.amount(id);
+        agg.sum_duration += arena.duration(id);
+    }
+    agg
+}
+
+/// The reference answers for `queries` over `view`'s arena and live rows:
+/// the folds of a flat-AVL and a naive-join index plan built from scratch,
+/// which must agree with each other to the bit.
+fn reference_answers(view: &StatusView, queries: &[StatusQuery]) -> Vec<StatusAggregate> {
+    let live = view.live_rows();
+    let arena = view.arena();
+    let avl = StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(arena), &live);
+    let naive = StatusQueryEngine::<NaiveJoinIndex>::from_arena_rows(Arc::clone(arena), &live);
+    queries
+        .iter()
+        .map(|q| {
+            let (a, n) = (fold(arena, &avl.execute(q)), fold(arena, &naive.execute(q)));
+            assert_same(&a, &n, &format!("avl vs naive on {q:?}"));
+            a
+        })
+        .collect()
+}
+
+fn assert_same(got: &StatusAggregate, want: &StatusAggregate, ctx: &str) {
+    assert_eq!(got.count, want.count, "{ctx}: count");
+    assert_eq!(got.sum_amount.to_bits(), want.sum_amount.to_bits(), "{ctx}: amount bits");
+    assert_eq!(got.sum_duration.to_bits(), want.sum_duration.to_bits(), "{ctx}: duration bits");
+}
+
+/// Mixed seeded delta batches: the maintained view must stay
+/// bit-identical to the from-scratch index plans over the tracked live
+/// set, at every thread count, after every batch.
 #[test]
-fn maintained_engine_matches_from_scratch_after_every_batch() {
+fn maintained_view_matches_from_scratch_after_every_batch() {
     let ds = generate(&GeneratorConfig { n_avails: 12, target_rccs: 1_200, scale: 1, seed: 29 });
-    let proj = project_dataset(&ds);
-    let mut eng = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
+    let mut view = view_of(&ds);
     let mut rng = Mix(0xD0D0_0001);
-    let mut live: Vec<RowId> = (0..eng.arena().len() as RowId).collect();
-    let mut arena_len = eng.arena().len() as u32;
+    let mut live: Vec<RowId> = (0..view.arena().len() as RowId).collect();
+    let mut arena_len = view.arena().len() as u32;
     let mut next_id = 0u32;
     let queries = probe_queries();
 
@@ -95,38 +130,23 @@ fn maintained_engine_matches_from_scratch_after_every_batch() {
                 deltas.push(RccDelta::Remove { row: victim });
             } else {
                 let row = existing[rng.below(existing.len() as u64) as usize];
-                deltas.push(settle_delta(&mut rng, &ds, &eng, row));
+                deltas.push(settle_delta(&mut rng, &ds, &view, row));
             }
         }
         // One refused delta per batch: the stream may name unknown rows.
         deltas.push(RccDelta::Remove { row: arena_len + 1_000 });
-        let applied = eng.apply_deltas(&deltas);
+        let applied = view.apply_deltas(&deltas);
         assert_eq!(applied.len(), deltas.len() - 1, "only the bogus delta is skipped");
         live.sort_unstable();
-        assert_eq!(eng.live_rows(), live, "batch {batch}: live set diverged");
+        assert_eq!(view.live_rows(), live, "batch {batch}: live set diverged");
 
-        let scratch =
-            StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(eng.arena()), &live);
-        let want = scratch.aggregate_batch(&queries, 1);
+        let want = reference_answers(&view, &queries);
         for threads in [1usize, 2, 3, 8] {
-            let got = eng.aggregate_batch(&queries, threads);
+            let got = view.aggregate_batch(&queries, threads);
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.count, w.count, "batch {batch} threads {threads} q{i} count");
-                assert_eq!(
-                    g.sum_amount.to_bits(),
-                    w.sum_amount.to_bits(),
-                    "batch {batch} threads {threads} q{i} amount bits"
-                );
-                assert_eq!(
-                    g.sum_duration.to_bits(),
-                    w.sum_duration.to_bits(),
-                    "batch {batch} threads {threads} q{i} duration bits"
-                );
+                assert_same(g, w, &format!("batch {batch} threads {threads} q{i}"));
             }
-            let rows_got: Vec<_> = queries.iter().map(|q| eng.execute(q)).collect();
-            let rows_want: Vec<_> = queries.iter().map(|q| scratch.execute(q)).collect();
-            assert_eq!(rows_got, rows_want, "batch {batch}: row sets diverged");
         }
     }
 }
@@ -161,11 +181,10 @@ fn insert_delta(
 #[test]
 fn pinned_reader_unaffected_by_concurrent_delta_publishes() {
     let ds = generate(&GeneratorConfig { n_avails: 10, target_rccs: 800, scale: 1, seed: 37 });
-    let proj = project_dataset(&ds);
-    let eng = StatusQueryEngine::<FlatAvlIndex>::build(&ds, &proj);
+    let view = view_of(&ds);
     let queries = probe_queries();
-    let baseline: Vec<_> = queries.iter().map(|q| eng.aggregate(q)).collect();
-    let store = EpochStore::new(eng);
+    let baseline: Vec<_> = queries.iter().map(|q| view.aggregate(q)).collect();
+    let store = EpochStore::new(view);
     let epochs: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     const BATCHES: usize = 16;
 
@@ -216,7 +235,7 @@ fn pinned_reader_unaffected_by_concurrent_delta_publishes() {
                         }
                     }
                 }
-                let (epoch, _) = store.maintain(|e| e.apply_deltas(&deltas));
+                let (epoch, _) = store.update(|v| v.apply_deltas(&deltas));
                 epochs.lock().expect("epoch log").push(epoch);
             }
         } else {
@@ -250,16 +269,10 @@ fn pinned_reader_unaffected_by_concurrent_delta_publishes() {
     assert_eq!(published, (1..=BATCHES as u64).collect::<Vec<_>>());
     assert_eq!(store.epoch(), BATCHES as u64);
 
-    // And the final snapshot equals a from-scratch rebuild of its rows.
+    // And the final snapshot equals the index plans rebuilt over its rows.
     let final_pin = store.pin();
-    let live = final_pin.live_rows();
-    let scratch =
-        StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(final_pin.arena()), &live);
-    for q in &queries {
-        let a = final_pin.aggregate(q);
-        let b = scratch.aggregate(q);
-        assert_eq!(a.count, b.count, "{q:?}");
-        assert_eq!(a.sum_amount.to_bits(), b.sum_amount.to_bits(), "{q:?}");
-        assert_eq!(a.sum_duration.to_bits(), b.sum_duration.to_bits(), "{q:?}");
+    let want = reference_answers(&final_pin, &queries);
+    for (q, w) in queries.iter().zip(&want) {
+        assert_same(&final_pin.aggregate(q), w, &format!("{q:?}"));
     }
 }

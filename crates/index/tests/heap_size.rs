@@ -1,5 +1,6 @@
 //! Heap-size regression tests for every Table 6 contender plus the
-//! columnar layouts (arena, sorted event arrays, flat dual AVL).
+//! columnar layouts (arena, sorted event arrays, flat dual AVL) and the
+//! serving snapshot's Status-Query view.
 //!
 //! Each design has a stable per-row heap footprint; the ceilings below are
 //! ~25% above the measured values at 10k rows, so an accidental layout
@@ -9,8 +10,9 @@
 use domd_data::{generate, GeneratorConfig};
 use domd_index::{
     project_dataset, FlatAvlIndex, HeapSize, IntervalTreeIndex, LogicalTimeIndex, NaiveJoinIndex,
-    RccArena, SortedArrayIndex,
+    RccArena, SortedArrayIndex, StatusView,
 };
+use std::sync::Arc;
 
 fn per_row(bytes: usize, n: usize) -> f64 {
     bytes as f64 / n as f64
@@ -28,6 +30,7 @@ fn per_row_footprint_of_every_contender_stays_in_band() {
     let sa = SortedArrayIndex::build(&p);
     let favl = FlatAvlIndex::build(&p);
     let arena = RccArena::from_projected(&ds, &p);
+    let view = StatusView::from_arena(Arc::new(arena.clone()));
 
     // Absolute ceilings (bytes/row): measured 120 / 48 / 40 / 59 / 46 at
     // 10k rows (chunked columns round up to whole 1024-slot chunks).
@@ -36,6 +39,9 @@ fn per_row_footprint_of_every_contender_stays_in_band() {
     assert!(per_row(sa.heap_bytes(), n) < 50.0, "sorted {}", per_row(sa.heap_bytes(), n));
     assert!(per_row(favl.heap_bytes(), n) < 73.0, "flat-avl {}", per_row(favl.heap_bytes(), n));
     assert!(per_row(arena.heap_bytes(), n) < 58.0, "arena {}", per_row(arena.heap_bytes(), n));
+    // The serving snapshot's view (arena + group trees), measured 58: an
+    // index added to it would push it past the AVL's 59 on top.
+    assert!(per_row(view.heap_bytes(), n) < 73.0, "view {}", per_row(view.heap_bytes(), n));
 
     // Relative orderings Table 6 depends on.
     let (naive_b, favl_b, sa_b) = (naive.heap_bytes(), favl.heap_bytes(), sa.heap_bytes());

@@ -3,18 +3,19 @@
 //!
 //! A [`TenantSnapshot`] bundles everything a read needs to be answerable
 //! from one consistent version of the world: the dataset (feature source
-//! for predictions) and the Status-Query engine (columnar arena + flat
-//! dual-AVL index). Publishing them as *one* `Arc` behind
+//! for predictions) and the Status-Query view (columnar arena + group-by
+//! trees, which is all `status` reads; the snapshot holds no logical-time
+//! index). Publishing them as *one* `Arc` behind
 //! `domd_index::EpochStore` is what makes a torn read impossible: a
 //! request either sees the whole old epoch or the whole new one.
 //!
 //! Ingest is copy-on-write, so building epoch `e + 1` never perturbs
 //! readers pinned on `e`: the snapshot clone shares the dataset `Arc` and
-//! the engine's chunked storage (`domd_index::chunked`), copying chunk
+//! the view's chunked storage (`domd_index::chunked`), copying chunk
 //! pointers rather than rows. Epoch `e + 1` is delta-maintained, not
 //! rebuilt: the batch becomes a [`domd_index::RccDelta`] stream applied
-//! through the engine's incremental path (each insert copies only the
-//! chunks and runs its appends and AVL path writes land in), and the
+//! through the view's incremental path (each insert copies only the
+//! arena chunks and group-tree runs its appends land in), and the
 //! dataset view is a run-copying merge ([`Dataset::with_rccs_merged`])
 //! instead of `Dataset::new`'s full re-sort — both bit-identical to a
 //! from-scratch rebuild, which the `delta_equivalence` and
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use domd_core::DomdError;
 use domd_data::rcc::{Rcc, RccId, RccType, Swlin};
 use domd_data::{logical_time, Avail, AvailId, Dataset, Date};
-use domd_index::{FlatAvlIndex, LogicalRcc, RccArena, RccDelta, RowId, StatusQueryEngine};
+use domd_index::{LogicalRcc, RccArena, RccDelta, RowId, StatusView};
 
 use crate::request::IngestRow;
 
@@ -34,8 +35,9 @@ use crate::request::IngestRow;
 pub struct TenantSnapshot {
     /// The dataset version predictions read features from.
     pub dataset: Arc<Dataset>,
-    /// The Status-Query engine over the same version.
-    pub engine: StatusQueryEngine<FlatAvlIndex>,
+    /// The Status-Query view (arena + group-by trees) over the same
+    /// version.
+    pub engine: StatusView,
     /// Next fresh RCC id for ingested rows.
     next_rcc: u32,
 }
@@ -44,7 +46,7 @@ impl TenantSnapshot {
     /// Builds epoch 0 from a dataset.
     pub fn from_dataset(dataset: Dataset) -> Self {
         let arena = Arc::new(RccArena::from_dataset(&dataset));
-        let engine = StatusQueryEngine::from_arena(arena);
+        let engine = StatusView::from_arena(arena);
         let next_rcc = dataset.rccs().iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
         TenantSnapshot { dataset: Arc::new(dataset), engine, next_rcc }
     }
@@ -52,9 +54,9 @@ impl TenantSnapshot {
     /// Rebuilds epoch 0 from a recovered store's delta stream instead of
     /// extract rows: starts from an RCC-less dataset over `avails` and
     /// replays `deltas` (the store's live rows as [`RccDelta::Insert`]s
-    /// in dataset-canonical order) through the same incremental engine
+    /// in dataset-canonical order) through the same incremental view
     /// path ingest uses. Because the deltas arrive in the exact order
-    /// `Dataset::new` sorts to, the arena, the engine aggregates, and the
+    /// `Dataset::new` sorts to, the arena, the view's aggregates, and the
     /// merged dataset are all bit-identical to a from-scratch
     /// [`Self::from_dataset`] over the same rows — the `serve_restart`
     /// suite holds that equivalence across kill points.
@@ -149,8 +151,8 @@ impl TenantSnapshot {
 
     /// Applies a whole ingest batch to this (cloned) snapshot via the
     /// incremental delta path: every row becomes an
-    /// [`RccDelta::Insert`] applied through the engine (touching only its
-    /// SWLIN/type root-to-leaf paths), and the dataset view is delta-merged
+    /// [`RccDelta::Insert`] applied through the view (touching only its
+    /// type partition and SWLIN entry), and the dataset view is delta-merged
     /// by copying the unchanged runs between the fresh rows instead of
     /// rebuilt — bit-identical to a from-scratch rebuild either way.
     /// Returns the arena row ids in batch order. Nothing is mutated unless

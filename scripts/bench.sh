@@ -31,12 +31,12 @@
 # every acked row the extracts lack — the JSON counts them). The rebuild
 # arm is bit-identity-gated against a from-scratch snapshot first.
 #
-# The ingest suite benches the delta-maintained ingest path (typed RccDelta
-# stream + sorted dataset merge + per-avail tensor patch) against the full
-# re-sweep it replaced (re-sort, engine rebuild, full tensor regeneration)
-# into BENCH_ingest.json, bit-identity-gated on both the Status Query
-# aggregates and the patched tensor, warning if the delta path misses its
-# 10x ingest-to-queryable acceptance target at the largest scale.
+# The ingest suite benches the delta-maintained ingest path a serving
+# snapshot runs (view clone + typed RccDelta stream + sorted dataset merge)
+# against the full rebuild it replaced (re-sort + Status-Query view built
+# from scratch) into BENCH_ingest.json, bit-identity-gated on the Status
+# Query aggregates, warning if the delta path misses its 10x
+# ingest-to-queryable acceptance target at the largest scale.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -109,12 +109,8 @@ if [ "$SUITE" = "all" ] || [ "$SUITE" = "ingest" ]; then
   BATCH_ROWS="${BATCH_ROWS:-8}"
   OUT_INGEST="${OUT_INGEST:-BENCH_ingest.json}"
   cargo build --release -p domd-bench --bin bench_ingest
-  ARGS=(--scales "$SCALES_INGEST" --batches "$BATCHES" \
-        --batch-rows "$BATCH_ROWS" --runs "$RUNS" --out "$OUT_INGEST")
-  if [ "$THREADS" != "0" ]; then
-    ARGS+=(--threads "$THREADS")
-  fi
-  target/release/bench_ingest "${ARGS[@]}"
+  target/release/bench_ingest --scales "$SCALES_INGEST" --batches "$BATCHES" \
+    --batch-rows "$BATCH_ROWS" --runs "$RUNS" --out "$OUT_INGEST"
   echo "delta-ingest bench results written to $OUT_INGEST"
 fi
 

@@ -3,7 +3,7 @@
 # domd-runtime pool and the columnar layout modules: arena, chunked,
 # flat_avl), warnings promoted to errors, then fast smoke suites — every
 # domd-features and domd-core integration suite (parallel equivalence,
-# properties, the thread cap, the maintained tensor) runs under a 2-worker
+# properties, the thread cap) runs under a 2-worker
 # pool so any scheduling-dependent output fails the gate quickly, and the
 # feature cache-invalidation test asserts an invalidation forces a
 # bit-identical recompute of every memoized feature snapshot. The PR-4
@@ -20,7 +20,10 @@
 # waivers. Any unwaived finding exits nonzero before clippy runs.
 # The flat-forest kernel gate proves the branchless compiled descent
 # bit-identical to the pointer walker (property suite, threaded histogram
-# training, and a tiny-scale identity-gated bench smoke).
+# training, and a tiny-scale identity-gated bench smoke). The ingest and
+# restart benches then run one tiny round each, so their identity asserts
+# (maintained view vs a from-scratch build; store-rebuilt vs from-scratch
+# snapshot) run on every change.
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
 # (plus one malformed line, one out-of-range SWLIN depth, one NaN status
@@ -79,13 +82,12 @@ cargo test -q -p domd --test cache_invalidation
 # its self-tests pass.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-# Delta-maintenance gate: the incremental Status Query engine must stay
-# bit-identical to its from-scratch recompute after every delta batch, at
-# every thread count, and a pinned epoch must never observe a concurrently
-# published delta (the patched feature tensor's twin check runs with the
-# domd-features suites above). The index crate's other integration suites
-# (the index and layout property tests, the heap-size ceilings) run here
-# too.
+# Delta-maintenance gate: the maintained Status-Query view must stay
+# bit-identical to the flat-AVL and naive-join index plans built from
+# scratch over its live rows after every delta batch, at every thread
+# count, and a pinned epoch must never observe a concurrently published
+# delta. The index crate's other integration suites (the index and layout
+# property tests, the heap-size ceilings) run here too.
 DOMD_THREADS=2 cargo test -q -p domd-index --tests
 
 # Flat-forest kernel gate: the compiled descent (plain, batch, quantized)
@@ -98,6 +100,14 @@ cargo build --release -q -p domd-bench --bin bench_gbt
 target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
   --rows 256 --train-rows 512 --out /dev/null >/dev/null
 echo "gbt kernel gate: OK"
+
+# Ingest and restart bench smokes: each asserts its identity gate before
+# timing. One round of two batches cannot show the ingest speedup, so a
+# 10x WARNING on stderr here is informational, not a failure.
+cargo build --release -q -p domd-bench --bin bench_ingest --bin bench_restart
+target/release/bench_ingest --scales 1 --batches 2 --runs 1 --out /dev/null
+target/release/bench_restart --scales 1 --ingests 64 --runs 1 --out /dev/null
+echo "ingest/restart bench gate: OK"
 
 cargo test -q -p domd-storage
 cargo test -q -p domd-index durable
