@@ -2,9 +2,12 @@
 //! RCC table, plus the split protocol of Section 5.2.1 and the summary
 //! statistics of Table 5 / Figure 2.
 
+use std::fmt;
+use std::ops::Index;
+use std::sync::Arc;
+
 use crate::avail::{Avail, AvailId, AvailStatus};
 use crate::rcc::Rcc;
-use crate::hash::FxHashMap;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -18,65 +21,96 @@ pub const AVAIL_TABLE_ATTRS: usize = 73;
 pub const RCC_TABLE_ATTRS: usize = 187;
 
 /// An in-memory NMD instance: the avail table and the RCC table.
+///
+/// The RCC table is in `(avail, created, id)` order, stored as one
+/// immutable partition per avail that has rows, in ascending avail-id
+/// order. Every Table 3 feature aggregates one avail's rows, so
+/// [`Dataset::rccs_of`] is a partition, and [`Dataset::with_rccs_merged`]
+/// rebuilds only the partitions a batch touches: a clone or a merge shares
+/// every other partition, and the avail table, by pointer.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    avails: Vec<Avail>,
-    rccs: Vec<Rcc>,
-    /// Index of the first RCC of each avail in `rccs` (built on construction;
-    /// `rccs` is kept sorted by avail id, then creation date).
-    by_avail: FxHashMap<AvailId, (usize, usize)>,
+    avails: Arc<[Avail]>,
+    parts: Vec<Partition>,
+}
+
+/// One avail's RCC rows, sorted by `(created, id)`; never empty.
+#[derive(Debug, Clone)]
+struct Partition {
+    avail: AvailId,
+    /// Table position one past this partition's last row.
+    end: usize,
+    rows: Arc<[Rcc]>,
 }
 
 impl Dataset {
-    /// Builds a dataset, sorting RCCs by (avail, creation date) and indexing
-    /// the per-avail ranges.
+    /// Builds a dataset, sorting RCCs by (avail, creation date, id) and
+    /// cutting the sorted table into per-avail partitions.
     pub fn new(avails: Vec<Avail>, mut rccs: Vec<Rcc>) -> Self {
-        rccs.sort_by_key(|a| (a.avail, a.created, a.id));
-        let by_avail = build_ranges(&rccs, avails.len());
-        Dataset { avails, rccs, by_avail }
+        rccs.sort_by_key(|r| (r.avail, r.created, r.id));
+        let runs = rccs.chunk_by(|a, b| a.avail == b.avail).map(Arc::from);
+        Dataset::from_runs(avails.into(), runs)
     }
 
-    /// Inserts `fresh` RCC rows into the sorted table: each fresh row's
-    /// position is binary-searched and the unchanged runs between them are
-    /// copied whole — O(n) bytes moved plus O(k log n) comparisons, against
-    /// the O((n+k) log (n+k)) full re-sort a [`Dataset::new`] rebuild pays.
-    /// The per-avail ranges are derived from the old ones plus the rows
-    /// inserted before and into each avail, without rescanning the table.
-    /// Produces exactly the dataset `Dataset::new` would build from the
-    /// concatenated rows: positions key on the same `(avail, created, id)`
-    /// triple and keep existing rows first on ties, matching the stable
-    /// sort.
+    /// Assembles the partition table from per-avail row runs given in
+    /// ascending avail order, dropping empty runs.
+    fn from_runs(avails: Arc<[Avail]>, runs: impl IntoIterator<Item = Arc<[Rcc]>>) -> Self {
+        let mut end = 0;
+        let parts = runs
+            .into_iter()
+            .filter_map(|rows| {
+                let avail = rows.first()?.avail;
+                end += rows.len();
+                Some(Partition { avail, end, rows })
+            })
+            .collect();
+        Dataset { avails, parts }
+    }
+
+    /// Inserts `fresh` RCC rows, rebuilding only the partitions of the
+    /// avails they belong to: each touched partition is its existing rows
+    /// with its fresh rows merged in at binary-searched positions, and
+    /// every other partition is shared with `self` by pointer. That is
+    /// O(rows of the touched avails) bytes copied plus one pointer per
+    /// partition, against the O((n+k) log (n+k)) full re-sort a
+    /// [`Dataset::new`] rebuild pays. Produces exactly the dataset
+    /// `Dataset::new` would build from the concatenated rows: positions key
+    /// on the same `(avail, created, id)` triple and keep existing rows
+    /// first on ties, matching the stable sort.
     pub fn with_rccs_merged(&self, mut fresh: Vec<Rcc>) -> Dataset {
-        let key = |r: &Rcc| (r.avail, r.created, r.id);
-        fresh.sort_by_key(key);
-        // An existing avail's range shifts by the fresh rows of lower avails
-        // and grows by its own; an avail that had no rows starts after the
-        // existing rows of lower avails.
-        let mut by_avail = self.by_avail.clone();
-        for (avail, (start, end)) in by_avail.iter_mut() {
-            *start += fresh.partition_point(|r| r.avail < *avail);
-            *end += fresh.partition_point(|r| r.avail <= *avail);
-        }
-        let mut lo = 0;
-        while lo < fresh.len() {
-            let avail = fresh[lo].avail;
-            let hi = lo + fresh[lo..].partition_point(|r| r.avail == avail);
-            if !self.by_avail.contains_key(&avail) {
-                let before = self.rccs.partition_point(|r| r.avail < avail);
-                by_avail.insert(avail, (before + lo, before + hi));
+        fresh.sort_by_key(|r| (r.avail, r.created, r.id));
+        let mut old = self.parts.iter().peekable();
+        let mut runs = Vec::with_capacity(self.parts.len() + fresh.len());
+        for batch in fresh.chunk_by(|a, b| a.avail == b.avail) {
+            let avail = batch[0].avail;
+            while let Some(p) = old.next_if(|p| p.avail < avail) {
+                runs.push(Arc::clone(&p.rows));
             }
-            lo = hi;
+            let existing = old.next_if(|p| p.avail == avail).map_or(&[][..], |p| &p.rows[..]);
+            runs.push(merge_rows(existing, batch));
         }
-        let mut rccs = Vec::with_capacity(self.rccs.len() + fresh.len());
-        let mut copied = 0;
-        for r in fresh {
-            let at = copied + self.rccs[copied..].partition_point(|e| key(e) <= key(&r));
-            rccs.extend_from_slice(&self.rccs[copied..at]);
-            rccs.push(r);
-            copied = at;
-        }
-        rccs.extend_from_slice(&self.rccs[copied..]);
-        Dataset { avails: self.avails.clone(), rccs, by_avail }
+        runs.extend(old.map(|p| Arc::clone(&p.rows)));
+        Dataset::from_runs(Arc::clone(&self.avails), runs)
+    }
+
+    /// This dataset over `avails`, keeping of each partition of an avail
+    /// in `of` only the rows `keep` accepts; every other partition is
+    /// shared by pointer. Filtering keeps a partition's order, so the
+    /// result equals [`Dataset::new`] over the kept rows.
+    pub(crate) fn with_rows_retained(
+        &self,
+        avails: Vec<Avail>,
+        of: &[AvailId],
+        keep: impl Fn(&Rcc) -> bool,
+    ) -> Dataset {
+        let runs = self.parts.iter().map(|p| {
+            if of.contains(&p.avail) {
+                p.rows.iter().filter(|r| keep(r)).cloned().collect()
+            } else {
+                Arc::clone(&p.rows)
+            }
+        });
+        Dataset::from_runs(avails.into(), runs)
     }
 
     /// All avails, in insertion order.
@@ -84,9 +118,16 @@ impl Dataset {
         &self.avails
     }
 
-    /// All RCCs, sorted by (avail, creation date).
-    pub fn rccs(&self) -> &[Rcc] {
-        &self.rccs
+    /// All RCCs in table order: by avail, then creation date, then id.
+    /// Table positions are the dense row ids of the logical projection.
+    pub fn rccs(&self) -> RccTable<'_> {
+        RccTable { parts: &self.parts }
+    }
+
+    /// The RCC table one partition at a time, in ascending avail order:
+    /// each avail that has rows, with its rows sorted by creation date.
+    pub fn partitions(&self) -> impl Iterator<Item = (AvailId, &[Rcc])> + '_ {
+        self.parts.iter().map(|p| (p.avail, &p.rows[..]))
     }
 
     /// Look up an avail by id (linear in the avail count, which is ~200).
@@ -94,11 +135,11 @@ impl Dataset {
         self.avails.iter().find(|a| a.id == id)
     }
 
-    /// RCCs belonging to `avail`, sorted by creation date.
+    /// RCCs belonging to `avail`, sorted by creation date: its partition.
     pub fn rccs_of(&self, avail: AvailId) -> &[Rcc] {
-        match self.by_avail.get(&avail) {
-            Some(&(s, e)) => &self.rccs[s..e],
-            None => &[],
+        match self.parts.binary_search_by_key(&avail, |p| p.avail) {
+            Ok(k) => &self.parts[k].rows,
+            Err(_) => &[],
         }
     }
 
@@ -112,7 +153,7 @@ impl Dataset {
         Stats {
             n_avails: self.avails.len(),
             n_avail_attrs: AVAIL_TABLE_ATTRS,
-            n_rccs: self.rccs.len(),
+            n_rccs: self.rccs().len(),
             n_rcc_attrs: RCC_TABLE_ATTRS,
         }
     }
@@ -163,22 +204,126 @@ impl Dataset {
     }
 }
 
-/// Per-avail `(start, end)` ranges over an RCC table already sorted by
-/// `(avail, created, id)`.
-fn build_ranges(rccs: &[Rcc], n_avails: usize) -> FxHashMap<AvailId, (usize, usize)> {
-    let mut by_avail = FxHashMap::with_capacity_and_hasher(n_avails, Default::default());
-    let mut start = 0usize;
-    while start < rccs.len() {
-        let aid = rccs[start].avail;
-        let mut end = start + 1;
-        while end < rccs.len() && rccs[end].avail == aid {
-            end += 1;
-        }
-        by_avail.insert(aid, (start, end));
-        start = end;
+/// The rows of one avail: `existing` with `fresh` merged in, both sorted
+/// by `(created, id)`, existing rows first on ties.
+fn merge_rows(existing: &[Rcc], fresh: &[Rcc]) -> Arc<[Rcc]> {
+    let key = |r: &Rcc| (r.created, r.id);
+    let mut rows = Vec::with_capacity(existing.len() + fresh.len());
+    let mut copied = 0;
+    for r in fresh {
+        let at = copied + existing[copied..].partition_point(|e| key(e) <= key(r));
+        rows.extend_from_slice(&existing[copied..at]);
+        rows.push(r.clone());
+        copied = at;
     }
-    by_avail
+    rows.extend_from_slice(&existing[copied..]);
+    rows.into()
 }
+
+/// A borrowed, table-order view of a [`Dataset`]'s RCC table: the
+/// partitions read back to back, addressed by table position.
+#[derive(Clone, Copy)]
+pub struct RccTable<'a> {
+    parts: &'a [Partition],
+}
+
+impl<'a> RccTable<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.parts.last().map_or(0, |p| p.end)
+    }
+
+    /// True when the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// The row at table position `i`, or `None` past the end; a binary
+    /// search over the partition bounds.
+    pub fn get(&self, i: usize) -> Option<&'a Rcc> {
+        let p = self.parts.get(self.part_of(i))?;
+        p.rows.get(i + p.rows.len() - p.end)
+    }
+
+    /// The rows in table order.
+    pub fn iter(&self) -> RccIter<'a> {
+        RccIter { parts: self.parts.iter(), rows: [].iter(), remaining: self.len() }
+    }
+
+    /// The rows in table order, copied into one vector.
+    pub fn to_vec(&self) -> Vec<Rcc> {
+        let mut out = Vec::with_capacity(self.len());
+        for p in self.parts {
+            out.extend_from_slice(&p.rows);
+        }
+        out
+    }
+
+    /// Index of the partition holding table position `i` (`parts.len()`
+    /// past the end).
+    fn part_of(&self, i: usize) -> usize {
+        self.parts.partition_point(|p| p.end <= i)
+    }
+}
+
+impl Index<usize> for RccTable<'_> {
+    type Output = Rcc;
+
+    /// The row at table position `i`; panics past the end, as slice
+    /// indexing does.
+    fn index(&self, i: usize) -> &Rcc {
+        let p = &self.parts[self.part_of(i)];
+        &p.rows[i + p.rows.len() - p.end]
+    }
+}
+
+impl<'a> IntoIterator for RccTable<'a> {
+    type Item = &'a Rcc;
+    type IntoIter = RccIter<'a>;
+
+    fn into_iter(self) -> RccIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for RccTable<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for RccTable<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over an [`RccTable`] in table order.
+pub struct RccIter<'a> {
+    parts: std::slice::Iter<'a, Partition>,
+    rows: std::slice::Iter<'a, Rcc>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for RccIter<'a> {
+    type Item = &'a Rcc;
+
+    fn next(&mut self) -> Option<&'a Rcc> {
+        loop {
+            if let Some(r) = self.rows.next() {
+                self.remaining -= 1;
+                return Some(r);
+            }
+            self.rows = self.parts.next()?.rows.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for RccIter<'_> {}
 
 /// Table 5-style dataset statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,6 +490,89 @@ mod tests {
         let filled = empty.with_rccs_merged(ds.rccs().to_vec());
         assert_eq!(filled.rccs().len(), ds.rccs().len());
         assert_eq!(filled.rccs_of(AvailId(1)).len(), 3);
+    }
+
+    /// `merged` and `rebuilt` hold the same table: row order, amounts to
+    /// the bit, and every avail's partition.
+    fn assert_same_table(merged: &Dataset, rebuilt: &Dataset, ctx: &str) {
+        assert_eq!(merged.rccs().len(), rebuilt.rccs().len(), "{ctx}: rows");
+        for (m, r) in merged.rccs().iter().zip(rebuilt.rccs()) {
+            assert_eq!(m.id, r.id, "{ctx}: order");
+            assert_eq!(m.amount.to_bits(), r.amount.to_bits(), "{ctx}: tie order");
+        }
+        for a in rebuilt.avails().iter().map(|a| a.id).chain([AvailId(999)]) {
+            assert_eq!(merged.rccs_of(a), rebuilt.rccs_of(a), "{ctx}: rows of avail {a}");
+        }
+        let ends = |d: &Dataset| d.parts.iter().map(|p| (p.avail, p.end)).collect::<Vec<_>>();
+        assert_eq!(ends(merged), ends(rebuilt), "{ctx}: partition bounds");
+    }
+
+    /// Table positions address the same rows as iteration, at every
+    /// partition boundary and in between; `get(len)` is `None`.
+    fn assert_positions(ds: &Dataset, ctx: &str) {
+        let table = ds.rccs();
+        let rows = table.to_vec();
+        assert_eq!(table.iter().len(), rows.len(), "{ctx}: exact size");
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(table.get(i), Some(r), "{ctx}: get({i})");
+            assert_eq!(&table[i], r, "{ctx}: [{i}]");
+        }
+        for p in &ds.parts {
+            assert_eq!(table[p.end - p.rows.len()].id, p.rows[0].id, "{ctx}: partition start");
+            assert_eq!(table[p.end - 1].id, p.rows[p.rows.len() - 1].id, "{ctx}: partition end");
+        }
+        assert_eq!(table.get(rows.len()), None, "{ctx}: get(len)");
+    }
+
+    /// Seeded property: over random tables and batches, the partition
+    /// merge equals `Dataset::new` over the concatenated rows, shares
+    /// every untouched partition with its parent by pointer, and keeps
+    /// table positions exact.
+    #[test]
+    fn merge_matches_rebuild_over_random_batches() {
+        use rand::Rng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xDA7A);
+        // Narrow id, date and avail ranges make ties on (avail, created,
+        // id) common; amounts tell tied rows apart.
+        let row = |rng: &mut rand::rngs::SmallRng, n_avails: u32| {
+            let mut r = mk_rcc(rng.gen_range(0..6), rng.gen_range(0..n_avails), rng.gen_range(0..5));
+            r.amount = f64::from(rng.gen_range(0..1_000u32));
+            r
+        };
+        let (mut ties, mut new_avails, mut empty, mut every) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let n_avails = rng.gen_range(1..8u32);
+            let avails: Vec<Avail> =
+                (0..n_avails).map(|i| mk_avail(i, i as i32 * 100, true)).collect();
+            let n_base = rng.gen_range(0..30);
+            let base_rows: Vec<Rcc> = (0..n_base).map(|_| row(&mut rng, n_avails)).collect();
+            let base = Dataset::new(avails.clone(), base_rows);
+            let fresh: Vec<Rcc> = match case % 4 {
+                0 => Vec::new(),
+                1 => (0..n_avails)
+                    .map(|a| Rcc { avail: AvailId(a), ..row(&mut rng, n_avails) })
+                    .collect(),
+                _ => (0..rng.gen_range(1..10)).map(|_| row(&mut rng, n_avails)).collect(),
+            };
+            let key = |r: &Rcc| (r.avail, r.created, r.id);
+            ties += usize::from(fresh.iter().any(|f| base.rccs().iter().any(|e| key(e) == key(f))));
+            new_avails += usize::from(fresh.iter().any(|f| base.rccs_of(f.avail).is_empty()));
+            empty += usize::from(fresh.is_empty());
+            every += usize::from(avails.iter().all(|a| fresh.iter().any(|f| f.avail == a.id)));
+
+            let merged = base.with_rccs_merged(fresh.clone());
+            let mut all = base.rccs().to_vec();
+            all.extend(fresh.iter().cloned());
+            let ctx = format!("case {case}");
+            assert_same_table(&merged, &Dataset::new(avails, all), &ctx);
+            assert_positions(&merged, &ctx);
+            for p in &base.parts {
+                let touched = fresh.iter().any(|f| f.avail == p.avail);
+                let q = merged.parts.iter().find(|q| q.avail == p.avail).expect("kept");
+                assert_eq!(Arc::ptr_eq(&p.rows, &q.rows), !touched, "{ctx}: avail {}", p.avail);
+            }
+        }
+        assert!(ties > 0 && new_avails > 0 && empty > 0 && every > 0, "uncovered case kind");
     }
 
     #[test]

@@ -366,13 +366,8 @@ pub fn censor_ongoing(
             }
         })
         .collect();
-    let rccs: Vec<Rcc> = dataset
-        .rccs()
-        .iter()
-        .filter(|r| !(ongoing.contains(&r.avail) && r.created > as_of))
-        .cloned()
-        .collect();
-    (Dataset::new(avails, rccs), truths)
+    let censored = dataset.with_rows_retained(avails, ongoing, |r| r.created <= as_of);
+    (censored, truths)
 }
 
 #[cfg(test)]

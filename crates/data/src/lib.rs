@@ -37,7 +37,7 @@ pub mod rcc;
 pub mod validate;
 
 pub use avail::{Avail, AvailId, AvailStatus, ShipId, StaticAttrs};
-pub use dataset::{Dataset, Split, Stats};
+pub use dataset::{Dataset, RccTable, Split, Stats};
 pub use date::Date;
 pub use fault::{corrupt_bytes, corrupt_text, FaultKind, StorageFault};
 pub use generator::{censor_ongoing, generate, generate_with_truth, GeneratorConfig};

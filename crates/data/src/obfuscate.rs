@@ -218,8 +218,9 @@ mod tests {
             assert_ne!(orig.swlin, o.swlin, "codes must change"); // overwhelmingly likely
         }
         // Prefix-sharing is exactly preserved at every depth.
+        let rows = ds.rccs().to_vec();
         for depth in 1..=8u32 {
-            for pair in ds.rccs().windows(2) {
+            for pair in rows.windows(2) {
                 let same_orig = pair[0].swlin.prefix(depth) == pair[1].swlin.prefix(depth);
                 let o0 = obfuscate_swlin(pair[0].swlin, key.key);
                 let o1 = obfuscate_swlin(pair[1].swlin, key.key);

@@ -258,9 +258,8 @@ impl FeatureEngine {
         let rccs = dataset.rccs();
         let mut selected_by_shard = vec![Vec::new(); shards.len()];
         let mut groups = vec![0usize; rccs.len()];
-        for (i, lr) in projected.iter().enumerate() {
+        for (i, (lr, r)) in projected.iter().zip(rccs).enumerate() {
             if let Some(&pos) = avail_pos.get(&lr.avail) {
-                let r = &rccs[i];
                 let s = shard_of_pos[pos];
                 let local = pos - shards[s].start;
                 groups[i] = local * cells + space.cell_of(rcc_type_slot(r.rcc_type), r.swlin);

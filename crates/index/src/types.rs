@@ -60,17 +60,19 @@ impl LogicalRcc {
 }
 
 /// Projects every RCC of `dataset` onto its avail's logical timeline.
-/// Row ids are positions in `dataset.rccs()`.
+/// Row ids are positions in `dataset.rccs()`. The avail is resolved once
+/// per partition, not once per row.
 pub fn project_dataset(dataset: &Dataset) -> Vec<LogicalRcc> {
-    let rccs = dataset.rccs();
-    let mut out = Vec::with_capacity(rccs.len());
-    for (i, r) in rccs.iter().enumerate() {
+    let mut out = Vec::with_capacity(dataset.rccs().len());
+    for (avail, rows) in dataset.partitions() {
         // domd-lint: allow(no-panic) — the generator and loaders only emit RCCs for avails present in the table
-        let a = dataset.avail(r.avail).expect("RCC references existing avail");
+        let a = dataset.avail(avail).expect("RCC references existing avail");
         let planned = a.planned_duration().max(1);
-        let start = domd_data::logical_time(r.created, a.actual_start, planned);
-        let end = domd_data::logical_time(r.settled, a.actual_start, planned);
-        out.push(LogicalRcc { id: i as RowId, avail: r.avail, start, end });
+        for r in rows {
+            let start = domd_data::logical_time(r.created, a.actual_start, planned);
+            let end = domd_data::logical_time(r.settled, a.actual_start, planned);
+            out.push(LogicalRcc { id: out.len() as RowId, avail, start, end });
+        }
     }
     out
 }
@@ -108,10 +110,9 @@ mod tests {
         let ds = generate(&cfg);
         let proj = project_dataset(&ds);
         assert_eq!(proj.len(), ds.rccs().len());
-        for (i, lr) in proj.iter().enumerate() {
+        for (i, (lr, r)) in proj.iter().zip(ds.rccs()).enumerate() {
             assert_eq!(lr.id as usize, i);
             assert!(lr.start <= lr.end, "interval must be well formed");
-            let r = &ds.rccs()[i];
             assert_eq!(lr.avail, r.avail);
             // Durations of at least a day map to a positive logical width.
             assert!(lr.end > lr.start);

@@ -117,13 +117,12 @@ proptest! {
         let projected = project_dataset(&ds);
         let arena = RccArena::from_projected(&ds, &projected);
         prop_assert_eq!(arena.len(), projected.len());
-        for (i, want) in projected.iter().enumerate() {
+        for (i, (want, rcc)) in projected.iter().zip(ds.rccs()).enumerate() {
             let got = arena.logical(i as u32);
             prop_assert_eq!(got.id, want.id);
             prop_assert_eq!(got.avail, want.avail);
             prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
             prop_assert_eq!(got.end.to_bits(), want.end.to_bits());
-            let rcc = &ds.rccs()[i];
             prop_assert_eq!(arena.amount(i as u32).to_bits(), rcc.amount.to_bits());
             prop_assert_eq!(arena.rcc_type(i as u32), rcc.rcc_type);
             prop_assert_eq!(arena.swlin(i as u32), rcc.swlin);

@@ -766,6 +766,9 @@ impl ServeCore {
         }
         self.deadline_check(req, "ingest apply")?;
         let (epoch, applied) = tenant.store.update(|snap| -> Result<Vec<RowId>, DomdError> {
+            // The batch's RCC ids must fit in u32: refused before the WAL
+            // sees any row of it.
+            let first_rcc = snap.rcc_ids_for(rows.len())?;
             // WAL-before-apply: every row's logical projection reaches the
             // durable store before any published snapshot contains it.
             if let Some(durable) = &tenant.durable {
@@ -786,13 +789,13 @@ impl ServeCore {
                         DomdError::config("durable row id space exhausted".to_string())
                     })?;
                     // The full physical row the snapshot's ingest_batch will
-                    // materialize for this position: `snap.next_rcc() + k`
-                    // is exactly the RccId the k-th batch row receives, so
-                    // the v2 WAL record carries the same bytes the published
+                    // materialize for this position: `first_rcc + k` is
+                    // exactly the RccId the k-th batch row receives, so the
+                    // v2 WAL record carries the same bytes the published
                     // dataset will hold — recovery can rebuild the snapshot
                     // from the store alone, bit-identically.
                     let rcc = Rcc {
-                        id: RccId(snap.next_rcc() + k as u32),
+                        id: RccId(first_rcc + k as u32),
                         avail: r.avail,
                         rcc_type: r.rcc_type,
                         swlin: r.swlin,

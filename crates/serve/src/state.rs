@@ -16,10 +16,15 @@
 //! rebuilt: the batch becomes a [`domd_index::RccDelta`] stream applied
 //! through the view's incremental path (each insert copies only the
 //! arena chunks and group-tree runs its appends land in), and the
-//! dataset view is a run-copying merge ([`Dataset::with_rccs_merged`])
+//! dataset is a per-avail partition merge ([`Dataset::with_rccs_merged`]:
+//! only the batch's avails are copied, every other partition is shared)
 //! instead of `Dataset::new`'s full re-sort — both bit-identical to a
 //! from-scratch rebuild, which the `delta_equivalence` and
 //! `snapshot_isolation` suites re-check after every batch.
+//!
+//! RCC ids are `u32`: a batch whose ids would pass `u32::MAX` is refused
+//! with a config error ([`TenantSnapshot::rcc_ids_for`]) before any row
+//! of it is logged or applied.
 
 use std::sync::Arc;
 
@@ -38,8 +43,9 @@ pub struct TenantSnapshot {
     /// The Status-Query view (arena + group-by trees) over the same
     /// version.
     pub engine: StatusView,
-    /// Next fresh RCC id for ingested rows.
-    next_rcc: u32,
+    /// Next fresh RCC id for ingested rows: one past the largest id held,
+    /// so `u32::MAX + 1` once the id space is used up.
+    next_rcc: u64,
 }
 
 impl TenantSnapshot {
@@ -47,7 +53,7 @@ impl TenantSnapshot {
     pub fn from_dataset(dataset: Dataset) -> Self {
         let arena = Arc::new(RccArena::from_dataset(&dataset));
         let engine = StatusView::from_arena(arena);
-        let next_rcc = dataset.rccs().iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+        let next_rcc = next_rcc_after(dataset.rccs());
         TenantSnapshot { dataset: Arc::new(dataset), engine, next_rcc }
     }
 
@@ -70,14 +76,31 @@ impl TenantSnapshot {
         }
         let applied = snap.engine.apply_deltas(deltas);
         debug_assert_eq!(applied.len(), deltas.len(), "rebuild inserts always apply");
-        snap.next_rcc = fresh.iter().map(|r| r.id.0 + 1).max().unwrap_or(0);
+        snap.next_rcc = next_rcc_after(&fresh);
         snap.dataset = Arc::new(snap.dataset.with_rccs_merged(fresh));
         snap
     }
 
-    /// The RCC id the next ingested row will receive.
+    /// The RCC id the next ingested row will receive (`u32::MAX` once
+    /// the id space is used up, when [`Self::rcc_ids_for`] refuses every
+    /// batch).
     pub fn next_rcc(&self) -> u32 {
-        self.next_rcc
+        u32::try_from(self.next_rcc).unwrap_or(u32::MAX)
+    }
+
+    /// The first of the `n` consecutive RCC ids a batch of `n` rows will
+    /// receive, or a typed config error when the last of them would pass
+    /// `u32::MAX`. Check it before logging any row of the batch.
+    pub fn rcc_ids_for(&self, n: usize) -> Result<u32, DomdError> {
+        let last = self.next_rcc + n as u64;
+        match u32::try_from(self.next_rcc) {
+            Ok(first) if last <= u64::from(u32::MAX) + 1 => Ok(first),
+            _ => Err(DomdError::config(format!(
+                "RCC id space exhausted: a batch of {n} row(s) from id {} would pass {}",
+                self.next_rcc,
+                u32::MAX
+            ))),
+        }
     }
 
     /// Validates an ingest against this snapshot *without* mutating it —
@@ -152,15 +175,16 @@ impl TenantSnapshot {
     /// Applies a whole ingest batch to this (cloned) snapshot via the
     /// incremental delta path: every row becomes an
     /// [`RccDelta::Insert`] applied through the view (touching only its
-    /// type partition and SWLIN entry), and the dataset view is delta-merged
-    /// by copying the unchanged runs between the fresh rows instead of
-    /// rebuilt — bit-identical to a from-scratch rebuild either way.
+    /// type partition and SWLIN entry), and the dataset rebuilds only the
+    /// partitions of the batch's avails instead of re-sorting the table —
+    /// bit-identical to a from-scratch rebuild either way.
     /// Returns the arena row ids in batch order. Nothing is mutated unless
-    /// every row's avail resolves.
+    /// every row's avail resolves and the batch's RCC ids fit in `u32`.
     pub fn ingest_batch(&mut self, rows: &[IngestRow]) -> Result<Vec<RowId>, DomdError> {
-        // Resolve every avail before touching any state, so a refused
-        // batch leaves the snapshot byte-identical (the serve layer
-        // publishes the clone even on refusal).
+        // Resolve every avail and the id range before touching any state,
+        // so a refused batch leaves the snapshot byte-identical (the serve
+        // layer publishes the clone even on refusal).
+        let first = self.rcc_ids_for(rows.len())?;
         let mut avails = Vec::with_capacity(rows.len());
         for r in rows {
             let a = self.dataset.avail(r.avail).ok_or_else(|| {
@@ -170,9 +194,10 @@ impl TenantSnapshot {
         }
         let mut fresh = Vec::with_capacity(rows.len());
         let mut deltas = Vec::with_capacity(rows.len());
-        for (r, a) in rows.iter().zip(avails) {
+        for (k, (r, a)) in rows.iter().zip(avails).enumerate() {
             let rcc = Rcc {
-                id: RccId(self.next_rcc),
+                // Checked above: the batch's last id is at most u32::MAX.
+                id: RccId(first + k as u32),
                 avail: r.avail,
                 rcc_type: r.rcc_type,
                 swlin: r.swlin,
@@ -180,20 +205,25 @@ impl TenantSnapshot {
                 settled: r.settled,
                 amount: r.amount,
             };
-            self.next_rcc += 1;
             fresh.push(rcc.clone());
             deltas.push(RccDelta::Insert { rcc, avail: a });
         }
+        self.next_rcc += rows.len() as u64;
         let applied = self.engine.apply_deltas(&deltas);
         debug_assert_eq!(applied.len(), rows.len(), "inserts always apply");
-        // Delta-maintain the dataset view: merge the batch into the
-        // already-sorted RCC vector. The merge yields exactly the order
+        // Delta-maintain the dataset: merge the batch into the touched
+        // avails' partitions. The merge yields exactly the order
         // `Dataset::new` would produce, so the feature path's bits are
         // unchanged; the arena keeps its own dense order, and nothing
         // cross-references the two by position after construction.
         self.dataset = Arc::new(self.dataset.with_rccs_merged(fresh));
         Ok(applied)
     }
+}
+
+/// One past the largest RCC id in `rows` (0 when there are none).
+fn next_rcc_after<'a>(rows: impl IntoIterator<Item = &'a Rcc>) -> u64 {
+    rows.into_iter().map(|r| u64::from(r.id.0) + 1).max().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //!   live in the tenant's durable store, across restarts (where the
 //!   serving arena resets to the extracts while prior ingests stay live
 //!   in the store) and across tenants (each tenant owns its own store,
-//!   so per-store row ids can never collide).
+//!   so per-store row ids can never collide). An ingest whose RCC ids
+//!   would pass `u32::MAX` is refused before it reaches the WAL.
 //! * **Client errors never trip the breaker** — a misconfigured client
 //!   hammering an unknown avail must not force degraded serving onto
 //!   every other client of the tenant.
@@ -16,11 +17,11 @@
 //!   sequence number, so clients matching responses by seq never see a
 //!   collision.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
-use domd_data::rcc::{RccType, Swlin};
+use domd_data::rcc::{RccId, RccType, Swlin};
 use domd_data::{generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
 use domd_index::{project_dataset, DurableIndex, FlatAvlIndex};
@@ -163,6 +164,56 @@ fn per_tenant_stores_keep_every_tenants_acks() {
     for dir in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// The extracts with their last RCC relabelled to id `max`, the largest
+/// id in the table. Extract validation puts no bound on RCC ids.
+fn dataset_with_max_rcc_id(max: u32) -> Dataset {
+    let ds = base_dataset();
+    let mut rows = ds.rccs().to_vec();
+    rows.last_mut().expect("extracts have rows").id = RccId(max);
+    Dataset::new(ds.avails().to_vec(), rows)
+}
+
+/// A durable core over `ds` whose store holds the extracts' projection.
+fn durable_core(ds: &Dataset, dir: &Path) -> ServeCore {
+    let di: DurableIndex<FlatAvlIndex> =
+        DurableIndex::create(dir, &project_dataset(ds)).expect("create store");
+    core_for(ds, 1).with_durable(0, di).expect("tenant 0")
+}
+
+/// RCC ids are `u32`: an ingest whose ids would pass `u32::MAX` is a
+/// typed config refusal made before any row reaches the WAL, never an
+/// overflow panic or a wrap back to id 0.
+#[test]
+fn an_ingest_past_the_last_rcc_id_is_refused_before_the_wal() {
+    let ds = dataset_with_max_rcc_id(u32::MAX - 1);
+    let n = ds.rccs().len();
+    let dir = store_dir("rcc-id-last");
+    let core = durable_core(&ds, &dir);
+    assert_eq!(ack_ingests(&core, &ds, 0, 1, 0), 1, "id u32::MAX is still free");
+    let pinned = core.tenant_store(0).expect("tenant 0").pin();
+    assert!(pinned.dataset.rccs().iter().any(|r| r.id == RccId(u32::MAX)));
+    assert_eq!(core.durable_rows(0), Some(n + 1));
+    let refused = core.serve_one(core.stamp(1, 0, ingest_op(&ds, 1))).outcome;
+    assert_eq!(refused.expect_err("no RCC id is left").kind(), "config");
+    assert_eq!(core.durable_rows(0), Some(n + 1), "a refused ingest must not reach the WAL");
+    assert_eq!(core.tenant_store(0).expect("tenant 0").pin().dataset.rccs().len(), n + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn extracts_holding_rcc_id_u32_max_load_and_refuse_every_ingest() {
+    let ds = dataset_with_max_rcc_id(u32::MAX);
+    let snap = TenantSnapshot::from_dataset(ds.clone());
+    assert_eq!(snap.rcc_ids_for(1).expect_err("no RCC id is left").kind(), "config");
+    let n = ds.rccs().len();
+    let dir = store_dir("rcc-id-max");
+    let core = durable_core(&ds, &dir);
+    let refused = core.serve_one(core.stamp(0, 0, ingest_op(&ds, 0))).outcome;
+    assert_eq!(refused.expect_err("no RCC id is left").kind(), "config");
+    assert_eq!(core.durable_rows(0), Some(n), "a refused ingest must not reach the WAL");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -73,6 +73,9 @@ if [ "$LINT_PROFILE" = "fast" ]; then
 fi
 
 # Stage 2 — full profile only: integration, chaos, and smoke gates.
+# The data crate's property suites (CSV round trips, dates, logical time,
+# the partitioned RCC table) run alongside its unit tests.
+cargo test -q -p domd-data --tests
 DOMD_THREADS=2 cargo test -q -p domd-runtime
 DOMD_THREADS=2 cargo test -q -p domd-features --tests
 DOMD_THREADS=2 cargo test -q -p domd-core --tests
