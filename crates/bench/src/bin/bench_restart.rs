@@ -3,14 +3,15 @@
 //!
 //! Two restart paths over the same durable store:
 //!
-//! * **store-rebuild** (this PR): recover the store, rebuild the tenant
-//!   snapshot from its delta stream alone (`rebuild_tenant`), answer the
-//!   first Status Query. Sees every acked ingest.
-//! * **extract-reload** (the old path): recover the store for
-//!   durability, rebuild the snapshot from the extracts
+//! * **store-rebuild** (what `domd serve --store` runs): recover the
+//!   store, build the tenant snapshot in bulk from its rows
+//!   (`rebuild_tenant`), answer the first Status Query. Sees every
+//!   acked ingest.
+//! * **extract-reload** (the path it replaced): recover the store for
+//!   durability, build the snapshot from the extracts
 //!   (`TenantSnapshot::from_dataset`), answer the first query. Blind to
 //!   every row the extracts lack — the reason it was replaced — so it is
-//!   a *baseline*, not an alternative.
+//!   a *baseline*, not an alternative. Both arms run the same build.
 //!
 //! The store-rebuild arm is bit-identity-gated first: its aggregates
 //! must equal, to the bit, a from-scratch snapshot's over the store's own

@@ -13,7 +13,7 @@
 //!    an unsynced *suffix* of mutations — never reorder them — and a crash
 //!    mid-write leaves a torn tail that replay provably discards.
 //! 2. **Checkpoint compaction** — [`DurableIndex::checkpoint`] snapshots
-//!    the live entry set into a checksummed [`Checkpoint`] generation and
+//!    the live entry set into a checksummed checkpoint generation and
 //!    truncates the WAL. Rolling generations ([`KEPT_GENERATIONS`]) mean a
 //!    crash *during* checkpointing still leaves the previous generation
 //!    intact.
@@ -38,10 +38,7 @@ use crate::types::{LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
 use domd_data::date::Date;
 use domd_data::rcc::{Rcc, RccId, RccType, Swlin};
-use domd_storage::{
-    Checkpoint, CheckpointEntry, FullRcc, Store, StorageError, WalOp, WalRecord, WalWriter,
-    CHECKPOINT_VERSION,
-};
+use domd_storage::{CheckpointEntry, FullRcc, Store, StorageError, WalOp, WalRecord, WalWriter};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,8 +63,8 @@ pub struct StoredRow {
     pub rcc: Option<Rcc>,
 }
 
-/// Why [`DurableIndex::rebuild_deltas`] could not produce a complete
-/// delta stream from the store.
+/// Why [`DurableIndex::rebuild_rows`] could not produce the store's
+/// complete row set.
 #[derive(Debug, Clone)]
 pub enum RebuildError {
     /// A live row carries no full RCC payload and the caller's v1
@@ -197,13 +194,7 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         dir: &Path,
         rows: impl IntoIterator<Item = (LogicalRcc, Rcc)>,
     ) -> Result<Self, StorageError> {
-        let rows: Vec<StoredRow> = rows
-            .into_iter()
-            .map(|(logical, rcc)| StoredRow { logical, rcc: Some(rcc) })
-            .collect();
-        for row in &rows {
-            check_avail_agreement(dir, row)?;
-        }
+        let rows = rows.into_iter().map(|(logical, rcc)| StoredRow { logical, rcc: Some(rcc) });
         Self::create_rows(dir, rows)
     }
 
@@ -217,6 +208,7 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         }
         let mut entries = BTreeMap::new();
         for row in rows {
+            check_avail_agreement(dir, &row)?;
             let id = row.logical.id;
             if entries.insert(id, row).is_some() {
                 return Err(StorageError::malformed(
@@ -226,12 +218,7 @@ impl<I: MaintainableIndex> DurableIndex<I> {
                 ));
             }
         }
-        let checkpoint = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            epoch: 0,
-            entries: to_checkpoint_entries(&entries),
-        };
-        store.write_checkpoint(&checkpoint)?;
+        store.write_checkpoint(0, entries.values().map(checkpoint_entry))?;
         store.rewrite_wal(&[])?;
         let wal = WalWriter::open(&store.wal_path())?;
         let projected: Vec<LogicalRcc> = entries.values().map(|s| s.logical).collect();
@@ -498,12 +485,8 @@ impl<I: MaintainableIndex> DurableIndex<I> {
     /// and truncates the WAL. Returns the new generation's path.
     pub fn checkpoint(&mut self) -> Result<PathBuf, StorageError> {
         self.wal.sync()?;
-        let checkpoint = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            epoch: self.epoch,
-            entries: to_checkpoint_entries(&self.entries),
-        };
-        let path = self.store.write_checkpoint(&checkpoint)?;
+        let path =
+            self.store.write_checkpoint(self.epoch, self.entries.values().map(checkpoint_entry))?;
         self.store.rewrite_wal(&[])?;
         self.wal = WalWriter::open(&self.store.wal_path())?;
         self.checkpoint_epoch = self.epoch;
@@ -571,19 +554,16 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         Ok(upgraded)
     }
 
-    /// Emits the live rows as the PR 8 [`RccDelta`] insert stream, in the
-    /// dataset's canonical `(avail, created, rcc id)` order — applying
-    /// these to an empty engine reproduces, bit for bit, the snapshot a
-    /// from-scratch build over the same rows produces. `resolve_v1`
-    /// supplies full payloads for projection-only rows (pass `|_| None`
-    /// for a strict log-only rebuild); `avail_of` maps each owning avail
-    /// id to the caller's `Avail` row.
-    pub fn rebuild_deltas(
+    /// The live rows' full RCCs in row-id order, for a bulk snapshot
+    /// build. `resolve_v1` supplies full payloads for projection-only
+    /// rows (pass `|_| None` for a strict log-only rebuild); `has_avail`
+    /// says whether the caller holds an owning avail.
+    pub fn rebuild_rows(
         &self,
         resolve_v1: impl Fn(&LogicalRcc) -> Option<Rcc>,
-        avail_of: impl Fn(AvailId) -> Option<Avail>,
-    ) -> Result<Vec<RccDelta>, RebuildError> {
-        let mut rows: Vec<(Rcc, Avail)> = Vec::with_capacity(self.entries.len());
+        has_avail: impl Fn(AvailId) -> bool,
+    ) -> Result<Vec<Rcc>, RebuildError> {
+        let mut rows = Vec::with_capacity(self.entries.len());
         for stored in self.entries.values() {
             let logical = &stored.logical;
             let rcc = match &stored.rcc {
@@ -600,14 +580,31 @@ impl<I: MaintainableIndex> DurableIndex<I> {
                     full: rcc.avail,
                 });
             }
-            let avail = avail_of(logical.avail).ok_or(RebuildError::UnknownAvail {
-                id: logical.id,
-                avail: logical.avail,
-            })?;
-            rows.push((rcc, avail));
+            if !has_avail(logical.avail) {
+                return Err(RebuildError::UnknownAvail { id: logical.id, avail: logical.avail });
+            }
+            rows.push(rcc);
         }
-        rows.sort_by_key(|(r, _)| (r.avail, r.created, r.id));
-        Ok(rows.into_iter().map(|(rcc, avail)| RccDelta::Insert { rcc, avail }).collect())
+        Ok(rows)
+    }
+
+    /// [`DurableIndex::rebuild_rows`] as [`RccDelta::Insert`]s in the
+    /// dataset's `(avail, created, rcc id)` table order. Kept only for
+    /// `perfbench`'s traced restart replay; restart itself builds in bulk.
+    pub fn rebuild_deltas(
+        &self,
+        resolve_v1: impl Fn(&LogicalRcc) -> Option<Rcc>,
+        avail_of: impl Fn(AvailId) -> Option<Avail>,
+    ) -> Result<Vec<RccDelta>, RebuildError> {
+        let rows = self.rebuild_rows(resolve_v1, |_| true)?;
+        let mut rows: Vec<(RowId, Rcc)> = self.entries.keys().copied().zip(rows).collect();
+        rows.sort_by_key(|(_, r)| (r.avail, r.created, r.id));
+        rows.into_iter()
+            .map(|(id, rcc)| match avail_of(rcc.avail) {
+                Some(avail) => Ok(RccDelta::Insert { rcc, avail }),
+                None => Err(RebuildError::UnknownAvail { id, avail: rcc.avail }),
+            })
+            .collect()
     }
 
     /// Number of live entries.
@@ -736,17 +733,14 @@ fn check_avail_agreement(dir: &Path, row: &StoredRow) -> Result<(), StorageError
     Ok(())
 }
 
-fn to_checkpoint_entries(entries: &BTreeMap<RowId, StoredRow>) -> Vec<CheckpointEntry> {
-    entries
-        .values()
-        .map(|s| CheckpointEntry {
-            id: s.logical.id,
-            avail: s.logical.avail.0,
-            start: s.logical.start,
-            end: s.logical.end,
-            full: s.rcc.as_ref().map(full_of),
-        })
-        .collect()
+fn checkpoint_entry(s: &StoredRow) -> CheckpointEntry {
+    CheckpointEntry {
+        id: s.logical.id,
+        avail: s.logical.avail.0,
+        start: s.logical.start,
+        end: s.logical.end,
+        full: s.rcc.as_ref().map(full_of),
+    }
 }
 
 fn from_checkpoint_entry(e: &CheckpointEntry) -> StoredRow {
@@ -1075,32 +1069,39 @@ mod tests {
         std::fs::remove_dir_all(&d).unwrap();
     }
 
+    fn avail_row(id: AvailId) -> Option<Avail> {
+        Some(Avail {
+            id,
+            ship: domd_data::avail::ShipId(id.0),
+            plan_start: Date::from_days(0),
+            plan_end: Date::from_days(100),
+            actual_start: Date::from_days(0),
+            actual_end: Some(Date::from_days(100)),
+            statics: domd_data::avail::StaticAttrs {
+                ship_class: 1,
+                rmc_id: 1,
+                ship_age_years: 10.0,
+                prior_avail_count: 2,
+                prior_avg_delay: 5.0,
+            },
+        })
+    }
+
     #[test]
-    fn rebuild_deltas_orders_by_avail_created_id() {
-        let d = dir("deltas");
+    fn rebuild_rows_come_back_in_row_id_order() {
+        let d = dir("rows");
+        // Later ids are created earlier, so row-id order is not the
+        // dataset's (avail, created, id) table order.
         let seed: Vec<(LogicalRcc, Rcc)> =
             (0..10).map(|i| full_pair(i, f64::from(10 - i), f64::from(10 - i) + 5.0)).collect();
-        let di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(&d, seed).unwrap();
-        let avail_row = |id: AvailId| {
-            Some(Avail {
-                id,
-                ship: domd_data::avail::ShipId(id.0),
-                plan_start: Date::from_days(0),
-                plan_end: Date::from_days(100),
-                actual_start: Date::from_days(0),
-                actual_end: Some(Date::from_days(100)),
-                statics: domd_data::avail::StaticAttrs {
-                    ship_class: 1,
-                    rmc_id: 1,
-                    ship_age_years: 10.0,
-                    prior_avail_count: 2,
-                    prior_avg_delay: 5.0,
-                },
-            })
-        };
-        let deltas = di.rebuild_deltas(|_| None, avail_row).unwrap();
-        assert_eq!(deltas.len(), 10);
-        let keys: Vec<(AvailId, Date, RccId)> = deltas
+        let di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(&d, seed.clone()).unwrap();
+        let rows = di.rebuild_rows(|_| None, |_| true).unwrap();
+        let want: Vec<Rcc> = seed.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(rows, want, "rows come back as stored, in row-id order");
+        // The delta stream perfbench replays is sorted into table order.
+        let keys: Vec<(AvailId, Date, RccId)> = di
+            .rebuild_deltas(|_| None, avail_row)
+            .unwrap()
             .iter()
             .map(|dlt| match dlt {
                 RccDelta::Insert { rcc, .. } => (rcc.avail, rcc.created, rcc.id),
@@ -1109,20 +1110,36 @@ mod tests {
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
-        assert_eq!(keys, sorted, "deltas must arrive in dataset canonical order");
-        // A projection-only row without a resolver is a typed error...
-        let d2 = dir("deltas-v1");
-        let mut v1: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d2, &seed_rccs(2)).unwrap();
-        let e = v1.rebuild_deltas(|_| None, avail_row).unwrap_err();
-        assert!(matches!(e, RebuildError::MissingFull { .. }), "{e}");
-        assert!(e.to_string().contains("migrate-store"), "{e}");
-        // ...and an unknown avail is diagnosed as such.
-        let e = v1
-            .rebuild_deltas(|l| Some(full_rcc(l.id, 0, 5)), |_| None)
-            .unwrap_err();
-        assert!(matches!(e, RebuildError::UnknownAvail { .. }), "{e}");
-        let _ = v1.sync();
+        assert_eq!(keys.len(), 10);
+        assert_eq!(keys, sorted, "deltas must arrive in dataset table order");
         std::fs::remove_dir_all(&d).unwrap();
-        std::fs::remove_dir_all(&d2).unwrap();
+    }
+
+    #[test]
+    fn rebuild_rows_refusals_are_typed() {
+        let d = dir("rows-v1");
+        let v1: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(3)).unwrap();
+        // A projection-only row that no resolver vouches for...
+        let e = v1.rebuild_rows(|_| None, |_| true).unwrap_err();
+        assert!(matches!(e, RebuildError::MissingFull { id: 0, avail: AvailId(0) }), "{e}");
+        assert!(e.to_string().contains("migrate-store"), "{e}");
+        // ...a resolver that answers with another avail's row...
+        let e = v1
+            .rebuild_rows(|l| Some(full_rcc(l.id + 1, 0, 5)), |_| true)
+            .unwrap_err();
+        assert!(
+            matches!(
+                e,
+                RebuildError::AvailMismatch { id: 0, logical: AvailId(0), full: AvailId(1) }
+            ),
+            "{e}"
+        );
+        // ...and a row whose avail the caller lacks are each refused.
+        let e = v1
+            .rebuild_rows(|l| Some(full_rcc(l.id, 0, 5)), |a| a != AvailId(1))
+            .unwrap_err();
+        assert!(matches!(e, RebuildError::UnknownAvail { id: 1, avail: AvailId(1) }), "{e}");
+        assert_eq!(v1.rebuild_rows(|l| Some(full_rcc(l.id, 0, 5)), |_| true).unwrap().len(), 3);
+        std::fs::remove_dir_all(&d).unwrap();
     }
 }

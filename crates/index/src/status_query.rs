@@ -563,7 +563,8 @@ pub(crate) mod tests {
         }
         assert_aggregate_is_exact(&grown, "200 single-row inserts");
 
-        // Built empty and filled row by row, as a restart rebuild is.
+        // Built empty and filled row by row: group trees grown by
+        // inserts alone, with no bulk-built run under them.
         let empty = Dataset::new(ds.avails().to_vec(), Vec::new());
         let mut replayed = StatusView::from_arena(Arc::new(RccArena::from_dataset(&empty)));
         for r in ds.rccs() {

@@ -6,12 +6,12 @@
 //! acked ingest wrote a v2 WAL record carrying the row's *full* RCC
 //! fields (type, SWLIN, created/settled, amount) before the epoch that
 //! served it was published. Recovery therefore replays the store into a
-//! set of [`StoredRow`]s, and this module converts those rows into the
-//! PR 8 [`RccDelta`](domd_index::RccDelta) stream and applies it to an
-//! empty snapshot — yielding a dataset arena and engine aggregates that
-//! are **bit-identical** to a from-scratch build over the same rows (the
-//! deltas are emitted in the `Dataset::new` sort order, so arena
-//! positions match exactly).
+//! set of [`StoredRow`](domd_index::StoredRow)s, and a restart builds the
+//! snapshot from those rows in bulk, through the same
+//! [`TenantSnapshot::from_dataset`] that set-up and a first start use:
+//! `Dataset::new` sorts the rows into table order and the arena and view
+//! are built over that table. The restarted dataset is the one the
+//! acking epoch served, row for row and bit for bit.
 //!
 //! Rows written by a pre-v2 store carry only their logical projection.
 //! [`resolve_v1_row`] upgrades such a row from the extracts when the row
@@ -22,7 +22,7 @@
 
 use domd_core::DomdError;
 use domd_data::rcc::Rcc;
-use domd_data::Dataset;
+use domd_data::{AvailId, Dataset};
 use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc};
 
 use crate::state::TenantSnapshot;
@@ -66,10 +66,10 @@ pub fn resolve_v1_row(
 }
 
 /// Rebuilds one tenant's serving snapshot from its recovered store: the
-/// store's rows become an insert-delta stream (v1 rows resolved against
-/// the extracts via [`resolve_v1_row`]) applied to an empty snapshot
-/// over the extracts' avails. The result serves exactly the rows the
-/// store acked — including rows the extracts have never seen.
+/// store's rows (v1 rows resolved against the extracts via
+/// [`resolve_v1_row`]) and the extracts' avails make one dataset, built
+/// with [`TenantSnapshot::from_dataset`]. The result serves exactly the
+/// rows the store acked — including rows the extracts have never seen.
 ///
 /// Fails with [`DomdError::Corrupt`] (exit 9) when a v1 row cannot be
 /// resolved or a row references an avail the extracts lack: serving
@@ -80,10 +80,12 @@ pub fn rebuild_tenant(
     index: &DurableIndex<FlatAvlIndex>,
 ) -> Result<(TenantSnapshot, RebuildSummary), DomdError> {
     let projected = project_dataset(ds);
-    let deltas = index
-        .rebuild_deltas(
+    let mut avail_ids: Vec<AvailId> = ds.avails().iter().map(|a| a.id).collect();
+    avail_ids.sort_unstable();
+    let rccs = index
+        .rebuild_rows(
             |logical| resolve_v1_row(ds, &projected, logical),
-            |avail| ds.avail(avail).cloned(),
+            |avail| avail_ids.binary_search(&avail).is_ok(),
         )
         .map_err(|e| DomdError::Corrupt {
             context: index.store_dir().display().to_string(),
@@ -98,7 +100,7 @@ pub fn rebuild_tenant(
         from_extracts: rows - from_store,
         matches_extracts: index.entries() == projected,
     };
-    let snap = TenantSnapshot::rebuild_from_deltas(ds.avails().to_vec(), &deltas);
+    let snap = TenantSnapshot::from_dataset(Dataset::new(ds.avails().to_vec(), rccs));
     Ok((snap, summary))
 }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use domd_core::DomdError;
 use domd_data::rcc::{Rcc, RccId, RccType, Swlin};
-use domd_data::{logical_time, Avail, AvailId, Dataset, Date};
+use domd_data::{logical_time, AvailId, Dataset, Date};
 use domd_index::{LogicalRcc, RccArena, RccDelta, RowId, StatusView};
 
 use crate::request::IngestRow;
@@ -53,32 +53,8 @@ impl TenantSnapshot {
     pub fn from_dataset(dataset: Dataset) -> Self {
         let arena = Arc::new(RccArena::from_dataset(&dataset));
         let engine = StatusView::from_arena(arena);
-        let next_rcc = next_rcc_after(dataset.rccs());
+        let next_rcc = dataset.rccs().iter().map(|r| u64::from(r.id.0) + 1).max().unwrap_or(0);
         TenantSnapshot { dataset: Arc::new(dataset), engine, next_rcc }
-    }
-
-    /// Rebuilds epoch 0 from a recovered store's delta stream instead of
-    /// extract rows: starts from an RCC-less dataset over `avails` and
-    /// replays `deltas` (the store's live rows as [`RccDelta::Insert`]s
-    /// in dataset-canonical order) through the same incremental view
-    /// path ingest uses. Because the deltas arrive in the exact order
-    /// `Dataset::new` sorts to, the arena, the view's aggregates, and the
-    /// merged dataset are all bit-identical to a from-scratch
-    /// [`Self::from_dataset`] over the same rows — the `serve_restart`
-    /// suite holds that equivalence across kill points.
-    pub fn rebuild_from_deltas(avails: Vec<Avail>, deltas: &[RccDelta]) -> Self {
-        let mut snap = TenantSnapshot::from_dataset(Dataset::new(avails, Vec::new()));
-        let mut fresh = Vec::with_capacity(deltas.len());
-        for d in deltas {
-            if let RccDelta::Insert { rcc, .. } = d {
-                fresh.push(rcc.clone());
-            }
-        }
-        let applied = snap.engine.apply_deltas(deltas);
-        debug_assert_eq!(applied.len(), deltas.len(), "rebuild inserts always apply");
-        snap.next_rcc = next_rcc_after(&fresh);
-        snap.dataset = Arc::new(snap.dataset.with_rccs_merged(fresh));
-        snap
     }
 
     /// The RCC id the next ingested row will receive (`u32::MAX` once
@@ -221,11 +197,6 @@ impl TenantSnapshot {
     }
 }
 
-/// One past the largest RCC id in `rows` (0 when there are none).
-fn next_rcc_after<'a>(rows: impl IntoIterator<Item = &'a Rcc>) -> u64 {
-    rows.into_iter().map(|r| u64::from(r.id.0) + 1).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,45 +333,6 @@ mod tests {
         assert_eq!(err.kind(), "config");
         assert_eq!(s.engine.arena().len(), rows_before, "refused batch must not apply rows");
         assert_eq!(s.dataset.rccs().len(), rccs_before);
-    }
-
-    #[test]
-    fn rebuild_from_deltas_is_bit_identical_to_from_dataset() {
-        let ds = generate(&GeneratorConfig { n_avails: 6, target_rccs: 400, scale: 1, seed: 9 });
-        let scratch = TenantSnapshot::from_dataset(ds.clone());
-        // The store emits live rows sorted by (avail, created, id) — the
-        // dataset's own order, which sorted rccs() already is.
-        let deltas: Vec<RccDelta> = ds
-            .rccs()
-            .iter()
-            .map(|r| RccDelta::Insert {
-                rcc: r.clone(),
-                avail: ds.avail(r.avail).unwrap().clone(),
-            })
-            .collect();
-        let rebuilt = TenantSnapshot::rebuild_from_deltas(ds.avails().to_vec(), &deltas);
-        assert_eq!(rebuilt.next_rcc(), scratch.next_rcc());
-        assert_eq!(rebuilt.dataset.rccs().len(), scratch.dataset.rccs().len());
-        for (x, y) in rebuilt.dataset.rccs().iter().zip(scratch.dataset.rccs()) {
-            assert_eq!(x.id, y.id, "dataset orders must coincide");
-            assert_eq!(x.amount.to_bits(), y.amount.to_bits());
-        }
-        assert_eq!(rebuilt.engine.arena().len(), scratch.engine.arena().len());
-        for row in 0..rebuilt.engine.arena().len() as RowId {
-            let (a, b) = (rebuilt.engine.arena().logical(row), scratch.engine.arena().logical(row));
-            assert_eq!(a.id, b.id, "arena orders must coincide");
-            assert_eq!(a.start.to_bits(), b.start.to_bits());
-            assert_eq!(a.end.to_bits(), b.end.to_bits());
-        }
-        for status in [RccStatus::Active, RccStatus::Settled, RccStatus::Created] {
-            for t in [0.0, 25.0, 60.0, 110.0] {
-                let q = StatusQuery { rcc_type: None, swlin_prefix: None, status, t_star: t };
-                let (x, y) = (rebuilt.engine.aggregate(&q), scratch.engine.aggregate(&q));
-                assert_eq!(x.count, y.count);
-                assert_eq!(x.sum_amount.to_bits(), y.sum_amount.to_bits());
-                assert_eq!(x.sum_duration.to_bits(), y.sum_duration.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! * **Acked ⇒ visible** — an ingest answered `Reply::Ingested` under
 //!   fsync-on-ack ([`ServeConfig::sync_each_ingest`]) survives a kill at
 //!   *any* later WAL byte offset: after restart the row is served again.
-//! * **Rebuild is bit-identical** — the snapshot rebuilt from the
-//!   recovered store's delta stream equals a from-scratch
-//!   [`TenantSnapshot::from_dataset`] over the same rows: dataset order,
+//! * **A restart serves what the acking epoch served** — a restart that
+//!   recovered `k` acked rows is checked against the live epoch pinned
+//!   right after the `k`-th ack: the dataset row by row and field by
+//!   field (amount bits included), every RCC's arena columns, the count
+//!   of every probe query, and `next_rcc`. Sums are not compared with the
+//!   live epoch: it added the ingested amounts in arrival order, a
+//!   restart adds them in table order, so their last bits may differ.
+//! * **Rebuild is bit-identical to a from-scratch build** over the
+//!   recovered rows ([`TenantSnapshot::from_dataset`]): dataset order,
 //!   arena logical positions, and engine aggregates compare equal down
 //!   to the `f64` bit patterns.
 //! * **Damage degrades to a prefix, never to garbage** — a bit-flipped
-//!   or torn WAL recovers the longest valid prefix and the rebuilt
-//!   snapshot still bit-matches a from-scratch build over that prefix.
+//!   or torn WAL recovers the longest valid prefix, and the restart
+//!   matches the epoch that acked that prefix.
 //! * **Pre-v2 stores still recover unmigrated** — projection-only rows
 //!   resolve against the extracts when they provably match, and refuse
 //!   with a `migrate-store`-naming error when they do not.
@@ -24,15 +30,16 @@
 //! truncated / damaged at a chosen byte — exactly the on-disk states a
 //! `kill -9` mid-append can leave behind.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::rcc::{RccStatus, RccType, Swlin};
-use domd_data::{corrupt_bytes, generate, Dataset, GeneratorConfig};
+use domd_data::{corrupt_bytes, generate, AvailId, Dataset, Date, GeneratorConfig};
 use domd_features::FeatureEngine;
 use domd_index::{
-    project_dataset, DurableIndex, FlatAvlIndex, RowId, StatusQuery,
+    project_dataset, DurableIndex, FlatAvlIndex, Pinned, RccArena, RowId, StatusQuery,
 };
 use domd_serve::{
     rebuild_tenant, Op, Reply, ServeConfig, ServeCore, SharedModel, TenantSnapshot,
@@ -95,15 +102,23 @@ fn ingest_op(ds: &Dataset, salt: u32) -> Op {
     )
 }
 
-/// Runs `n` ingests, panicking unless every one is acked.
-fn ack_ingests(core: &ServeCore, ds: &Dataset, n: u32, salt: u32) {
-    for i in 0..n {
-        let req = core.stamp(u64::from(i), 0, ingest_op(ds, salt + i));
-        match core.serve_one(req).outcome {
-            Ok(Reply::Ingested { .. }) => {}
-            other => panic!("ingest {i} not acked: {other:?}"),
-        }
-    }
+/// Tenant 0's current epoch.
+fn pin_tenant(core: &ServeCore) -> Pinned<TenantSnapshot> {
+    core.tenant_store(0).expect("tenant 0").pin()
+}
+
+/// Runs `n` ingests, panicking unless every one is acked, and returns the
+/// epoch pinned right after each ack.
+fn ack_ingests(core: &ServeCore, ds: &Dataset, n: u32, salt: u32) -> Vec<Pinned<TenantSnapshot>> {
+    (0..n)
+        .map(|i| {
+            let req = core.stamp(u64::from(i), 0, ingest_op(ds, salt + i));
+            match core.serve_one(req).outcome {
+                Ok(Reply::Ingested { .. }) => pin_tenant(core),
+                other => panic!("ingest {i} not acked: {other:?}"),
+            }
+        })
+        .collect()
 }
 
 /// Copies a (flat) store directory — the restart starts from this copy,
@@ -121,8 +136,9 @@ fn copy_store(src: &Path, dst: &Path) {
 
 /// From-scratch reference snapshot over exactly the recovered store's
 /// rows: every live row must carry its full payload (the store alone
-/// suffices), and `Dataset::new` re-sorts them the same way the rebuild
-/// path's delta stream is ordered.
+/// suffices). This is the same `from_dataset(Dataset::new(..))` build a
+/// restart runs, so [`assert_matches_acking_epoch`] is the check that
+/// reaches past it, to the live path.
 fn reference_for(ds: &Dataset, index: &DurableIndex<FlatAvlIndex>) -> TenantSnapshot {
     let rccs = index
         .entries_full()
@@ -164,10 +180,79 @@ fn assert_bit_identical(rebuilt: &TenantSnapshot, reference: &TenantSnapshot, ct
     }
 }
 
+/// Every probe query: each status, unfiltered and per group (each RCC
+/// type, the SWLIN node the ingested rows fall in and one they do not),
+/// at four values of `t*`.
+fn probe_queries() -> Vec<StatusQuery> {
+    let statuses =
+        [RccStatus::Active, RccStatus::Settled, RccStatus::Created, RccStatus::NotCreated];
+    let groups = [(None, None), (None, Some((0, 1))), (None, Some((4, 1)))]
+        .into_iter()
+        .chain(RccType::ALL.into_iter().map(|t| (Some(t), None)));
+    let mut queries = Vec::new();
+    for (rcc_type, swlin_prefix) in groups {
+        for status in statuses {
+            for t_star in [0.0, 25.0, 60.0, 110.0] {
+                queries.push(StatusQuery { rcc_type, swlin_prefix, status, t_star });
+            }
+        }
+    }
+    queries
+}
+
+/// One RCC's arena columns, floats as bits.
+type ArenaColumns = (u64, u64, u64, RccType, Swlin, Date, Date, AvailId);
+
+/// Each RCC id's arena columns: the two arenas order their rows
+/// differently (ingest appends, a restart fills in table order).
+fn arena_by_rcc(arena: &RccArena) -> BTreeMap<u32, ArenaColumns> {
+    (0..arena.len() as RowId)
+        .map(|r| {
+            let columns = (
+                arena.start(r).to_bits(),
+                arena.end(r).to_bits(),
+                arena.amount(r).to_bits(),
+                arena.rcc_type(r),
+                arena.swlin(r),
+                arena.created(r),
+                arena.settled(r),
+                arena.avail(r),
+            );
+            (arena.rcc_id(r), columns)
+        })
+        .collect()
+}
+
+/// A restart against the live epoch that acked the same rows: dataset
+/// rows field by field, every RCC's arena columns, every probe query's
+/// count, and `next_rcc`. Sums are left out (see the module doc).
+fn assert_matches_acking_epoch(rebuilt: &TenantSnapshot, live: &TenantSnapshot, ctx: &str) {
+    assert_eq!(rebuilt.next_rcc(), live.next_rcc(), "{ctx}: next_rcc");
+    let (a, b) = (rebuilt.dataset.rccs(), live.dataset.rccs());
+    assert_eq!(a.len(), b.len(), "{ctx}: dataset rows");
+    for (x, y) in a.iter().zip(b.iter()) {
+        assert_eq!((x.id, x.avail), (y.id, y.avail), "{ctx}: dataset order");
+        assert_eq!((x.rcc_type, x.swlin), (y.rcc_type, y.swlin), "{ctx}: row {:?}", x.id);
+        assert_eq!((x.created, x.settled), (y.created, y.settled), "{ctx}: row {:?}", x.id);
+        assert_eq!(x.amount.to_bits(), y.amount.to_bits(), "{ctx}: row {:?} amount", x.id);
+    }
+    let (ra, la) = (rebuilt.engine.arena(), live.engine.arena());
+    assert_eq!(ra.len(), la.len(), "{ctx}: arena rows");
+    let (rebuilt_cols, live_cols) = (arena_by_rcc(ra), arena_by_rcc(la));
+    assert_eq!(rebuilt_cols.len(), ra.len(), "{ctx}: RCC ids are unique");
+    assert_eq!(rebuilt_cols, live_cols, "{ctx}: arena columns per RCC id");
+    for q in probe_queries() {
+        let (x, y) = (rebuilt.engine.aggregate(&q), live.engine.aggregate(&q));
+        assert_eq!(x.count, y.count, "{ctx}: count of {q:?}");
+    }
+}
+
 /// One acked durable session: initializes a full-payload store, acks
 /// `ingests` rows under fsync-on-ack, and "dies" (no clean-shutdown
-/// sync). Returns the extract row count.
-fn acked_session(ds: &Dataset, dir: &Path, ingests: u32) -> usize {
+/// sync). Returns the extract row count and the epochs the session
+/// served: entry `k` is the one pinned after the `k`-th ack (entry 0,
+/// before any).
+fn acked_session(ds: &Dataset, dir: &Path, ingests: u32) -> (usize, Vec<Pinned<TenantSnapshot>>) {
     let projected = project_dataset(ds);
     let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
         dir,
@@ -175,21 +260,22 @@ fn acked_session(ds: &Dataset, dir: &Path, ingests: u32) -> usize {
     )
     .expect("create full store");
     let core = durable_core(TenantSnapshot::from_dataset(ds.clone()), index);
-    ack_ingests(&core, ds, ingests, 0);
-    projected.len()
+    let mut epochs = vec![pin_tenant(&core)];
+    epochs.extend(ack_ingests(&core, ds, ingests, 0));
+    (projected.len(), epochs)
 }
 
 /// The tentpole sweep: kill the process at **every WAL byte offset** of
-/// an acked session, restart from the store alone, and hold both halves
-/// of the contract — every fully-appended record's row is visible, and
-/// the rebuilt snapshot is bit-identical to a from-scratch build over
-/// the recovered rows.
+/// an acked session, restart from the store alone, and hold the whole
+/// contract — every fully-appended record's row is visible, the restart
+/// matches the epoch that acked those rows, and it is bit-identical to a
+/// from-scratch build over the recovered rows.
 #[test]
 fn kill_at_every_wal_byte_offset_is_survivable() {
     let ds = base_dataset();
     let dir = scratch("sweep");
     const INGESTS: u32 = 6;
-    let n = acked_session(&ds, &dir, INGESTS);
+    let (n, epochs) = acked_session(&ds, &dir, INGESTS);
 
     let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
     assert_eq!(wal.len(), INGESTS as usize * RECORD_LEN_V2, "all acked records are v2");
@@ -225,7 +311,9 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
                 "kill at byte {cut}: acked row salt={salt} missing after restart"
             );
         }
-        assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &format!("cut={cut}"));
+        let ctx = format!("cut={cut}");
+        assert_matches_acking_epoch(&rebuilt, &epochs[survived], &ctx);
+        assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &ctx);
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&kill);
@@ -233,14 +321,14 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
 
 /// Seeded damage storm: a bit-flipped / torn / duplicated WAL tail
 /// (every `corrupt_bytes` fault class) recovers to a *prefix* of the
-/// acked rows — contiguous ids, no holes — and the rebuilt snapshot
-/// still bit-matches a from-scratch build over what survived.
+/// acked rows — contiguous ids, no holes — and the restart matches the
+/// epoch that acked that prefix and a from-scratch build over it.
 #[test]
 fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
     let ds = base_dataset();
     let dir = scratch("storm");
     const INGESTS: u32 = 6;
-    let n = acked_session(&ds, &dir, INGESTS);
+    let (n, epochs) = acked_session(&ds, &dir, INGESTS);
     let good = std::fs::read(dir.join("wal.log")).expect("read wal");
 
     let kill = scratch("storm-kill");
@@ -262,7 +350,9 @@ fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
         assert_eq!(new_ids, expect, "seed {seed}: survivors must be a contiguous prefix");
 
         let (rebuilt, _) = rebuild_tenant(&ds, &index).expect("rebuild from damaged store");
-        assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &format!("seed={seed}"));
+        let ctx = format!("seed={seed}");
+        assert_matches_acking_epoch(&rebuilt, &epochs[survived], &ctx);
+        assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &ctx);
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&kill);
@@ -271,8 +361,9 @@ fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
 /// Restart storm: several serve "processes" in sequence, each acking a
 /// few ingests under fsync-on-ack and then dying with a torn in-flight
 /// append on the WAL tail. Every restart rebuilds from the store alone,
-/// serves every previously acked row, and continues ingesting — the
-/// lifecycle `domd serve --store` runs in production.
+/// matches the epoch that acked the previous session's last row, and
+/// continues ingesting — the lifecycle `domd serve --store` runs in
+/// production.
 #[test]
 fn restart_storm_keeps_every_acked_row_across_sessions() {
     let ds = base_dataset();
@@ -283,6 +374,7 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
     const PER_SESSION: u32 = 3;
 
     let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+    let mut last_acked: Option<Pinned<TenantSnapshot>> = None;
     for session in 0..SESSIONS {
         let (snapshot, index) = if session == 0 {
             let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
@@ -298,15 +390,14 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
             assert_eq!(index.len(), expected, "session {session}: an acked row went missing");
             let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
             assert_eq!(summary.from_store, expected, "store alone carries every session");
-            assert_bit_identical(
-                &rebuilt,
-                &reference_for(&ds, &index),
-                &format!("session={session}"),
-            );
+            let ctx = format!("session={session}");
+            let acked = last_acked.as_ref().expect("an earlier session acked rows");
+            assert_matches_acking_epoch(&rebuilt, acked, &ctx);
+            assert_bit_identical(&rebuilt, &reference_for(&ds, &index), &ctx);
             (rebuilt, index)
         };
         let core = durable_core(snapshot, index);
-        ack_ingests(&core, &ds, PER_SESSION, 100 * session);
+        last_acked = ack_ingests(&core, &ds, PER_SESSION, 100 * session).pop();
         drop(core); // the "kill": no clean-shutdown sync
 
         // A torn in-flight (never-acked) append on the tail: 0..65 junk
@@ -332,6 +423,8 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
             );
         }
     }
+    let acked = last_acked.as_ref().expect("the last session acked rows");
+    assert_matches_acking_epoch(&rebuilt, acked, "final");
     assert_bit_identical(&rebuilt, &reference_for(&ds, &index), "final");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,6 +21,11 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `bytes` to `path` atomically (tempfile + fsync + rename).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+    write_parts_atomic(path, &[bytes])
+}
+
+/// [`write_atomic`] of the concatenation of `parts`, one write per part.
+fn write_parts_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), StorageError> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
     let tmp = dir.join(format!(
@@ -31,7 +36,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let ctx = |what: &str| format!("{what} {}", tmp.display());
     let result = (|| {
         let mut f = fs::File::create(&tmp).map_err(|e| StorageError::io(ctx("creating"), e))?;
-        f.write_all(bytes).map_err(|e| StorageError::io(ctx("writing"), e))?;
+        for part in parts {
+            f.write_all(part).map_err(|e| StorageError::io(ctx("writing"), e))?;
+        }
         f.sync_all().map_err(|e| StorageError::io(ctx("syncing"), e))?;
         fs::rename(&tmp, path)
             .map_err(|e| StorageError::io(format!("renaming over {}", path.display()), e))?;
@@ -49,9 +56,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     result
 }
 
-/// Frames `payload` (length + CRC header) and writes it atomically.
+/// Frames `payload` (length + CRC header) and writes it atomically,
+/// without copying the payload into a framed buffer.
 pub fn write_framed_atomic(path: &Path, payload: &[u8]) -> Result<(), StorageError> {
-    write_atomic(path, &frame::encode(payload))
+    write_parts_atomic(path, &[&frame::header(payload), payload])
 }
 
 /// Reads `path` and verifies its frame, returning the payload.

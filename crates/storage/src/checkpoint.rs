@@ -82,31 +82,38 @@ pub struct CheckpointEntry {
     pub full: Option<FullRcc>,
 }
 
-/// A full checkpoint: every live entry at `epoch`.
+/// A decoded checkpoint: every live entry at `epoch`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Payload layout version the bytes carried (decode) or will carry
-    /// (encode always writes [`CHECKPOINT_VERSION`]).
+    /// Payload layout version the bytes carried.
     pub version: u32,
     /// Index epoch the entries reflect.
     pub epoch: u64,
-    /// Live entries, sorted ascending by id (the encoder enforces this).
+    /// Live entries, ascending by id (the decoder enforces this).
     pub entries: Vec<CheckpointEntry>,
 }
 
 impl Checkpoint {
-    /// Serializes to the version-2 payload layout (entries sorted by id
-    /// and absent full fields zero-filled, so equal states produce
-    /// identical bytes).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut entries = self.entries.clone();
-        entries.sort_unstable_by_key(|e| e.id);
+    /// Serializes `entries` at `epoch` to the version-2 payload layout
+    /// (absent full fields zero-filled, so equal states produce identical
+    /// bytes). An id that does not ascend is [`StorageError::Malformed`].
+    pub fn encode(
+        epoch: u64,
+        entries: impl ExactSizeIterator<Item = CheckpointEntry>,
+        path: &str,
+    ) -> Result<Vec<u8>, StorageError> {
         let mut out = Vec::with_capacity(36 + entries.len() * ENTRY_LEN_V2);
         out.extend_from_slice(&CHECKPOINT_TAG);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
+        out.extend_from_slice(&epoch.to_le_bytes());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for e in &entries {
+        let mut prev_id: Option<u32> = None;
+        for e in entries {
+            if let Some(p) = prev_id.filter(|&p| e.id <= p) {
+                let message = format!("entry ids must ascend: expected > {p}, found {}", e.id);
+                return Err(StorageError::malformed(path, out.len() as u64, message));
+            }
+            prev_id = Some(e.id);
             out.extend_from_slice(&e.id.to_le_bytes());
             out.extend_from_slice(&e.avail.to_le_bytes());
             out.extend_from_slice(&e.start.to_bits().to_le_bytes());
@@ -122,7 +129,7 @@ impl Checkpoint {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Parses a payload; `path` names the file in errors. Never panics on
@@ -298,12 +305,18 @@ impl Store {
         Ok(files)
     }
 
-    /// Writes `checkpoint` atomically and prunes generations beyond
-    /// [`KEPT_GENERATIONS`] — intact and quarantined alike, so forensic
-    /// `.damaged` copies stay bounded too. Returns the new file's path.
-    pub fn write_checkpoint(&self, checkpoint: &Checkpoint) -> Result<PathBuf, StorageError> {
-        let path = self.checkpoint_path(checkpoint.epoch);
-        write_framed_atomic(&path, &checkpoint.encode())?;
+    /// Writes the checkpoint of `entries` (ascending by id, else refused
+    /// before any write) at `epoch` atomically and prunes generations
+    /// beyond [`KEPT_GENERATIONS`] — intact and quarantined alike, so
+    /// forensic `.damaged` copies stay bounded too. Returns its path.
+    pub fn write_checkpoint(
+        &self,
+        epoch: u64,
+        entries: impl ExactSizeIterator<Item = CheckpointEntry>,
+    ) -> Result<PathBuf, StorageError> {
+        let path = self.checkpoint_path(epoch);
+        let payload = Checkpoint::encode(epoch, entries, &path.display().to_string())?;
+        write_framed_atomic(&path, &payload)?;
         for old in self.checkpoint_files()?.into_iter().skip(KEPT_GENERATIONS) {
             let _ = std::fs::remove_file(old);
         }
@@ -409,16 +422,18 @@ mod tests {
             .collect()
     }
 
-    fn ckpt(epoch: u64, entries: Vec<CheckpointEntry>) -> Checkpoint {
-        Checkpoint { version: CHECKPOINT_VERSION, epoch, entries }
+    fn encode(epoch: u64, entries: Vec<CheckpointEntry>) -> Vec<u8> {
+        Checkpoint::encode(epoch, entries.into_iter(), "t").unwrap()
     }
 
     #[test]
     fn payload_roundtrip() {
-        let c = ckpt(17, entries(40));
-        let payload = c.encode();
+        let payload = encode(17, entries(40));
         let back = Checkpoint::decode(&payload, "test").unwrap();
-        assert_eq!(back, c);
+        assert_eq!(
+            back,
+            Checkpoint { version: CHECKPOINT_VERSION, epoch: 17, entries: entries(40) }
+        );
         let full = back.entries[0].full.expect("even rows carry full fields");
         assert_eq!(full.amount.to_bits(), 0.0f64.to_bits());
         assert!(back.entries[1].full.is_none(), "odd rows stay projection-only");
@@ -452,8 +467,73 @@ mod tests {
     }
 
     #[test]
+    fn write_checkpoint_writes_the_documented_v2_frame() {
+        // Hand-build a framed v2 checkpoint field by field, from the
+        // layouts in this module's and frame.rs's docs.
+        let rows = entries(5);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(b"domd-checkpoint\0");
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&23u64.to_le_bytes());
+        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        for e in &rows {
+            payload.extend_from_slice(&e.id.to_le_bytes());
+            payload.extend_from_slice(&e.avail.to_le_bytes());
+            payload.extend_from_slice(&e.start.to_bits().to_le_bytes());
+            payload.extend_from_slice(&e.end.to_bits().to_le_bytes());
+            match &e.full {
+                Some(f) => {
+                    payload.push(1);
+                    payload.extend_from_slice(&f.rcc_id.to_le_bytes());
+                    payload.push(f.rcc_type);
+                    payload.extend_from_slice(&f.swlin.to_le_bytes());
+                    payload.extend_from_slice(&f.created.to_le_bytes());
+                    payload.extend_from_slice(&f.settled.to_le_bytes());
+                    payload.extend_from_slice(&f.amount.to_bits().to_le_bytes());
+                }
+                None => payload.extend_from_slice(&[0u8; 26]),
+            }
+        }
+        let mut want = Vec::new();
+        want.extend_from_slice(b"DOMDFRM\0");
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        want.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(want.len(), 24 + 36 + 5 * 50);
+
+        let dir = test_dir("golden");
+        let store = Store::open(&dir).unwrap();
+        let path = store.write_checkpoint(23, rows.into_iter()).unwrap();
+        assert_eq!(path, store.checkpoint_path(23));
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_ascending_entries_are_refused_before_any_write() {
+        let dir = test_dir("non-ascending");
+        let store = Store::open(&dir).unwrap();
+        let mut swapped = entries(6);
+        swapped.swap(2, 3);
+        let mut repeated = entries(4);
+        repeated[3].id = 2;
+        for (epoch, rows) in [(4u64, swapped), (5, repeated)] {
+            match store.write_checkpoint(epoch, rows.into_iter()) {
+                Err(e @ StorageError::Malformed { .. }) => {
+                    assert!(e.to_string().contains("must ascend"), "{e}")
+                }
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "a refused checkpoint leaves no file behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bad_presence_byte_and_out_of_domain_full_fields_are_typed_errors() {
-        let payload = ckpt(5, entries(3)).encode();
+        let payload = encode(5, entries(3));
         let mut bad = payload.clone();
         bad[36 + ENTRY_LEN] = 9; // first entry's presence byte
         match Checkpoint::decode(&bad, "t") {
@@ -470,7 +550,7 @@ mod tests {
 
     #[test]
     fn truncated_or_flipped_payloads_are_typed_errors() {
-        let payload = ckpt(3, entries(10)).encode();
+        let payload = encode(3, entries(10));
         for cut in 0..payload.len() {
             match Checkpoint::decode(&payload[..cut], "t") {
                 Err(StorageError::Malformed { .. }) => {}
@@ -490,7 +570,7 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert!(!store.is_initialized().unwrap());
         for epoch in [1u64, 5, 9] {
-            store.write_checkpoint(&ckpt(epoch, entries(4))).unwrap();
+            store.write_checkpoint(epoch, entries(4).into_iter()).unwrap();
         }
         assert!(store.is_initialized().unwrap());
         assert!(!store.checkpoint_path(1).exists(), "oldest generation must be pruned");
@@ -506,8 +586,8 @@ mod tests {
     fn recovery_falls_back_to_previous_generation() {
         let dir = test_dir("store-fallback");
         let store = Store::open(&dir).unwrap();
-        store.write_checkpoint(&ckpt(2, entries(6))).unwrap();
-        store.write_checkpoint(&ckpt(8, entries(9))).unwrap();
+        store.write_checkpoint(2, entries(6).into_iter()).unwrap();
+        store.write_checkpoint(8, entries(9).into_iter()).unwrap();
         // Tear the newest generation mid-file.
         let newest = store.checkpoint_path(8);
         let bytes = std::fs::read(&newest).unwrap();
@@ -538,8 +618,8 @@ mod tests {
     fn quarantined_generation_does_not_consume_a_kept_slot() {
         let dir = test_dir("store-quarantine-slot");
         let store = Store::open(&dir).unwrap();
-        store.write_checkpoint(&ckpt(3, entries(5))).unwrap();
-        store.write_checkpoint(&ckpt(7, entries(8))).unwrap();
+        store.write_checkpoint(3, entries(5).into_iter()).unwrap();
+        store.write_checkpoint(7, entries(8).into_iter()).unwrap();
         // Damage the newest generation and recover: it gets quarantined.
         let newest = store.checkpoint_path(7);
         let bytes = std::fs::read(&newest).unwrap();
@@ -548,7 +628,7 @@ mod tests {
         // The next checkpoint write must keep the good epoch-3 generation
         // (before quarantine, the damaged epoch-7 file counted toward
         // KEPT_GENERATIONS and the good generation was pruned instead).
-        store.write_checkpoint(&ckpt(12, entries(9))).unwrap();
+        store.write_checkpoint(12, entries(9).into_iter()).unwrap();
         assert!(store.checkpoint_path(3).exists(), "good generation was pruned");
         assert!(store.checkpoint_path(12).exists());
         let r = store.newest_intact_checkpoint().unwrap();

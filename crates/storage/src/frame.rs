@@ -103,15 +103,19 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// The header that precedes `payload` in its frame; the only header writer.
+pub fn header(payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..8].copy_from_slice(&MAGIC);
+    h[8..12].copy_from_slice(&FRAME_VERSION.to_le_bytes());
+    h[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h[20..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
 /// Wraps `payload` in the checksummed frame.
 pub fn encode(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&header(payload)[..], payload].concat()
 }
 
 /// Verifies the frame around `bytes` and returns the payload slice.

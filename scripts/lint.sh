@@ -36,7 +36,9 @@
 # kill–restart chaos suite (every WAL byte offset), the v1→v2 migration
 # suite, and an end-to-end smoke that `kill -9`s a durable server right
 # after an ack and requires the restarted server to rebuild the acked
-# row from the store alone (plus a `domd migrate-store` run-through).
+# row from the store alone, report that the store has outgrown the
+# extracts, and refuse that store under `--verify-extracts true` (plus a
+# `domd migrate-store` run-through).
 # The benchmark gate builds and self-tests `perfbench/` (a workspace of
 # its own that links the library crates by path), so deleting or
 # renaming a public item the benchmark uses fails here, not in a later
@@ -218,6 +220,21 @@ printf 'quit\n' | target/release/domd serve --data-dir "$SERVE_DIR" \
 grep -q "rebuilt $((BASE_ROWS + 1)) row(s) from the store" "$SERVE_DIR/restart2.err" || {
   echo "restart gate: acked row lost after kill -9 (expected $((BASE_ROWS + 1)) rows)" >&2
   cat "$SERVE_DIR/restart2.err" >&2; exit 1; }
+# The acked row is one the extracts lack: a default start serves the
+# store and says so, and `--verify-extracts true` refuses it (exit 2).
+grep -q 'cross-check: store has diverged' "$SERVE_DIR/restart2.err" || {
+  echo "restart gate: the default start did not report the diverged store" >&2
+  cat "$SERVE_DIR/restart2.err" >&2; exit 1; }
+VERIFY_STATUS=0
+printf 'quit\n' | target/release/domd serve --data-dir "$SERVE_DIR" \
+  --model "$SERVE_DIR/model.domd" --store "$STORE_DIR" --verify-extracts true \
+  > /dev/null 2> "$SERVE_DIR/verify.err" || VERIFY_STATUS=$?
+if [ "$VERIFY_STATUS" -ne 2 ] ||
+  ! grep -q "diverges from the extracts' projection" "$SERVE_DIR/verify.err"; then
+  echo "restart gate: --verify-extracts true did not refuse the diverged store" \
+    "with exit 2 (exit $VERIFY_STATUS)" >&2
+  cat "$SERVE_DIR/verify.err" >&2; exit 1
+fi
 # Migration run-through: idempotent on an already-v2 store, and the
 # recover report must show the versioned record counts.
 target/release/domd migrate-store --store "$STORE_DIR" --data-dir "$SERVE_DIR" \

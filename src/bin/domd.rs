@@ -470,10 +470,11 @@ fn cmd_checkpoint(args: &Args) -> Result<(), DomdError> {
 /// later one — then serves the newline protocol from stdin (or
 /// `--script FILE`) until EOF or a `quit` line — the clean-shutdown path.
 ///
-/// A recovered sub-store is the system of record: its rows are replayed
-/// into the serving snapshot as a delta stream (bit-identical to a
-/// from-scratch build), so rows the extracts have never seen — every
-/// previously acked ingest — are served again after a restart.
+/// A recovered sub-store is the system of record: the serving snapshot
+/// is built from its rows in bulk, so rows the extracts have never seen
+/// — every previously acked ingest — are served again after a restart,
+/// from the acking epoch's dataset bit for bit (status sums may differ
+/// in their last bits: a restart adds in table order, not arrival order).
 /// Projection-only rows from a pre-v2 store are resolved against the
 /// extracts when they provably match; anything else is a typed refusal
 /// naming `domd migrate-store` as the repair. With `--store`, ingests
@@ -563,8 +564,8 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 announce_recovery(&mut std::io::stderr().lock(), &report);
                 // The store is the system of record: rebuild this
                 // tenant's snapshot from its recovered rows, so every
-                // durably acked ingest is served again — bit-identically
-                // to the epoch that first served it.
+                // durably acked ingest is served again, from the dataset
+                // that acked it (sums may differ in their last bits).
                 let (snap, summary) = rebuild_tenant(&ds, &index)?;
                 eprintln!(
                     "serve: tenant {t}: rebuilt {} row(s) from the store ({} full-payload, \
