@@ -6,10 +6,9 @@
 //! trees. Against the boosted ensemble this isolates what boosting itself
 //! contributes beyond tree bagging on this data.
 
-use crate::flat::{Combine, FlatForest, TrainingBins, MAX_TRAIN_BINS};
-use crate::gbt::HIST_MIN_ROWS;
+use crate::flat::{Combine, FlatForest};
 use crate::matrix::DenseMatrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, SplitTables, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,9 +67,12 @@ fn mix_seed(seed: u64, tree: u64) -> u64 {
 
 impl ForestModel {
     /// Fits the forest on `x` against targets `y` with the process-wide
-    /// worker cap ([`domd_runtime::threads`]). Trees are independent given
-    /// their per-tree RNG stream, so pooled fitting is bit-identical to
-    /// sequential for every thread count.
+    /// worker cap ([`domd_runtime::threads`]). The split-search tables
+    /// (column ranks below `HIST_MIN_ROWS` rows, bins from it on) are built
+    /// once and shared by every tree; each tree orders its bootstrap rows
+    /// from the ranks. Trees are independent given their per-tree RNG
+    /// stream, so pooled fitting is bit-identical to sequential for every
+    /// thread count.
     pub fn fit(x: &DenseMatrix, y: &[f64], params: &ForestParams) -> Self {
         ForestModel::fit_threaded(x, y, params, domd_runtime::threads())
     }
@@ -97,13 +99,9 @@ impl ForestModel {
         let n_sample = ((n as f64 * params.sample_fraction).round() as usize).clamp(1, n);
         let n_feats = ((p as f64 * params.max_features).round() as usize).clamp(1, p);
 
-        // Past the histogram threshold, one shared binning pass replaces
-        // the per-node sorts in every tree (same guard as the GBT).
-        let bins = if n >= HIST_MIN_ROWS {
-            Some(TrainingBins::build(x, MAX_TRAIN_BINS, threads))
-        } else {
-            None
-        };
+        // One ranking pass (exact search) or binning pass (histogram
+        // search, same HIST_MIN_ROWS guard as the GBT) serves every tree.
+        let tables = SplitTables::build(x, threads);
 
         // Each tree draws from its own seeded stream (rather than one RNG
         // threaded through the loop), making trees independent work items:
@@ -121,12 +119,7 @@ impl ForestModel {
             }
             let mut feats: Vec<usize> = feat_pool[..n_feats].to_vec();
             feats.sort_unstable();
-            match &bins {
-                Some(b) => {
-                    RegressionTree::fit_binned(x, &grad, &hess, &rows, &feats, tree_params, 1, b)
-                }
-                None => RegressionTree::fit(x, &grad, &hess, &rows, &feats, tree_params),
-            }
+            RegressionTree::fit_with(x, &grad, &hess, &rows, &feats, tree_params, 1, &tables)
         });
         // Gains merge in tree order, so the sum sees one float sequence.
         let mut gains = vec![0.0; p];

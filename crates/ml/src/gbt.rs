@@ -12,13 +12,16 @@
 //! (see [`crate::flat`]) that `predict`/`predict_row` route through; the
 //! pointer walker survives as [`GbtModel::predict_pointer`] /
 //! [`GbtModel::predict_row_pointer`], the reference arm of the
-//! bit-identity gates. Past [`HIST_MIN_ROWS`] training rows, split
-//! finding switches to the histogram search over pre-binned columns.
+//! bit-identity gates. Below [`HIST_MIN_ROWS`] training rows, split
+//! finding is exact greedy over orders sorted once per fit (every column
+//! ranked once, every tree's root ordered once per offered feature, nodes
+//! partition those orders); from it on, the histogram search over
+//! pre-binned columns takes over.
 
-use crate::flat::{Combine, FlatForest, TrainingBins, MAX_TRAIN_BINS};
+use crate::flat::{Combine, FlatForest};
 use crate::loss::Loss;
 use crate::matrix::DenseMatrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, SplitTables, TreeParams};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -92,6 +95,8 @@ pub const HIST_MIN_ROWS: usize = 4096;
 impl GbtModel {
     /// Fits the ensemble on `x` (rows = instances) against targets `y`,
     /// using the process-wide worker cap ([`domd_runtime::threads`]).
+    /// The split-search tables (column ranks for the exact search, bins
+    /// for the histogram one) are built once and shared by every round.
     /// Boosting rounds are inherently sequential; parallelism lives inside
     /// each round (split search, prediction refresh) and is bit-identical
     /// to `threads = 1`.
@@ -135,12 +140,9 @@ impl GbtModel {
         let mut gains = vec![0.0; p];
         let mut row_pool = all_rows.clone();
         let mut col_pool = all_cols.clone();
-        // One binning pass serves every round and node of a large fit.
-        let bins = if n >= HIST_MIN_ROWS {
-            Some(TrainingBins::build(x, MAX_TRAIN_BINS, threads))
-        } else {
-            None
-        };
+        // One ranking pass (exact search) or binning pass (histogram
+        // search, from HIST_MIN_ROWS rows) serves every round and node.
+        let tables = SplitTables::build(x, threads);
 
         for _ in 0..params.n_estimators {
             for i in 0..n {
@@ -161,14 +163,8 @@ impl GbtModel {
             } else {
                 &all_cols
             };
-            let tree = match &bins {
-                Some(b) => {
-                    RegressionTree::fit_binned(x, &grad, &hess, rows, cols, tree_params, threads, b)
-                }
-                None => {
-                    RegressionTree::fit_threaded(x, &grad, &hess, rows, cols, tree_params, threads)
-                }
-            };
+            let tree =
+                RegressionTree::fit_with(x, &grad, &hess, rows, cols, tree_params, threads, &tables);
             // Refresh predictions through the branchless kernel: compile
             // the one new tree and read its raw leaf values directly. The
             // per-row arithmetic (`+= lr * value`) is unchanged from the
@@ -349,6 +345,18 @@ mod tests {
         let e_ph: f64 = clean_rows.iter().map(|&i| (ph.predict_row(x.row(i)) - truth[i]).abs()).sum::<f64>()
             / clean_rows.len() as f64;
         assert!(e_ph < e_l2, "pseudo-huber ({e_ph}) must beat l2 ({e_l2}) under outliers");
+    }
+
+    #[test]
+    fn boosting_separates_infinite_values() {
+        // The boundary (2, +inf) has an infinite midpoint; its split must
+        // still send the finite rows left and the infinite ones right.
+        let x = DenseMatrix::from_rows(vec![0.0, 1.0, 2.0, f64::INFINITY, f64::INFINITY], 5, 1);
+        let y = [0.0, 0.0, 0.0, 50.0, 50.0];
+        let m = GbtModel::fit(&x, &y, &GbtParams { n_estimators: 20, ..Default::default() });
+        let p = m.predict(&x);
+        assert!(p[..3].iter().all(|&v| v < 10.0), "finite rows {p:?}");
+        assert!(p[3..].iter().all(|&v| v > 40.0), "infinite rows {p:?}");
     }
 
     #[test]

@@ -10,14 +10,26 @@
 //!
 //! * **exact greedy** ([`RegressionTree::fit_threaded`]) enumerates every
 //!   boundary between sorted feature values — the paper's ~150-row
-//!   modeling population always takes this path, preserving the seed
-//!   behaviour bit for bit;
+//!   modeling population always takes this path. It sorts once per fit,
+//!   not once per node (XGBoost's column blocks): every column is ranked
+//!   once (`ColumnRanks`, shared by all trees of an ensemble), each
+//!   tree orders its root rows once per offered feature by a stable
+//!   counting sort of those ranks, and a split stable-partitions the
+//!   orders instead of re-sorting them, so every node's segment *is* its
+//!   stable sorted order;
 //! * **histogram** ([`RegressionTree::fit_binned`]) scans the ≤256
-//!   pre-binned value buckets of a [`TrainingBins`](crate::flat::TrainingBins),
-//!   turning the per-node `O(rows · log rows)` sort into an `O(rows)`
-//!   accumulate + `O(bins)` scan. The ensemble trainers switch to it only
-//!   past a row-count guard (see `gbt::HIST_MIN_ROWS`), so small fits are
-//!   untouched.
+//!   pre-binned value buckets of a [`TrainingBins`](crate::flat::TrainingBins):
+//!   an `O(rows)` accumulate + `O(bins)` scan per feature and node, with
+//!   no per-node partition of sorted orders. The ensemble trainers switch
+//!   to it only past a row-count guard (see `gbt::HIST_MIN_ROWS`), so
+//!   small fits are untouched.
+//!
+//! The exact search's sort order puts NaN after every number, whatever its
+//! sign bit, and orders numbers by [`f64::total_cmp`]. A boundary is a
+//! candidate only when its left value is a number and differs (`!=`) from
+//! the next one, and its threshold always separates the two sides (see
+//! `split_threshold`), so a split sends exactly the rows its gain was
+//! computed on to each child.
 
 use crate::flat::TrainingBins;
 use crate::matrix::DenseMatrix;
@@ -63,11 +75,176 @@ struct Builder<'a> {
     params: TreeParams,
     /// Worker cap for the per-feature split search (1 = sequential).
     threads: usize,
-    /// Pre-binned columns for the histogram split search (`None` = exact
-    /// greedy over sorted feature values).
-    bins: Option<&'a TrainingBins>,
+    search: Search<'a>,
+    /// Scratch for the stable partition of a node's rows.
+    row_buf: Vec<usize>,
     nodes: Vec<Node>,
     gains: Vec<f64>,
+}
+
+/// The split search a tree is built with.
+enum Search<'a> {
+    /// Exact greedy over the tree's presorted orders.
+    Exact(Presorted),
+    /// Histogram sweep over pre-binned columns.
+    Hist(&'a TrainingBins),
+}
+
+/// Per-fit split-search tables, built once and shared by every tree of an
+/// ensemble: column ranks for the exact search below
+/// [`HIST_MIN_ROWS`](crate::gbt::HIST_MIN_ROWS) training rows, bins at or
+/// above it.
+pub(crate) enum SplitTables {
+    Exact(ColumnRanks),
+    Hist(TrainingBins),
+}
+
+impl SplitTables {
+    /// The tables for training on `x`, built over at most `threads` pool
+    /// workers (column by column; identical for every thread count).
+    pub(crate) fn build(x: &DenseMatrix, threads: usize) -> Self {
+        if x.n_rows() >= crate::gbt::HIST_MIN_ROWS {
+            SplitTables::Hist(TrainingBins::build(x, crate::flat::MAX_TRAIN_BINS, threads))
+        } else {
+            SplitTables::Exact(ColumnRanks::build(x, threads))
+        }
+    }
+}
+
+/// Dense per-column ranks of a training matrix under the split search's
+/// sort order: values that compare equal share a rank, and ranks ascend
+/// with the order, so a stable counting sort by rank is a stable sort by
+/// value.
+pub(crate) struct ColumnRanks {
+    /// `ranks[f][row]`, each below the row count.
+    ranks: Vec<Vec<u32>>,
+}
+
+impl ColumnRanks {
+    /// Ranks every column of `x`: one sort per column, fanned over at most
+    /// `threads` pool workers.
+    pub(crate) fn build(x: &DenseMatrix, threads: usize) -> Self {
+        assert!(u32::try_from(x.n_rows()).is_ok(), "row ids must fit u32");
+        let cols: Vec<usize> = (0..x.n_cols()).collect();
+        ColumnRanks {
+            ranks: domd_runtime::par_map(threads.max(1), &cols, |_, &f| rank_column(x, f)),
+        }
+    }
+}
+
+/// Sort key of `v`: [`f64::total_cmp`]'s order for numbers, and one key
+/// after every number for every NaN, whatever its sign bit. A split sends
+/// NaN right, so NaN must sort after every boundary's left side.
+fn sort_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Dense ranks of column `f` of `x`.
+fn rank_column(x: &DenseMatrix, f: usize) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> =
+        (0..x.n_rows()).map(|i| (sort_key(x.get(i, f)), i as u32)).collect();
+    keyed.sort_unstable();
+    let mut ranks = vec![0u32; keyed.len()];
+    let mut rank = 0u32;
+    for (j, &(key, row)) in keyed.iter().enumerate() {
+        if j > 0 && key != keyed[j - 1].0 {
+            rank += 1;
+        }
+        ranks[row as usize] = rank;
+    }
+    ranks
+}
+
+/// One tree's sorted orders. A *position* indexes the root's row list.
+/// Segment `i` lists the root's positions in the stable sorted order of
+/// feature `features[i]`, and a node owns `[lo, hi)` of every segment:
+/// splits stable-partition the segments, so that range is always the
+/// node's own stable sorted order.
+struct Presorted {
+    /// Root row count: the length of every segment.
+    m: usize,
+    /// `features.len()` segments of `m` positions.
+    order: Vec<u32>,
+    /// Feature values by position, one `m`-long column per segment.
+    vals: Vec<f64>,
+    /// Gradient and hessian by position.
+    grad: Vec<f64>,
+    hess: Vec<f64>,
+    /// Per position, whether the split being applied sends it left.
+    left: Vec<bool>,
+    /// Scratch for the stable partition of a segment.
+    buf: Vec<u32>,
+}
+
+impl Presorted {
+    /// Orders the root `rows` once per offered feature by a stable counting
+    /// sort of positions by rank: the stable sort of `rows` by value, ties
+    /// in list order, for any `rows` (subsets, shuffles, duplicates).
+    fn new(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        features: &[usize],
+        ranks: &ColumnRanks,
+    ) -> Self {
+        let m = rows.len();
+        assert!(u32::try_from(m).is_ok(), "root positions must fit u32");
+        let mut order = vec![0u32; features.len() * m];
+        let mut vals = Vec::with_capacity(features.len() * m);
+        let mut next: Vec<usize> = Vec::new();
+        for (seg, &f) in order.chunks_exact_mut(m).zip(features) {
+            let rank = &ranks.ranks[f];
+            // next[k] = first slot of rank k: the count of smaller ranks.
+            next.clear();
+            next.resize(x.n_rows() + 1, 0);
+            for &r in rows {
+                next[rank[r] as usize + 1] += 1;
+            }
+            for k in 1..next.len() {
+                next[k] += next[k - 1];
+            }
+            for (p, &r) in rows.iter().enumerate() {
+                let slot = &mut next[rank[r] as usize];
+                seg[*slot] = p as u32;
+                *slot += 1;
+            }
+            vals.extend(rows.iter().map(|&r| x.get(r, f)));
+        }
+        Presorted {
+            m,
+            order,
+            vals,
+            grad: rows.iter().map(|&r| grad[r]).collect(),
+            hess: rows.iter().map(|&r| hess[r]).collect(),
+            left: vec![false; m],
+            buf: Vec::with_capacity(m),
+        }
+    }
+
+    /// Applies the split `feature[slot] <= threshold` to the node `[lo, hi)`
+    /// by stable-partitioning every segment with the predicate that
+    /// partitions the node's rows: each child's range is again its own
+    /// stable sorted order.
+    fn split(&mut self, lo: usize, hi: usize, slot: usize, threshold: f64, n_left: usize) {
+        let base = slot * self.m;
+        let vals = &self.vals[base..base + self.m];
+        for &p in &self.order[base + lo..base + hi] {
+            self.left[p as usize] = vals[p as usize] <= threshold;
+        }
+        for seg in self.order.chunks_exact_mut(self.m) {
+            let k = partition(&mut seg[lo..hi], |&p| self.left[p as usize], &mut self.buf);
+            debug_assert_eq!(k, n_left, "every segment must split like the rows");
+        }
+    }
 }
 
 /// Minimum row count, and minimum `rows × features` work, before the split
@@ -98,7 +275,9 @@ impl RegressionTree {
     /// amortize the fan-out. The chosen split is bit-identical to the
     /// sequential search for every thread count: per-feature scans are
     /// independent and the winning split is reduced in feature order with
-    /// the same strict-improvement tie-break.
+    /// the same strict-improvement tie-break. Ranks the columns of `x`
+    /// itself; the ensemble trainers rank once and share the ranks across
+    /// their trees.
     pub fn fit_threaded(
         x: &DenseMatrix,
         grad: &[f64],
@@ -108,29 +287,14 @@ impl RegressionTree {
         params: TreeParams,
         threads: usize,
     ) -> Self {
-        assert_eq!(grad.len(), x.n_rows());
-        assert_eq!(hess.len(), x.n_rows());
-        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut b = Builder {
-            x,
-            grad,
-            hess,
-            features,
-            params,
-            threads: threads.max(1),
-            bins: None,
-            nodes: Vec::new(),
-            gains: vec![0.0; x.n_cols()],
-        };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0);
-        RegressionTree { nodes: b.nodes, gains: b.gains }
+        let tables = SplitTables::Exact(ColumnRanks::build(x, threads));
+        RegressionTree::fit_with(x, grad, hess, rows, features, params, threads, &tables)
     }
 
     /// As [`RegressionTree::fit_threaded`], but finds splits by sweeping
-    /// the per-feature histograms of `bins` instead of sorting the node's
-    /// rows at every feature: one `O(rows)` accumulation pass plus an
-    /// `O(bins)` boundary scan per feature. Candidate thresholds are the
+    /// the per-feature histograms of `bins` instead of scanning sorted
+    /// orders: one `O(rows)` accumulation pass plus an `O(bins)` boundary
+    /// scan per feature. Candidate thresholds are the
     /// bin cuts, so the fitted tree is a (deterministic) approximation of
     /// the exact-greedy one; predictions of the *same* fitted tree remain
     /// bit-identical across thread counts because per-bin accumulation
@@ -147,24 +311,31 @@ impl RegressionTree {
         threads: usize,
         bins: &TrainingBins,
     ) -> Self {
-        assert_eq!(grad.len(), x.n_rows());
-        assert_eq!(hess.len(), x.n_rows());
+        check_inputs(x, grad, hess, rows);
         assert_eq!(bins.n_rows(), x.n_rows(), "bins must cover the training matrix");
-        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut b = Builder {
-            x,
-            grad,
-            hess,
-            features,
-            params,
-            threads: threads.max(1),
-            bins: Some(bins),
-            nodes: Vec::new(),
-            gains: vec![0.0; x.n_cols()],
+        Builder::run(x, grad, hess, rows, features, params, threads, Search::Hist(bins))
+    }
+
+    /// Fits with the `tables` an ensemble built once for all its trees.
+    #[allow(clippy::too_many_arguments)] // mirrors fit_threaded + the shared tables
+    pub(crate) fn fit_with(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        features: &[usize],
+        params: TreeParams,
+        threads: usize,
+        tables: &SplitTables,
+    ) -> Self {
+        check_inputs(x, grad, hess, rows);
+        let search = match tables {
+            SplitTables::Exact(ranks) => {
+                Search::Exact(Presorted::new(x, grad, hess, rows, features, ranks))
+            }
+            SplitTables::Hist(bins) => Search::Hist(bins),
         };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0);
-        RegressionTree { nodes: b.nodes, gains: b.gains }
+        Builder::run(x, grad, hess, rows, features, params, threads, search)
     }
 
     /// Predicted value for one feature row.
@@ -208,38 +379,100 @@ impl RegressionTree {
     }
 }
 
+/// The preconditions every fit checks before building.
+fn check_inputs(x: &DenseMatrix, grad: &[f64], hess: &[f64], rows: &[usize]) {
+    assert_eq!(grad.len(), x.n_rows());
+    assert_eq!(hess.len(), x.n_rows());
+    assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+}
+
+/// The threshold of the boundary between `v` and the next larger value
+/// `v_next` (`v < v_next`, `v` a number): the midpoint, which generalizes
+/// better than the left value, when it lies in `[v, v_next)`, and `v`
+/// itself when the midpoint does not — it is `+inf` past `f64::MAX` or
+/// when `v_next = +inf`, NaN for `(-inf, +inf)` or a NaN `v_next`, and
+/// rounds up to `v_next` between adjacent floats. Either way
+/// `x <= threshold` holds for exactly the values at or below `v`.
+fn split_threshold(v: f64, v_next: f64) -> f64 {
+    let mid = 0.5 * (v + v_next);
+    if v <= mid && mid < v_next {
+        mid
+    } else {
+        v
+    }
+}
+
 struct BestSplit {
-    feature: usize,
+    /// Index into the tree's offered `features`.
+    slot: usize,
     threshold: f64,
     gain: f64,
 }
 
-impl Builder<'_> {
-    /// Builds the subtree over `rows`, returning its node index.
-    fn build(&mut self, rows: &mut [usize], depth: usize) -> u32 {
+impl<'a> Builder<'a> {
+    /// Builds the whole tree over `rows` with `search`.
+    #[allow(clippy::too_many_arguments)] // the fit arguments + the search
+    fn run(
+        x: &'a DenseMatrix,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        rows: &[usize],
+        features: &'a [usize],
+        params: TreeParams,
+        threads: usize,
+        search: Search<'a>,
+    ) -> RegressionTree {
+        let mut b = Builder {
+            x,
+            grad,
+            hess,
+            features,
+            params,
+            threads: threads.max(1),
+            search,
+            row_buf: Vec::with_capacity(rows.len()),
+            nodes: Vec::new(),
+            gains: vec![0.0; x.n_cols()],
+        };
+        let mut rows = rows.to_vec();
+        b.build(&mut rows, 0, 0);
+        RegressionTree { nodes: b.nodes, gains: b.gains }
+    }
+
+    /// Builds the subtree over `rows`, which sit at `[lo, lo + rows.len())`
+    /// of every presorted segment, returning its node index.
+    fn build(&mut self, rows: &mut [usize], lo: usize, depth: usize) -> u32 {
         let (g_sum, h_sum) = self.sums(rows);
         let leaf_value = -g_sum / (h_sum + self.params.lambda);
 
         if depth >= self.params.max_depth || rows.len() < 2 {
             return self.push(Node::Leaf { value: leaf_value });
         }
-        let Some(best) = self.best_split(rows, g_sum, h_sum) else {
+        let Some(best) = self.best_split(rows, lo, g_sum, h_sum) else {
             return self.push(Node::Leaf { value: leaf_value });
         };
 
-        self.gains[best.feature] += best.gain;
+        let feature = self.features[best.slot];
+        self.gains[feature] += best.gain;
         // Partition rows in place around the threshold.
-        let mid = partition(rows, |&r| self.x.get(r, best.feature) <= best.threshold);
+        let x = self.x;
+        let mid = partition(rows, |&r| x.get(r, feature) <= best.threshold, &mut self.row_buf);
         debug_assert!(mid > 0 && mid < rows.len(), "split must separate rows");
+        // Children at the depth cap are leaves and scan nothing.
+        if depth + 1 < self.params.max_depth {
+            if let Search::Exact(sorted) = &mut self.search {
+                sorted.split(lo, lo + rows.len(), best.slot, best.threshold, mid);
+            }
+        }
         let slot = self.push(Node::Split {
-            feature: best.feature as u32,
+            feature: feature as u32,
             threshold: best.threshold,
             left: 0,
             right: 0,
         });
         let (l_rows, r_rows) = rows.split_at_mut(mid);
-        let left = self.build(l_rows, depth + 1);
-        let right = self.build(r_rows, depth + 1);
+        let left = self.build(l_rows, lo, depth + 1);
+        let right = self.build(r_rows, lo + mid, depth + 1);
         if let Node::Split { left: l, right: r, .. } = &mut self.nodes[slot as usize] {
             *l = left;
             *r = right;
@@ -262,28 +495,20 @@ impl Builder<'_> {
         (g, h)
     }
 
-    fn best_split(&self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+    fn best_split(&self, rows: &[usize], lo: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
         let fan_out = self.threads > 1
             && rows.len() >= PAR_SPLIT_MIN_ROWS
             && rows.len() * self.features.len() >= PAR_SPLIT_MIN_WORK;
-
+        let scan = |slot: usize| match &self.search {
+            Search::Exact(sorted) => {
+                self.scan_sorted(sorted, slot, lo, lo + rows.len(), g_sum, h_sum)
+            }
+            Search::Hist(bins) => self.scan_feature_hist(bins, slot, rows, g_sum, h_sum),
+        };
         let per_feature: Vec<Option<BestSplit>> = if fan_out {
-            domd_runtime::par_map(self.threads, self.features, |_, &f| match self.bins {
-                Some(b) => self.scan_feature_hist(b, f, rows, g_sum, h_sum),
-                None => {
-                    let mut order = Vec::with_capacity(rows.len());
-                    self.scan_feature(f, rows, g_sum, h_sum, &mut order)
-                }
-            })
+            domd_runtime::par_map(self.threads, self.features, |slot, _| scan(slot))
         } else {
-            let mut order: Vec<usize> = Vec::with_capacity(rows.len());
-            self.features
-                .iter()
-                .map(|&f| match self.bins {
-                    Some(b) => self.scan_feature_hist(b, f, rows, g_sum, h_sum),
-                    None => self.scan_feature(f, rows, g_sum, h_sum, &mut order),
-                })
-                .collect()
+            (0..self.features.len()).map(scan).collect()
         };
 
         // Reduce in feature order with the same strict-improvement rule as
@@ -298,33 +523,36 @@ impl Builder<'_> {
         best
     }
 
-    /// Exact greedy scan of a single feature, returning its best admissible
-    /// split. Pure in `(f, rows, g_sum, h_sum)`; `order` is only a reusable
-    /// scratch buffer.
-    fn scan_feature(
+    /// Exact greedy scan of feature `features[slot]` over the node
+    /// `[lo, hi)`, walking its presorted segment, returning the feature's
+    /// best admissible split.
+    fn scan_sorted(
         &self,
-        f: usize,
-        rows: &[usize],
+        sorted: &Presorted,
+        slot: usize,
+        lo: usize,
+        hi: usize,
         g_sum: f64,
         h_sum: f64,
-        order: &mut Vec<usize>,
     ) -> Option<BestSplit> {
         let lambda = self.params.lambda;
         let parent_score = g_sum * g_sum / (h_sum + lambda);
         let mut best: Option<BestSplit> = None;
-
-        order.clear();
-        order.extend_from_slice(rows);
-        order.sort_by(|&a, &b| self.x.get(a, f).total_cmp(&self.x.get(b, f)));
+        let base = slot * sorted.m;
+        let order = &sorted.order[base + lo..base + hi];
+        let vals = &sorted.vals[base..base + sorted.m];
 
         let mut gl = 0.0;
         let mut hl = 0.0;
         for w in 0..order.len() - 1 {
-            let r = order[w];
-            gl += self.grad[r];
-            hl += self.hess[r];
-            let v = self.x.get(r, f);
-            let v_next = self.x.get(order[w + 1], f);
+            let p = order[w] as usize;
+            gl += sorted.grad[p];
+            hl += sorted.hess[p];
+            let v = vals[p];
+            if v.is_nan() {
+                break; // NaN sorts last: no boundary from here on has a number on its left
+            }
+            let v_next = vals[order[w + 1] as usize];
             if v == v_next {
                 continue; // cannot separate equal values
             }
@@ -346,19 +574,13 @@ impl Builder<'_> {
                 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
                 - self.params.gamma;
             if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(BestSplit {
-                    feature: f,
-                    // Midpoint threshold generalizes better than the
-                    // left value itself.
-                    threshold: 0.5 * (v + v_next),
-                    gain,
-                });
+                best = Some(BestSplit { slot, threshold: split_threshold(v, v_next), gain });
             }
         }
         best
     }
 
-    /// Histogram scan of a single feature: one pass over `rows`
+    /// Histogram scan of feature `features[slot]`: one pass over `rows`
     /// accumulating per-bin gradient/hessian/count, then a prefix sweep
     /// over bin boundaries. A candidate threshold is the cut value itself
     /// (not a midpoint): `code(x) <= b ⟺ x <= cut(f, b)`, so the in-place
@@ -367,11 +589,12 @@ impl Builder<'_> {
     fn scan_feature_hist(
         &self,
         bins: &TrainingBins,
-        f: usize,
+        slot: usize,
         rows: &[usize],
         g_sum: f64,
         h_sum: f64,
     ) -> Option<BestSplit> {
+        let f = self.features[slot];
         let n_cuts = bins.n_cuts(f);
         if n_cuts == 0 {
             return None; // constant feature: nothing to separate
@@ -417,7 +640,7 @@ impl Builder<'_> {
                 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
                 - self.params.gamma;
             if gain > 0.0 && best.as_ref().is_none_or(|cur| gain > cur.gain) {
-                best = Some(BestSplit { feature: f, threshold: bins.cut(f, b), gain });
+                best = Some(BestSplit { slot, threshold: bins.cut(f, b), gain });
             }
         }
         best
@@ -425,9 +648,9 @@ impl Builder<'_> {
 }
 
 /// Stable in-place partition; returns the number of elements satisfying
-/// `pred` (moved to the front).
-fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
-    let mut buf: Vec<T> = Vec::with_capacity(xs.len());
+/// `pred` (moved to the front). `buf` is scratch for the rest.
+fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F, buf: &mut Vec<T>) -> usize {
+    buf.clear();
     let mut k = 0;
     for i in 0..xs.len() {
         if pred(&xs[i]) {
@@ -437,7 +660,7 @@ fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
             buf.push(xs[i]);
         }
     }
-    xs[k..].copy_from_slice(&buf);
+    xs[k..].copy_from_slice(buf);
     k
 }
 
@@ -458,7 +681,7 @@ mod tests {
     #[test]
     fn partition_stable() {
         let mut v = [5, 2, 8, 1, 9, 4];
-        let k = partition(&mut v, |&x| x < 5);
+        let k = partition(&mut v, |&x| x < 5, &mut Vec::new());
         assert_eq!(k, 3);
         assert_eq!(&v[..3], &[2, 1, 4]);
         assert_eq!(&v[3..], &[5, 8, 9]);
@@ -534,6 +757,31 @@ mod tests {
         // Its best cut is 4-2 or similar, so the prediction at the outlier
         // is pulled toward its neighbour.
         assert!(t.predict_row(&[5.0]) < 100.0);
+    }
+
+    #[test]
+    fn every_split_separates_the_rows_its_gain_was_computed_on() {
+        // 1 + EPSILON has an odd last mantissa bit, so its midpoint with
+        // the next float rounds up onto that float.
+        let odd = 1.0 + f64::EPSILON;
+        let cases: [(&str, [f64; 3]); 6] = [
+            ("v_next = +inf", [0.0, 1.0, f64::INFINITY]),
+            ("v + v_next overflows", [0.0, 1e308, 1.7e308]),
+            ("midpoint rounds up to v_next", [0.0, odd, odd + f64::EPSILON]),
+            ("v_next = NaN", [0.0, 1.0, f64::NAN]),
+            ("(-inf, +inf)", [f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY]),
+            ("sign-bit-set NaN", [0.0, 1.0, -f64::NAN]),
+        ];
+        for (name, col) in cases {
+            let x = DenseMatrix::from_rows(col.to_vec(), 3, 1);
+            let params = TreeParams { max_depth: 1, min_child_weight: 1.0, lambda: 0.0, gamma: 0.0 };
+            let t = fit_plain(&x, &[0.0, 0.0, 10.0], params);
+            assert_eq!(t.n_nodes(), 3, "{name}: expected one split");
+            // Both leaves hold training rows: the first two rows predict
+            // their own mean, the third its own target.
+            let preds: Vec<f64> = col.iter().map(|&v| t.predict_row(&[v])).collect();
+            assert_eq!(preds, [0.0, 0.0, 10.0], "{name}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the ML substrate: metric identities,
-//! correlation bounds, loss-function analytic properties, and model
-//! sanity on arbitrary data.
+//! correlation bounds, loss-function analytic properties, model sanity on
+//! arbitrary data, and the presorted exact-greedy tree builder against the
+//! per-node sort it replaced.
 
 use domd_ml::stats::{pearson, ranks, spearman};
 use domd_ml::{
@@ -143,5 +144,310 @@ proptest! {
         let m = ElasticNetModel::fit(&x, &y, &ElasticNetParams::default());
         prop_assert_eq!(m.coefficients()[1], 0.0);
         prop_assert!(m.predict(&x).iter().all(|p| p.is_finite()));
+    }
+}
+
+/// The exact-greedy builder that sorts every node's rows for every offered
+/// feature (a stable `sort_by`, ties in list order), with the split
+/// search's NaN-last order and separating threshold rule. It writes the
+/// `RegressionTree::write_text` format, so the presorted builder must
+/// reproduce it byte for byte.
+mod reference {
+    use domd_ml::{DenseMatrix, TreeParams};
+    use std::cmp::Ordering;
+    use std::fmt::Write as _;
+
+    enum Node {
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: usize,
+            right: usize,
+        },
+        Leaf(f64),
+    }
+
+    struct Builder<'a> {
+        x: &'a DenseMatrix,
+        grad: &'a [f64],
+        hess: &'a [f64],
+        features: &'a [usize],
+        params: TreeParams,
+        nodes: Vec<Node>,
+        gains: Vec<f64>,
+    }
+
+    /// NaN after every number whatever its sign, `total_cmp` otherwise.
+    fn nan_last(a: f64, b: f64) -> Ordering {
+        match (a.is_nan(), b.is_nan()) {
+            (false, false) => a.total_cmp(&b),
+            (a_nan, b_nan) => a_nan.cmp(&b_nan),
+        }
+    }
+
+    fn threshold(v: f64, v_next: f64) -> f64 {
+        let mid = 0.5 * (v + v_next);
+        if v <= mid && mid < v_next {
+            mid
+        } else {
+            v
+        }
+    }
+
+    /// Fits one tree and returns its `write_text` form.
+    pub fn fit_text(
+        x: &DenseMatrix,
+        grad: &[f64],
+        hess: &[f64],
+        rows: &[usize],
+        features: &[usize],
+        params: TreeParams,
+    ) -> String {
+        let mut b = Builder {
+            x,
+            grad,
+            hess,
+            features,
+            params,
+            nodes: Vec::new(),
+            gains: vec![0.0; x.n_cols()],
+        };
+        b.build(&mut rows.to_vec(), 0);
+        let mut out = format!("tree {} {}\n", b.nodes.len(), b.gains.len());
+        for n in &b.nodes {
+            match *n {
+                Node::Leaf(v) => writeln!(out, "L {v}"),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    writeln!(out, "S {feature} {threshold} {left} {right}")
+                }
+            }
+            .unwrap();
+        }
+        out.push_str("gains");
+        for g in &b.gains {
+            write!(out, " {g}").unwrap();
+        }
+        out.push('\n');
+        out
+    }
+
+    impl Builder<'_> {
+        fn build(&mut self, rows: &mut [usize], depth: usize) -> usize {
+            let (mut g_sum, mut h_sum) = (0.0, 0.0);
+            for &r in rows.iter() {
+                g_sum += self.grad[r];
+                h_sum += self.hess[r];
+            }
+            let leaf = Node::Leaf(-g_sum / (h_sum + self.params.lambda));
+            if depth >= self.params.max_depth || rows.len() < 2 {
+                self.nodes.push(leaf);
+                return self.nodes.len() - 1;
+            }
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &f in self.features {
+                if let Some(cand) = self.scan(f, rows, g_sum, h_sum) {
+                    if best.is_none_or(|b| cand.2 > b.2) {
+                        best = Some(cand);
+                    }
+                }
+            }
+            let Some((feature, thr, gain)) = best else {
+                self.nodes.push(leaf);
+                return self.nodes.len() - 1;
+            };
+            self.gains[feature] += gain;
+            let (l, r): (Vec<usize>, Vec<usize>) =
+                rows.iter().partition(|&&r| self.x.get(r, feature) <= thr);
+            let mid = l.len();
+            assert!(mid > 0 && mid < rows.len(), "split must separate rows");
+            rows[..mid].copy_from_slice(&l);
+            rows[mid..].copy_from_slice(&r);
+            let slot = self.nodes.len();
+            self.nodes.push(Node::Split {
+                feature,
+                threshold: thr,
+                left: 0,
+                right: 0,
+            });
+            let (l_rows, r_rows) = rows.split_at_mut(mid);
+            let left = self.build(l_rows, depth + 1);
+            let right = self.build(r_rows, depth + 1);
+            self.nodes[slot] = Node::Split {
+                feature,
+                threshold: thr,
+                left,
+                right,
+            };
+            slot
+        }
+
+        fn scan(
+            &self,
+            f: usize,
+            rows: &[usize],
+            g_sum: f64,
+            h_sum: f64,
+        ) -> Option<(usize, f64, f64)> {
+            let lambda = self.params.lambda;
+            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let mut order = rows.to_vec();
+            order.sort_by(|&a, &b| nan_last(self.x.get(a, f), self.x.get(b, f)));
+            let mut best: Option<(usize, f64, f64)> = None;
+            let (mut gl, mut hl) = (0.0, 0.0);
+            for w in 0..order.len() - 1 {
+                gl += self.grad[order[w]];
+                hl += self.hess[order[w]];
+                let v = self.x.get(order[w], f);
+                let v_next = self.x.get(order[w + 1], f);
+                if v.is_nan() || v == v_next {
+                    continue;
+                }
+                let (gr, hr) = (g_sum - gl, h_sum - hl);
+                let nl = (w + 1) as f64;
+                let nr = (order.len() - w - 1) as f64;
+                let mcw = self.params.min_child_weight;
+                if (hl < mcw && nl < mcw) || (hr < mcw && nr < mcw) {
+                    continue;
+                }
+                let gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                    - self.params.gamma;
+                if gain > 0.0 && best.is_none_or(|b| gain > b.2) {
+                    best = Some((f, threshold(v, v_next), gain));
+                }
+            }
+            best
+        }
+    }
+}
+
+/// SplitMix64: the tie-heavy matrices below are drawn from one seed.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A cell of a test matrix: mostly a handful of small values (heavy
+/// ties), sometimes a special value, sometimes a continuous draw.
+fn cell(rng: &mut Mix) -> f64 {
+    const SPECIAL: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1e308,
+        f64::MAX,
+    ];
+    match rng.below(10) {
+        0 => SPECIAL[rng.below(SPECIAL.len())],
+        1..=6 => rng.below(5) as f64 - 2.0,
+        _ => rng.unit() * 8.0 - 4.0,
+    }
+}
+
+/// A random problem: matrix, gradients, hessians, a root row list of the
+/// given kind (0 identity, 1 shuffled subsample, 2 bootstrap with
+/// duplicates) and a shuffled feature subset.
+fn problem(
+    rng: &mut Mix,
+    n: usize,
+    p: usize,
+    kind: usize,
+) -> (DenseMatrix, Vec<f64>, Vec<f64>, Vec<usize>, Vec<usize>) {
+    let x = DenseMatrix::from_rows((0..n * p).map(|_| cell(rng)).collect(), n, p);
+    let grad: Vec<f64> = (0..n).map(|_| rng.unit() * 20.0 - 10.0).collect();
+    let hess: Vec<f64> = (0..n).map(|_| 0.05 + rng.unit() * 2.0).collect();
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        shuffled.swap(i, rng.below(i + 1));
+    }
+    let rows = match kind {
+        0 => (0..n).collect(),
+        1 => shuffled[..(n * 7).div_ceil(10)].to_vec(),
+        _ => (0..n).map(|_| rng.below(n)).collect(),
+    };
+    let mut features: Vec<usize> = (0..p).collect();
+    for i in (1..p).rev() {
+        features.swap(i, rng.below(i + 1));
+    }
+    features.truncate(1 + rng.below(p));
+    (x, grad, hess, rows, features)
+}
+
+fn tree_text(t: &RegressionTree) -> String {
+    let mut out = String::new();
+    t.write_text(&mut out);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn presorted_search_equals_the_per_node_sort(
+        seed in 0u64..u64::MAX,
+        n in 2usize..120,
+        p in 1usize..6,
+        kind in 0usize..3,
+        max_depth in 0usize..7,
+        mcw_i in 0usize..4,
+        gamma_i in 0usize..2,
+        lambda_i in 0usize..3,
+    ) {
+        let mut rng = Mix(seed);
+        let (x, grad, hess, rows, features) = problem(&mut rng, n, p, kind);
+        let params = TreeParams {
+            max_depth,
+            min_child_weight: [0.0, 1.0, 2.0, 5.0][mcw_i],
+            gamma: [0.0, 0.5][gamma_i],
+            lambda: [0.0, 1.0, 3.0][lambda_i],
+        };
+        let want = reference::fit_text(&x, &grad, &hess, &rows, &features, params);
+        let got = tree_text(&RegressionTree::fit(&x, &grad, &hess, &rows, &features, params));
+        prop_assert_eq!(got, want, "seed {} n {} kind {} params {:?}", seed, n, kind, params);
+    }
+}
+
+#[test]
+fn presorted_search_equals_the_per_node_sort_through_the_pooled_fan_out() {
+    // 1,500 rows x 12 features clears both fan-out gates, so the root and
+    // its large children scan their segments on the pool.
+    for kind in 0..3 {
+        let mut rng = Mix(0xFA_0000 + kind as u64);
+        let (x, grad, hess, rows, _) = problem(&mut rng, 1500, 12, kind);
+        let features: Vec<usize> = (0..12).collect();
+        let params = TreeParams {
+            max_depth: 5,
+            min_child_weight: 1.0,
+            lambda: 1.0,
+            gamma: 0.0,
+        };
+        let want = reference::fit_text(&x, &grad, &hess, &rows, &features, params);
+        for threads in 1..=3 {
+            let t =
+                RegressionTree::fit_threaded(&x, &grad, &hess, &rows, &features, params, threads);
+            assert_eq!(tree_text(&t), want, "row kind {kind}, threads {threads}");
+        }
     }
 }

@@ -18,9 +18,11 @@
 # spawns, nondeterminism sources (wall clocks, OS entropy, default-hasher
 # maps), unlogged DurableIndex mutations, and missing/abused lint
 # waivers. Any unwaived finding exits nonzero before clippy runs.
-# The flat-forest kernel gate proves the branchless compiled descent
-# bit-identical to the pointer walker (property suite, threaded histogram
-# training, and a tiny-scale identity-gated bench smoke). The ingest and
+# The ML gate runs every domd-ml integration suite: the branchless
+# compiled descent bit-identical to the pointer walker, threaded training
+# bit-stable across worker counts, and presorted exact-greedy trees
+# byte-identical to a per-node sort; then a tiny-scale identity-gated
+# bench smoke. The ingest and
 # restart benches then run one tiny round each, so their identity asserts
 # (maintained view vs a from-scratch build; store-rebuilt vs from-scratch
 # snapshot) run on every change.
@@ -95,12 +97,14 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # property tests, the heap-size ceilings) run here too.
 DOMD_THREADS=2 cargo test -q -p domd-index --tests
 
-# Flat-forest kernel gate: the compiled descent (plain, batch, quantized)
-# must stay bit-identical to the pointer walker — property suite plus the
-# threaded histogram-training equivalence, then a tiny-scale smoke run of
-# the gbt bench (its built-in identity gates assert before any timing).
-DOMD_THREADS=2 cargo test -q -p domd-ml --test prop_flat
-DOMD_THREADS=2 cargo test -q -p domd-ml --test parallel_equivalence
+# ML gate: every domd-ml integration suite. The compiled descent (plain,
+# batch, quantized) must stay bit-identical to the pointer walker
+# (prop_flat), threaded exact and histogram training bit-stable across
+# worker counts (parallel_equivalence), and presorted exact-greedy trees
+# byte-identical to the per-node stable sort they replaced (prop_ml);
+# then a tiny-scale smoke run of the gbt bench (its built-in identity
+# gates assert before any timing).
+DOMD_THREADS=2 cargo test -q -p domd-ml --tests
 cargo build --release -q -p domd-bench --bin bench_gbt
 target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
   --rows 256 --train-rows 512 --out /dev/null >/dev/null
