@@ -1,21 +1,17 @@
 //! `bench_gbt` — batch-predict throughput of the branchless flat-forest
-//! kernel versus the pointer walker, plus the histogram-vs-exact training
-//! comparison behind `RegressionTree::fit_binned`.
+//! kernel versus the pointer walker, plus the cost of one exact-greedy
+//! tree fit at fleet scale.
 //!
-//! One boosted ensemble is trained, then three inference arms score the
+//! One boosted ensemble is trained, then two inference arms score the
 //! same row matrices at growing scales: `pointer` walks the enum trees
-//! row-by-row (`GbtModel::predict_pointer`, the pre-kernel code path),
-//! `flat` runs the compiled SoA pool tree-at-a-time over row blocks
-//! (`GbtModel::predict`), and `binned` sweeps a pre-quantized `u16` block
-//! (`FlatForest::predict_binned`; the one-off quantization cost is its own
-//! column since a served block is swept by many models/epochs). All three
-//! arms are gated on `to_bits`-identical predictions before any timing
-//! counts — the quantized descent is exact, not approximate, so no
-//! tolerance is needed.
+//! row-by-row (`GbtModel::predict_pointer`, the pre-kernel code path) and
+//! `flat` runs the compiled pool tree-at-a-time over row blocks
+//! (`GbtModel::predict`). Both arms are gated on `to_bits`-identical
+//! predictions before any timing counts.
 //!
 //! Per-arm columns report minima over `--runs` interleaved rounds (the
-//! interference-free floor on a shared container); the headline speedups
-//! are the *median of per-round paired ratios*, where both arms of a
+//! interference-free floor on a shared container); the headline speedup
+//! is the *median of per-round paired ratios*, where both arms of a
 //! ratio saw the same container load phase. The acceptance target is a
 //! ≥5x flat-vs-pointer speedup at the largest scale.
 //!
@@ -31,7 +27,7 @@
 //! contiguous pool once per row block.
 
 use domd_bench::util::time_ms;
-use domd_ml::{DenseMatrix, GbtModel, GbtParams, RegressionTree, TrainingBins, TreeParams};
+use domd_ml::{DenseMatrix, GbtModel, GbtParams, RegressionTree, TreeParams};
 
 /// Deterministic SplitMix64 stream for the synthetic matrices.
 struct Mix(u64);
@@ -80,24 +76,14 @@ struct ScaleResult {
     n_rows: usize,
     pointer_ms: f64,
     flat_ms: f64,
-    binned_sweep_ms: f64,
-    bin_prep_ms: f64,
     flat_speedup: f64,
-    binned_speedup: f64,
 }
 
 impl ScaleResult {
     fn json(&self) -> String {
         format!(
-            "{{\"scale\":{},\"n_rows\":{},\"pointer_ms\":{:.3},\"flat_ms\":{:.3},\"binned_sweep_ms\":{:.3},\"bin_prep_ms\":{:.3},\"flat_speedup\":{:.2},\"binned_speedup\":{:.2},\"bit_identical\":true}}",
-            self.scale,
-            self.n_rows,
-            self.pointer_ms,
-            self.flat_ms,
-            self.binned_sweep_ms,
-            self.bin_prep_ms,
-            self.flat_speedup,
-            self.binned_speedup
+            "{{\"scale\":{},\"n_rows\":{},\"pointer_ms\":{:.3},\"flat_ms\":{:.3},\"flat_speedup\":{:.2},\"bit_identical\":true}}",
+            self.scale, self.n_rows, self.pointer_ms, self.flat_ms, self.flat_speedup
         )
     }
 }
@@ -106,79 +92,45 @@ fn bench_scale(model: &GbtModel, base_rows: usize, scale: u32, runs: usize) -> S
     let n = base_rows * scale as usize;
     let (x, _) = synthetic_xy(n, 0xBEEF ^ u64::from(scale));
 
-    // Bit-identity gate: every arm must reproduce the pointer walker's
+    // Bit-identity gate: the flat arm must reproduce the pointer walker's
     // exact bits before any timing is reported.
     let want = model.predict_pointer(&x);
     assert!(identical(&want, &model.predict(&x)), "flat arm diverged at scale {scale}");
-    let bins = model.flat().bins().expect("fitted thresholds always bin");
-    let block = bins.bin_matrix(&x);
-    assert!(
-        identical(&want, &model.flat().predict_binned(&bins, &block)),
-        "binned arm diverged at scale {scale}"
-    );
 
     // Interleaved rounds: per-arm minima + median of per-round paired
     // ratios (both sides of a ratio see the same container load phase).
     let mut pointer_ms = f64::INFINITY;
     let mut flat_ms = f64::INFINITY;
-    let mut binned_sweep_ms = f64::INFINITY;
-    let mut bin_prep_ms = f64::INFINITY;
     let mut flat_ratios = Vec::with_capacity(runs);
-    let mut binned_ratios = Vec::with_capacity(runs);
     for _ in 0..runs {
         let (_, p_ms) = time_ms(|| model.predict_pointer(&x));
         let (_, f_ms) = time_ms(|| model.predict(&x));
-        let (round_block, prep_ms) = time_ms(|| bins.bin_matrix(&x));
-        let (_, b_ms) = time_ms(|| model.flat().predict_binned(&bins, &round_block));
         pointer_ms = pointer_ms.min(p_ms);
         flat_ms = flat_ms.min(f_ms);
-        binned_sweep_ms = binned_sweep_ms.min(b_ms);
-        bin_prep_ms = bin_prep_ms.min(prep_ms);
         flat_ratios.push(p_ms / f_ms);
-        binned_ratios.push(p_ms / b_ms);
     }
 
-    ScaleResult {
-        scale,
-        n_rows: n,
-        pointer_ms,
-        flat_ms,
-        binned_sweep_ms,
-        bin_prep_ms,
-        flat_speedup: median(flat_ratios),
-        binned_speedup: median(binned_ratios),
-    }
+    ScaleResult { scale, n_rows: n, pointer_ms, flat_ms, flat_speedup: median(flat_ratios) }
 }
 
 struct TrainResult {
     rows: usize,
     exact_ms: f64,
-    hist_ms: f64,
-    bins_build_ms: f64,
-    speedup: f64,
     exact_mse: f64,
-    hist_mse: f64,
 }
 
 impl TrainResult {
     fn json(&self) -> String {
         format!(
-            "{{\"rows\":{},\"exact_fit_ms\":{:.3},\"hist_fit_ms\":{:.3},\"bins_build_ms\":{:.3},\"fit_speedup\":{:.2},\"exact_train_mse\":{:.4},\"hist_train_mse\":{:.4}}}",
-            self.rows,
-            self.exact_ms,
-            self.hist_ms,
-            self.bins_build_ms,
-            self.speedup,
-            self.exact_mse,
-            self.hist_mse
+            "{{\"rows\":{},\"exact_fit_ms\":{:.3},\"exact_train_mse\":{:.4}}}",
+            self.rows, self.exact_ms, self.exact_mse
         )
     }
 }
 
-/// Exact-greedy vs. histogram split finding on one tree fit (squared
-/// loss, depth 6): the per-tree cost every boosting round of a large fit
-/// pays. The bins build is a separate column — it runs once per ensemble
-/// and amortizes over `n_estimators` rounds.
+/// One exact-greedy tree fit (squared loss, depth 6) over every row and
+/// feature, column ranking included: the per-tree cost of a fit at this
+/// row count. Reports the minimum over `runs`.
 fn bench_training(rows: usize, runs: usize) -> TrainResult {
     let (x, y) = synthetic_xy(rows, 0x7EA1);
     let grad: Vec<f64> = y.iter().map(|v| -v).collect();
@@ -187,39 +139,17 @@ fn bench_training(rows: usize, runs: usize) -> TrainResult {
     let feats: Vec<usize> = (0..N_FEATURES).collect();
     let params = TreeParams { max_depth: 6, ..TreeParams::default() };
 
-    let (bins, mut bins_build_ms) =
-        time_ms(|| TrainingBins::build(&x, domd_ml::flat::MAX_TRAIN_BINS, 1));
     let mut exact_ms = f64::INFINITY;
-    let mut hist_ms = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(runs);
-    let mut exact_tree = None;
-    let mut hist_tree = None;
+    let mut tree = None;
     for _ in 0..runs {
-        let (t_exact, e_ms) =
-            time_ms(|| RegressionTree::fit_threaded(&x, &grad, &hess, &all_rows, &feats, params, 1));
-        let (t_hist, h_ms) = time_ms(|| {
-            RegressionTree::fit_binned(&x, &grad, &hess, &all_rows, &feats, params, 1, &bins)
-        });
-        let (_, b_ms) = time_ms(|| TrainingBins::build(&x, domd_ml::flat::MAX_TRAIN_BINS, 1));
-        exact_ms = exact_ms.min(e_ms);
-        hist_ms = hist_ms.min(h_ms);
-        bins_build_ms = bins_build_ms.min(b_ms);
-        ratios.push(e_ms / h_ms);
-        exact_tree = Some(t_exact);
-        hist_tree = Some(t_hist);
+        let (t, ms) = time_ms(|| RegressionTree::fit(&x, &grad, &hess, &all_rows, &feats, params));
+        exact_ms = exact_ms.min(ms);
+        tree = Some(t);
     }
-    let mse = |t: &RegressionTree| -> f64 {
-        (0..rows).map(|i| (t.predict_row(x.row(i)) - y[i]).powi(2)).sum::<f64>() / rows as f64
-    };
-    TrainResult {
-        rows,
-        exact_ms,
-        hist_ms,
-        bins_build_ms,
-        speedup: median(ratios),
-        exact_mse: mse(&exact_tree.unwrap()),
-        hist_mse: mse(&hist_tree.unwrap()),
-    }
+    let tree = tree.expect("--runs is at least 1");
+    let exact_mse =
+        (0..rows).map(|i| (tree.predict_row(x.row(i)) - y[i]).powi(2)).sum::<f64>() / rows as f64;
+    TrainResult { rows, exact_ms, exact_mse }
 }
 
 fn cpu_model() -> String {
@@ -271,9 +201,8 @@ fn main() {
 
     let training = bench_training(train_rows * 4, runs);
     eprintln!(
-        "  tree fit @ {} rows: exact {:>8.1} ms  hist {:>6.1} ms ({:.1}x; bins build {:.1} ms)  mse {:.3} vs {:.3}",
-        training.rows, training.exact_ms, training.hist_ms, training.speedup,
-        training.bins_build_ms, training.exact_mse, training.hist_mse
+        "  tree fit @ {} rows: exact {:>8.1} ms  mse {:.3}",
+        training.rows, training.exact_ms, training.exact_mse
     );
 
     let mut blocks = Vec::new();
@@ -281,9 +210,8 @@ fn main() {
     for &scale in &scales {
         let r = bench_scale(&model, base_rows, scale, runs);
         eprintln!(
-            "  scale {:>2}x ({:>6} rows)  pointer {:>8.1} ms  flat {:>7.1} ms ({:.1}x)  binned {:>7.1} ms ({:.1}x; prep {:.1} ms)",
-            r.scale, r.n_rows, r.pointer_ms, r.flat_ms, r.flat_speedup, r.binned_sweep_ms,
-            r.binned_speedup, r.bin_prep_ms
+            "  scale {:>2}x ({:>6} rows)  pointer {:>8.1} ms  flat {:>7.1} ms ({:.1}x)",
+            r.scale, r.n_rows, r.pointer_ms, r.flat_ms, r.flat_speedup
         );
         if scale == largest && r.flat_speedup < 5.0 {
             eprintln!(
@@ -294,12 +222,13 @@ fn main() {
         blocks.push(r.json());
     }
     let json = format!(
-        "{{\"bench\":\"gbt_flat_kernel\",\"cpu\":{{\"model\":\"{}\"}},\"runs\":{},\"trees\":{},\"depth\":{},\"train_rows\":{},\"training\":{},\"scales\":[{}]}}\n",
+        "{{\"bench\":\"gbt_flat_kernel\",\"cpu\":{{\"model\":\"{}\"}},\"runs\":{},\"trees\":{},\"depth\":{},\"train_rows\":{},\"model_fit_ms\":{:.0},\"training\":{},\"scales\":[{}]}}\n",
         cpu_model().replace('"', "'"),
         runs,
         trees,
         depth,
         train_rows,
+        fit_ms,
         training.json(),
         blocks.join(",")
     );

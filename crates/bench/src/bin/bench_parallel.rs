@@ -1,7 +1,7 @@
 //! `bench_parallel` — wall-clock benchmark of the deterministic parallel
 //! execution layer across its four hot paths (sharded feature sweep, pooled
-//! step training, per-step batch prediction, batch Status Queries) plus the
-//! in-round GBT split search, at 1x and 4x RCC scale.
+//! step training, per-step batch prediction, batch Status Queries), at 1x
+//! and 4x RCC scale.
 //!
 //! Every parallel run is checked bit-for-bit against its sequential
 //! counterpart before the timing is reported, so the numbers can never come
@@ -12,18 +12,11 @@
 //! bench_parallel [--threads N] [--scales 1,4] [--out FILE]
 //! ```
 
+use domd_bench::util::time_ms;
 use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::{generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
 use domd_index::{RccArena, StatusQuery, StatusView};
-use domd_ml::{DenseMatrix, GbtModel, GbtParams};
-use std::time::Instant;
-
-fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64() * 1e3)
-}
 
 /// Best of `runs` timed repetitions (discards scheduler noise, which only
 /// ever slows a run down).
@@ -130,36 +123,7 @@ fn bench_scale(scale: u32, threads: usize, runs: usize) -> Vec<PathResult> {
     let identical = a_seq == a_par;
     out.push(PathResult { name: "batch_query", seq_ms, par_ms, identical });
 
-    // Path 5: in-round GBT split search on a wide training matrix.
-    let (x, y) = synthetic_xy(1500 * scale as usize, 30, 42);
-    let params = GbtParams { n_estimators: 20, ..GbtParams::default() };
-    let (g_seq, seq_ms) = best_ms(runs, || GbtModel::fit_threaded(&x, &y, &params, 1));
-    let (g_par, par_ms) = best_ms(runs, || GbtModel::fit_threaded(&x, &y, &params, threads));
-    let identical = g_seq
-        .predict(&x)
-        .iter()
-        .zip(g_par.predict(&x))
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    out.push(PathResult { name: "gbt_split_search", seq_ms, par_ms, identical });
-
     out
-}
-
-fn synthetic_xy(n: usize, p: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
-    // Small deterministic LCG: the bench needs volume, not statistics.
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut data = Vec::with_capacity(n * p);
-    let mut y = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row: Vec<f64> = (0..p).map(|_| next() * 6.0 - 3.0).collect();
-        y.push(2.0 * row[0] + row[1] * row[2] + (row[3] * 2.0).sin() * 3.0 + next() * 0.2);
-        data.extend_from_slice(&row);
-    }
-    (DenseMatrix::from_rows(data, n, p), y)
 }
 
 fn main() {

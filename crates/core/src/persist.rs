@@ -10,6 +10,7 @@
 use crate::config::{Fusion, ModelFamily, PipelineConfig};
 use crate::error::DomdError;
 use crate::timeline::{StepModel, TrainedPipeline};
+use domd_features::N_STATIC;
 use domd_ml::persist::{fmt_f64, framed_text, put_line, PersistError, Reader};
 use domd_ml::{ElasticNetParams, GbtParams, Loss, SelectionMethod, TrainedModel};
 use std::path::Path;
@@ -220,15 +221,46 @@ pub fn load_pipeline(text: &str) -> Result<TrainedPipeline, DomdError> {
         });
     }
     let pipeline = read_body(&mut r).map_err(artifact_error)?;
-    // A parseable artifact can still carry out-of-range parameters (a
-    // hand-edited file, or garbling that happens to parse); catch those
-    // here rather than deep inside prediction.
-    pipeline.config.validate().map_err(|e| DomdError::Artifact {
+    // A parseable artifact can still carry out-of-range parameters or
+    // feature ids (a hand-edited file, or garbling that happens to parse);
+    // catch those here rather than deep inside prediction.
+    let invalid = |message: String| DomdError::Artifact {
         found_version: Some(version),
         expected: FORMAT_VERSION,
-        message: format!("artifact carries an invalid configuration: {e}; {REMEDIATION}"),
-    })?;
+        message: format!("{message}; {REMEDIATION}"),
+    };
+    pipeline
+        .config
+        .validate()
+        .map_err(|e| invalid(format!("artifact carries an invalid configuration: {e}")))?;
+    check_widths(&pipeline)
+        .map_err(|e| invalid(format!("artifact's models do not fit its features: {e}")))?;
     Ok(pipeline)
+}
+
+/// The input widths prediction indexes by: the static model reads the
+/// `N_STATIC` statics; each step model reads the statics (or, stacked,
+/// the one base prediction) followed by its selected columns; and every
+/// selected column names one of the feature names.
+fn check_widths(p: &TrainedPipeline) -> Result<(), String> {
+    if let Some(m) = &p.static_model {
+        let width = m.feature_importance().len();
+        if width != N_STATIC {
+            return Err(format!("the static model reads {width} features, not {N_STATIC}"));
+        }
+    }
+    let lead = if p.config.stacked { 1 } else { N_STATIC };
+    let n_names = p.feature_names.len();
+    for s in &p.steps {
+        if let Some(j) = s.selected.iter().find(|&&j| j >= n_names) {
+            return Err(format!("step t*={} selects column {j} of {n_names}", s.t_star));
+        }
+        let (width, want) = (s.model.feature_importance().len(), lead + s.selected.len());
+        if width != want {
+            return Err(format!("step t*={} model reads {width} features, not {want}", s.t_star));
+        }
+    }
+    Ok(())
 }
 
 /// Serializes a trained pipeline to its framed binary artifact: the text
@@ -374,6 +406,31 @@ mod tests {
             }
             other => panic!("expected Artifact, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn models_that_misfit_their_inputs_are_refused() {
+        let refused = |text: &str, what: &str| match load_pipeline(text).unwrap_err() {
+            DomdError::Artifact { message, .. } => {
+                assert!(message.contains(what), "{what}: {message:?}");
+                assert!(message.contains("re-train"), "no remediation in {message:?}");
+            }
+            other => panic!("expected Artifact, got {other:?}"),
+        };
+        for stacked in [false, true] {
+            // A step that lost its last selected column still holds a
+            // model that reads one column more.
+            let (_, _, p) = trained(stacked);
+            let text = save_pipeline(&p);
+            let line = text.lines().find(|l| l.starts_with("selected ")).unwrap();
+            refused(&text.replacen(line, line.rsplit_once(' ').unwrap().0, 1), "model reads");
+        }
+        // A static model of the wrong width.
+        let (_, _, mut p) = trained(true);
+        let one_col = domd_ml::DenseMatrix::from_rows(vec![0.0, 1.0, 2.0], 3, 1);
+        p.static_model =
+            Some(domd_ml::ModelSpec::Gbt(GbtParams::default()).fit(&one_col, &[0.0, 1.0, 2.0]));
+        refused(&save_pipeline(&p), "static model reads 1 features");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::flat::{Combine, FlatForest};
 use crate::matrix::DenseMatrix;
-use crate::tree::{RegressionTree, SplitTables, TreeParams};
+use crate::tree::{ColumnRanks, RegressionTree, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,10 +67,9 @@ fn mix_seed(seed: u64, tree: u64) -> u64 {
 
 impl ForestModel {
     /// Fits the forest on `x` against targets `y` with the process-wide
-    /// worker cap ([`domd_runtime::threads`]). The split-search tables
-    /// (column ranks below `HIST_MIN_ROWS` rows, bins from it on) are built
-    /// once and shared by every tree; each tree orders its bootstrap rows
-    /// from the ranks. Trees are independent given their per-tree RNG
+    /// worker cap ([`domd_runtime::threads`]). The columns are ranked once
+    /// and the ranks shared by every tree; each tree orders its bootstrap
+    /// rows from the ranks. Trees are independent given their per-tree RNG
     /// stream, so pooled fitting is bit-identical to sequential for every
     /// thread count.
     pub fn fit(x: &DenseMatrix, y: &[f64], params: &ForestParams) -> Self {
@@ -99,9 +98,8 @@ impl ForestModel {
         let n_sample = ((n as f64 * params.sample_fraction).round() as usize).clamp(1, n);
         let n_feats = ((p as f64 * params.max_features).round() as usize).clamp(1, p);
 
-        // One ranking pass (exact search) or binning pass (histogram
-        // search, same HIST_MIN_ROWS guard as the GBT) serves every tree.
-        let tables = SplitTables::build(x, threads);
+        // One ranking pass serves every tree.
+        let ranks = ColumnRanks::build(x);
 
         // Each tree draws from its own seeded stream (rather than one RNG
         // threaded through the loop), making trees independent work items:
@@ -119,7 +117,7 @@ impl ForestModel {
             }
             let mut feats: Vec<usize> = feat_pool[..n_feats].to_vec();
             feats.sort_unstable();
-            RegressionTree::fit_with(x, &grad, &hess, &rows, &feats, tree_params, 1, &tables)
+            RegressionTree::fit_with(x, &grad, &hess, &rows, &feats, tree_params, &ranks)
         });
         // Gains merge in tree order, so the sum sees one float sequence.
         let mut gains = vec![0.0; p];

@@ -12,16 +12,14 @@
 //! (see [`crate::flat`]) that `predict`/`predict_row` route through; the
 //! pointer walker survives as [`GbtModel::predict_pointer`] /
 //! [`GbtModel::predict_row_pointer`], the reference arm of the
-//! bit-identity gates. Below [`HIST_MIN_ROWS`] training rows, split
-//! finding is exact greedy over orders sorted once per fit (every column
-//! ranked once, every tree's root ordered once per offered feature, nodes
-//! partition those orders); from it on, the histogram search over
-//! pre-binned columns takes over.
+//! bit-identity gates. Split finding is exact greedy over orders sorted
+//! once per fit: every column is ranked once, every tree's root is ordered
+//! once per offered feature, and nodes partition those orders.
 
 use crate::flat::{Combine, FlatForest};
 use crate::loss::Loss;
 use crate::matrix::DenseMatrix;
-use crate::tree::{RegressionTree, SplitTables, TreeParams};
+use crate::tree::{ColumnRanks, RegressionTree, TreeParams};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -81,31 +79,11 @@ pub struct GbtModel {
     flat: FlatForest,
 }
 
-/// Minimum row count before the per-round prediction refresh is chunked
-/// across the pool; below this the chunk bookkeeping outweighs the work.
-const PAR_PREDICT_MIN_ROWS: usize = 4096;
-
-/// Minimum training rows before split finding switches from exact greedy
-/// to the histogram search. The paper's ~150-row modeling population (and
-/// the 2048-row parallel-equivalence suites) stay on the exact path, so
-/// seed-scale fits are bit-identical to every prior release; only
-/// fleet-scale training pays for — and benefits from — binning.
-pub const HIST_MIN_ROWS: usize = 4096;
-
 impl GbtModel {
-    /// Fits the ensemble on `x` (rows = instances) against targets `y`,
-    /// using the process-wide worker cap ([`domd_runtime::threads`]).
-    /// The split-search tables (column ranks for the exact search, bins
-    /// for the histogram one) are built once and shared by every round.
-    /// Boosting rounds are inherently sequential; parallelism lives inside
-    /// each round (split search, prediction refresh) and is bit-identical
-    /// to `threads = 1`.
+    /// Fits the ensemble on `x` (rows = instances) against targets `y`.
+    /// The columns are ranked once and the ranks shared by every round.
+    /// Boosting rounds are inherently sequential, and so is each round.
     pub fn fit(x: &DenseMatrix, y: &[f64], params: &GbtParams) -> Self {
-        GbtModel::fit_threaded(x, y, params, domd_runtime::threads())
-    }
-
-    /// As [`GbtModel::fit`] with an explicit worker cap.
-    pub fn fit_threaded(x: &DenseMatrix, y: &[f64], params: &GbtParams, threads: usize) -> Self {
         assert_eq!(x.n_rows(), y.len(), "x and y row counts differ");
         assert!(x.n_rows() > 0, "cannot fit on an empty matrix");
         assert!(params.subsample > 0.0 && params.subsample <= 1.0);
@@ -140,9 +118,8 @@ impl GbtModel {
         let mut gains = vec![0.0; p];
         let mut row_pool = all_rows.clone();
         let mut col_pool = all_cols.clone();
-        // One ranking pass (exact search) or binning pass (histogram
-        // search, from HIST_MIN_ROWS rows) serves every round and node.
-        let tables = SplitTables::build(x, threads);
+        // One ranking pass serves every round and node.
+        let ranks = ColumnRanks::build(x);
 
         for _ in 0..params.n_estimators {
             for i in 0..n {
@@ -163,32 +140,17 @@ impl GbtModel {
             } else {
                 &all_cols
             };
-            let tree =
-                RegressionTree::fit_with(x, &grad, &hess, rows, cols, tree_params, threads, &tables);
+            let tree = RegressionTree::fit_with(x, &grad, &hess, rows, cols, tree_params, &ranks);
             // Refresh predictions through the branchless kernel: compile
             // the one new tree and read its raw leaf values directly. The
             // per-row arithmetic (`+= lr * value`) is unchanged from the
-            // pointer walk, so both branches below — and every thread
-            // count — produce bit-identical predictions.
+            // pointer walk, so the predictions are bit-identical to it.
             let round = FlatForest::from_trees(
                 std::slice::from_ref(&tree),
                 Combine::Boosted { base_score: 0.0, learning_rate: 1.0 },
             );
-            if threads > 1 && n >= PAR_PREDICT_MIN_ROWS {
-                // Chunked refresh: each worker evaluates a contiguous row range.
-                let chunks = domd_runtime::chunk_ranges(n, threads);
-                let deltas = domd_runtime::par_map(threads, &chunks, |_, range| {
-                    range.clone().map(|i| round.tree_value(0, x.row(i))).collect::<Vec<f64>>()
-                });
-                for (range, delta) in chunks.iter().zip(&deltas) {
-                    for (i, d) in range.clone().zip(delta) {
-                        preds[i] += params.learning_rate * d;
-                    }
-                }
-            } else {
-                for (i, p) in preds.iter_mut().enumerate() {
-                    *p += params.learning_rate * round.tree_value(0, x.row(i));
-                }
+            for (i, p) in preds.iter_mut().enumerate() {
+                *p += params.learning_rate * round.tree_value(0, x.row(i));
             }
             for (j, g) in tree.feature_gains().iter().enumerate() {
                 gains[j] += g;
@@ -230,8 +192,7 @@ impl GbtModel {
         (0..x.n_rows()).map(|i| self.predict_row_pointer(x.row(i))).collect()
     }
 
-    /// The compiled inference kernel (for binned batch scoring and the
-    /// benchmark arms).
+    /// The compiled inference kernel.
     pub fn flat(&self) -> &FlatForest {
         &self.flat
     }
@@ -395,6 +356,50 @@ mod tests {
     }
 
     #[test]
+    fn nan_rows_get_their_own_leaf_in_a_large_fit() {
+        // 512 NaN rows with target 100 beside 3,584 finite rows with
+        // target 0: the best split sends NaN right on its own, so one
+        // unshrunk depth-1 round recovers both targets exactly.
+        let n = 4096;
+        let col: Vec<f64> = (0..n).map(|i| if i < 512 { f64::NAN } else { i as f64 }).collect();
+        let y: Vec<f64> = (0..n).map(|i| if i < 512 { 100.0 } else { 0.0 }).collect();
+        let x = DenseMatrix::from_rows(col, n, 1);
+        let params = GbtParams {
+            n_estimators: 1,
+            learning_rate: 1.0,
+            max_depth: 1,
+            min_child_weight: 1.0,
+            lambda: 0.0,
+            gamma: 0.0,
+            subsample: 1.0,
+            colsample_bytree: 1.0,
+            ..Default::default()
+        };
+        let p = GbtModel::fit(&x, &y, &params).predict(&x);
+        assert!(p[..512].iter().all(|v| (v - 100.0).abs() < 1e-9), "NaN rows predict {}", p[0]);
+        assert!(p[512..].iter().all(|v| v.abs() < 1e-9), "finite rows predict {}", p[512]);
+    }
+
+    #[test]
+    fn read_text_refuses_trees_that_index_past_the_ensemble() {
+        let (x, y) = make_xy(60, 0.0, 8);
+        let m = GbtModel::fit(&x, &y, &GbtParams { n_estimators: 3, ..Default::default() });
+        let mut text = String::new();
+        m.write_text(&mut text);
+        let parse = |t: &str| GbtModel::read_text(&mut crate::persist::Reader::new(t));
+        assert!(parse(&text).is_ok());
+        // A split on feature 3 of a 3-feature tree.
+        let split = text.lines().find(|l| l.starts_with("S ")).expect("a split");
+        let mut toks: Vec<&str> = split.split(' ').collect();
+        toks[1] = "3";
+        assert!(parse(&text.replacen(split, &toks.join(" "), 1)).is_err(), "split feature");
+        // Trees one feature wider than the ensemble's gains.
+        let gains = text.lines().find(|l| l.starts_with("gbt-gains ")).expect("gains");
+        let narrower = gains.rsplit_once(' ').expect("3 gains").0;
+        assert!(parse(&text.replacen(gains, narrower, 1)).is_err(), "gain count");
+    }
+
+    #[test]
     fn l1_base_score_is_median() {
         let x = DenseMatrix::from_rows(vec![0.0; 5], 5, 1);
         let y = [0.0, 0.0, 1.0, 10.0, 100.0];
@@ -442,6 +447,15 @@ impl GbtModel {
             (0..n_trees).map(|_| RegressionTree::read_text(r)).collect::<Result<_, _>>()?;
         let toks = r.tagged("gbt-gains")?;
         let gains: Vec<f64> = r.parse_all(&toks, "gain")?;
+        // Every tree must test features of the ensemble's own width, the
+        // width a caller checks its rows against.
+        if let Some(t) = trees.iter().position(|t| t.feature_gains().len() != gains.len()) {
+            return Err(r.err(format!(
+                "tree {t} records {} features, the ensemble {}",
+                trees[t].feature_gains().len(),
+                gains.len()
+            )));
+        }
         // The flat kernel is derived state: recompiled on load so v1/v2
         // artifacts written before it existed pick it up transparently.
         let flat = FlatForest::from_trees(&trees, Combine::Boosted { base_score, learning_rate });

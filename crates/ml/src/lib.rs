@@ -9,9 +9,8 @@
 //!   twice-differentiable losses (the XGBoost stand-in), with gain-based
 //!   feature importance;
 //! * [`flat`] — the branchless flat-forest inference kernel every trained
-//!   ensemble compiles into (SoA node pool, tree-at-a-time batch
-//!   traversal, quantized descent), plus the pre-binned columns behind
-//!   histogram split finding;
+//!   ensemble compiles into (one node pool, tree-at-a-time batch
+//!   traversal);
 //! * [`linear`] — elastic-net linear regression by coordinate descent (the
 //!   simpler baseline family);
 //! * [`loss`] — ℓ1 / ℓ2 / Huber / pseudo-Huber losses (Section 3.2.3);
@@ -38,7 +37,7 @@ pub mod stats;
 pub mod tree;
 pub mod validate;
 
-pub use flat::{BinnedBlock, Combine, FeatureBins, FlatForest, TrainingBins};
+pub use flat::{Combine, FlatForest};
 pub use forest::{ForestModel, ForestParams};
 pub use interpret::{partial_dependence, permutation_importance, PdpPoint};
 pub use gbt::{GbtModel, GbtParams};

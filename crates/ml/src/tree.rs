@@ -6,32 +6,21 @@
 //! gain is `0.5 * (G_L^2/(H_L+λ) + G_R^2/(H_R+λ) − G^2/(H+λ)) − γ` and the
 //! optimal leaf weight is `−G/(H+λ)`.
 //!
-//! Two split searches share the gain arithmetic:
+//! Split finding is exact greedy: it enumerates every boundary between
+//! sorted feature values, and it sorts once per fit, not once per node
+//! (XGBoost's column blocks). Every column is ranked once (`ColumnRanks`,
+//! shared by all trees of an ensemble), each tree orders its root rows
+//! once per offered feature by a stable counting sort of those ranks, and
+//! a split stable-partitions the orders instead of re-sorting them, so
+//! every node's segment *is* its stable sorted order.
 //!
-//! * **exact greedy** ([`RegressionTree::fit_threaded`]) enumerates every
-//!   boundary between sorted feature values — the paper's ~150-row
-//!   modeling population always takes this path. It sorts once per fit,
-//!   not once per node (XGBoost's column blocks): every column is ranked
-//!   once (`ColumnRanks`, shared by all trees of an ensemble), each
-//!   tree orders its root rows once per offered feature by a stable
-//!   counting sort of those ranks, and a split stable-partitions the
-//!   orders instead of re-sorting them, so every node's segment *is* its
-//!   stable sorted order;
-//! * **histogram** ([`RegressionTree::fit_binned`]) scans the ≤256
-//!   pre-binned value buckets of a [`TrainingBins`](crate::flat::TrainingBins):
-//!   an `O(rows)` accumulate + `O(bins)` scan per feature and node, with
-//!   no per-node partition of sorted orders. The ensemble trainers switch
-//!   to it only past a row-count guard (see `gbt::HIST_MIN_ROWS`), so
-//!   small fits are untouched.
-//!
-//! The exact search's sort order puts NaN after every number, whatever its
-//! sign bit, and orders numbers by [`f64::total_cmp`]. A boundary is a
-//! candidate only when its left value is a number and differs (`!=`) from
-//! the next one, and its threshold always separates the two sides (see
+//! The sort order puts NaN after every number, whatever its sign bit, and
+//! orders numbers by [`f64::total_cmp`]. A boundary is a candidate only
+//! when its left value is a number and differs (`!=`) from the next one,
+//! and its threshold always separates the two sides (see
 //! `split_threshold`), so a split sends exactly the rows its gain was
 //! computed on to each child.
 
-use crate::flat::TrainingBins;
 use crate::matrix::DenseMatrix;
 
 /// Structural hyperparameters of a single tree.
@@ -73,42 +62,11 @@ struct Builder<'a> {
     hess: &'a [f64],
     features: &'a [usize],
     params: TreeParams,
-    /// Worker cap for the per-feature split search (1 = sequential).
-    threads: usize,
-    search: Search<'a>,
+    sorted: Presorted,
     /// Scratch for the stable partition of a node's rows.
     row_buf: Vec<usize>,
     nodes: Vec<Node>,
     gains: Vec<f64>,
-}
-
-/// The split search a tree is built with.
-enum Search<'a> {
-    /// Exact greedy over the tree's presorted orders.
-    Exact(Presorted),
-    /// Histogram sweep over pre-binned columns.
-    Hist(&'a TrainingBins),
-}
-
-/// Per-fit split-search tables, built once and shared by every tree of an
-/// ensemble: column ranks for the exact search below
-/// [`HIST_MIN_ROWS`](crate::gbt::HIST_MIN_ROWS) training rows, bins at or
-/// above it.
-pub(crate) enum SplitTables {
-    Exact(ColumnRanks),
-    Hist(TrainingBins),
-}
-
-impl SplitTables {
-    /// The tables for training on `x`, built over at most `threads` pool
-    /// workers (column by column; identical for every thread count).
-    pub(crate) fn build(x: &DenseMatrix, threads: usize) -> Self {
-        if x.n_rows() >= crate::gbt::HIST_MIN_ROWS {
-            SplitTables::Hist(TrainingBins::build(x, crate::flat::MAX_TRAIN_BINS, threads))
-        } else {
-            SplitTables::Exact(ColumnRanks::build(x, threads))
-        }
-    }
 }
 
 /// Dense per-column ranks of a training matrix under the split search's
@@ -121,14 +79,10 @@ pub(crate) struct ColumnRanks {
 }
 
 impl ColumnRanks {
-    /// Ranks every column of `x`: one sort per column, fanned over at most
-    /// `threads` pool workers.
-    pub(crate) fn build(x: &DenseMatrix, threads: usize) -> Self {
+    /// Ranks every column of `x`: one sort per column.
+    pub(crate) fn build(x: &DenseMatrix) -> Self {
         assert!(u32::try_from(x.n_rows()).is_ok(), "row ids must fit u32");
-        let cols: Vec<usize> = (0..x.n_cols()).collect();
-        ColumnRanks {
-            ranks: domd_runtime::par_map(threads.max(1), &cols, |_, &f| rank_column(x, f)),
-        }
+        ColumnRanks { ranks: (0..x.n_cols()).map(|f| rank_column(x, f)).collect() }
     }
 }
 
@@ -247,18 +201,12 @@ impl Presorted {
     }
 }
 
-/// Minimum row count, and minimum `rows × features` work, before the split
-/// search fans out across the pool: below these, thread startup costs more
-/// than the scan itself (the paper's ~150-row modeling population always
-/// stays sequential).
-const PAR_SPLIT_MIN_ROWS: usize = 1024;
-const PAR_SPLIT_MIN_WORK: usize = 16_384;
-
 impl RegressionTree {
     /// Fits a tree to the current gradients/hessians over the rows `rows`
     /// of `x`, considering only the columns in `features` (column
-    /// subsampling is the caller's job). Sequential split search; see
-    /// [`RegressionTree::fit_threaded`] for the pooled variant.
+    /// subsampling is the caller's job). Ranks the columns of `x` itself;
+    /// the ensemble trainers rank once and share the ranks across their
+    /// trees.
     pub fn fit(
         x: &DenseMatrix,
         grad: &[f64],
@@ -267,57 +215,11 @@ impl RegressionTree {
         features: &[usize],
         params: TreeParams,
     ) -> Self {
-        RegressionTree::fit_threaded(x, grad, hess, rows, features, params, 1)
+        RegressionTree::fit_with(x, grad, hess, rows, features, params, &ColumnRanks::build(x))
     }
 
-    /// As [`RegressionTree::fit`], with the per-feature split search fanned
-    /// out over at most `threads` pool workers on nodes large enough to
-    /// amortize the fan-out. The chosen split is bit-identical to the
-    /// sequential search for every thread count: per-feature scans are
-    /// independent and the winning split is reduced in feature order with
-    /// the same strict-improvement tie-break. Ranks the columns of `x`
-    /// itself; the ensemble trainers rank once and share the ranks across
-    /// their trees.
-    pub fn fit_threaded(
-        x: &DenseMatrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        features: &[usize],
-        params: TreeParams,
-        threads: usize,
-    ) -> Self {
-        let tables = SplitTables::Exact(ColumnRanks::build(x, threads));
-        RegressionTree::fit_with(x, grad, hess, rows, features, params, threads, &tables)
-    }
-
-    /// As [`RegressionTree::fit_threaded`], but finds splits by sweeping
-    /// the per-feature histograms of `bins` instead of scanning sorted
-    /// orders: one `O(rows)` accumulation pass plus an `O(bins)` boundary
-    /// scan per feature. Candidate thresholds are the
-    /// bin cuts, so the fitted tree is a (deterministic) approximation of
-    /// the exact-greedy one; predictions of the *same* fitted tree remain
-    /// bit-identical across thread counts because per-bin accumulation
-    /// visits rows in list order and the winning feature is reduced in
-    /// feature order, exactly like the exact path.
-    #[allow(clippy::too_many_arguments)] // mirrors fit_threaded + the bin table
-    pub fn fit_binned(
-        x: &DenseMatrix,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        features: &[usize],
-        params: TreeParams,
-        threads: usize,
-        bins: &TrainingBins,
-    ) -> Self {
-        check_inputs(x, grad, hess, rows);
-        assert_eq!(bins.n_rows(), x.n_rows(), "bins must cover the training matrix");
-        Builder::run(x, grad, hess, rows, features, params, threads, Search::Hist(bins))
-    }
-
-    /// Fits with the `tables` an ensemble built once for all its trees.
-    #[allow(clippy::too_many_arguments)] // mirrors fit_threaded + the shared tables
+    /// Fits with the column `ranks` an ensemble built once for all its
+    /// trees.
     pub(crate) fn fit_with(
         x: &DenseMatrix,
         grad: &[f64],
@@ -325,17 +227,25 @@ impl RegressionTree {
         rows: &[usize],
         features: &[usize],
         params: TreeParams,
-        threads: usize,
-        tables: &SplitTables,
+        ranks: &ColumnRanks,
     ) -> Self {
-        check_inputs(x, grad, hess, rows);
-        let search = match tables {
-            SplitTables::Exact(ranks) => {
-                Search::Exact(Presorted::new(x, grad, hess, rows, features, ranks))
-            }
-            SplitTables::Hist(bins) => Search::Hist(bins),
+        assert_eq!(grad.len(), x.n_rows());
+        assert_eq!(hess.len(), x.n_rows());
+        assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        let mut b = Builder {
+            x,
+            grad,
+            hess,
+            features,
+            params,
+            sorted: Presorted::new(x, grad, hess, rows, features, ranks),
+            row_buf: Vec::with_capacity(rows.len()),
+            nodes: Vec::new(),
+            gains: vec![0.0; x.n_cols()],
         };
-        Builder::run(x, grad, hess, rows, features, params, threads, search)
+        let mut rows = rows.to_vec();
+        b.build(&mut rows, 0, 0);
+        RegressionTree { nodes: b.nodes, gains: b.gains }
     }
 
     /// Predicted value for one feature row.
@@ -379,13 +289,6 @@ impl RegressionTree {
     }
 }
 
-/// The preconditions every fit checks before building.
-fn check_inputs(x: &DenseMatrix, grad: &[f64], hess: &[f64], rows: &[usize]) {
-    assert_eq!(grad.len(), x.n_rows());
-    assert_eq!(hess.len(), x.n_rows());
-    assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-}
-
 /// The threshold of the boundary between `v` and the next larger value
 /// `v_next` (`v < v_next`, `v` a number): the midpoint, which generalizes
 /// better than the left value, when it lies in `[v, v_next)`, and `v`
@@ -409,36 +312,7 @@ struct BestSplit {
     gain: f64,
 }
 
-impl<'a> Builder<'a> {
-    /// Builds the whole tree over `rows` with `search`.
-    #[allow(clippy::too_many_arguments)] // the fit arguments + the search
-    fn run(
-        x: &'a DenseMatrix,
-        grad: &'a [f64],
-        hess: &'a [f64],
-        rows: &[usize],
-        features: &'a [usize],
-        params: TreeParams,
-        threads: usize,
-        search: Search<'a>,
-    ) -> RegressionTree {
-        let mut b = Builder {
-            x,
-            grad,
-            hess,
-            features,
-            params,
-            threads: threads.max(1),
-            search,
-            row_buf: Vec::with_capacity(rows.len()),
-            nodes: Vec::new(),
-            gains: vec![0.0; x.n_cols()],
-        };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0, 0);
-        RegressionTree { nodes: b.nodes, gains: b.gains }
-    }
-
+impl Builder<'_> {
     /// Builds the subtree over `rows`, which sit at `[lo, lo + rows.len())`
     /// of every presorted segment, returning its node index.
     fn build(&mut self, rows: &mut [usize], lo: usize, depth: usize) -> u32 {
@@ -448,7 +322,7 @@ impl<'a> Builder<'a> {
         if depth >= self.params.max_depth || rows.len() < 2 {
             return self.push(Node::Leaf { value: leaf_value });
         }
-        let Some(best) = self.best_split(rows, lo, g_sum, h_sum) else {
+        let Some(best) = self.best_split(lo, lo + rows.len(), g_sum, h_sum) else {
             return self.push(Node::Leaf { value: leaf_value });
         };
 
@@ -460,9 +334,7 @@ impl<'a> Builder<'a> {
         debug_assert!(mid > 0 && mid < rows.len(), "split must separate rows");
         // Children at the depth cap are leaves and scan nothing.
         if depth + 1 < self.params.max_depth {
-            if let Search::Exact(sorted) = &mut self.search {
-                sorted.split(lo, lo + rows.len(), best.slot, best.threshold, mid);
-            }
+            self.sorted.split(lo, lo + rows.len(), best.slot, best.threshold, mid);
         }
         let slot = self.push(Node::Split {
             feature: feature as u32,
@@ -495,27 +367,13 @@ impl<'a> Builder<'a> {
         (g, h)
     }
 
-    fn best_split(&self, rows: &[usize], lo: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let fan_out = self.threads > 1
-            && rows.len() >= PAR_SPLIT_MIN_ROWS
-            && rows.len() * self.features.len() >= PAR_SPLIT_MIN_WORK;
-        let scan = |slot: usize| match &self.search {
-            Search::Exact(sorted) => {
-                self.scan_sorted(sorted, slot, lo, lo + rows.len(), g_sum, h_sum)
-            }
-            Search::Hist(bins) => self.scan_feature_hist(bins, slot, rows, g_sum, h_sum),
-        };
-        let per_feature: Vec<Option<BestSplit>> = if fan_out {
-            domd_runtime::par_map(self.threads, self.features, |slot, _| scan(slot))
-        } else {
-            (0..self.features.len()).map(scan).collect()
-        };
-
-        // Reduce in feature order with the same strict-improvement rule as
-        // the flat sequential scan (earliest feature wins ties), so the
-        // pooled and sequential searches pick the identical split.
+    /// The best admissible split of the node `[lo, hi)`. Features reduce in
+    /// order with a strict-improvement rule, so the earliest feature wins
+    /// ties.
+    fn best_split(&self, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
         let mut best: Option<BestSplit> = None;
-        for cand in per_feature.into_iter().flatten() {
+        for slot in 0..self.features.len() {
+            let Some(cand) = self.scan(slot, lo, hi, g_sum, h_sum) else { continue };
             if best.as_ref().is_none_or(|b| cand.gain > b.gain) {
                 best = Some(cand);
             }
@@ -526,15 +384,8 @@ impl<'a> Builder<'a> {
     /// Exact greedy scan of feature `features[slot]` over the node
     /// `[lo, hi)`, walking its presorted segment, returning the feature's
     /// best admissible split.
-    fn scan_sorted(
-        &self,
-        sorted: &Presorted,
-        slot: usize,
-        lo: usize,
-        hi: usize,
-        g_sum: f64,
-        h_sum: f64,
-    ) -> Option<BestSplit> {
+    fn scan(&self, slot: usize, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+        let sorted = &self.sorted;
         let lambda = self.params.lambda;
         let parent_score = g_sum * g_sum / (h_sum + lambda);
         let mut best: Option<BestSplit> = None;
@@ -575,72 +426,6 @@ impl<'a> Builder<'a> {
                 - self.params.gamma;
             if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
                 best = Some(BestSplit { slot, threshold: split_threshold(v, v_next), gain });
-            }
-        }
-        best
-    }
-
-    /// Histogram scan of feature `features[slot]`: one pass over `rows`
-    /// accumulating per-bin gradient/hessian/count, then a prefix sweep
-    /// over bin boundaries. A candidate threshold is the cut value itself
-    /// (not a midpoint): `code(x) <= b ⟺ x <= cut(f, b)`, so the in-place
-    /// partition in `build` separates exactly the rows whose mass the
-    /// gain was computed from.
-    fn scan_feature_hist(
-        &self,
-        bins: &TrainingBins,
-        slot: usize,
-        rows: &[usize],
-        g_sum: f64,
-        h_sum: f64,
-    ) -> Option<BestSplit> {
-        let f = self.features[slot];
-        let n_cuts = bins.n_cuts(f);
-        if n_cuts == 0 {
-            return None; // constant feature: nothing to separate
-        }
-        let codes = bins.codes(f);
-        let nb = n_cuts + 1;
-        let mut g = vec![0.0; nb];
-        let mut h = vec![0.0; nb];
-        let mut cnt = vec![0usize; nb];
-        for &r in rows {
-            let b = codes[r] as usize;
-            g[b] += self.grad[r];
-            h[b] += self.hess[r];
-            cnt[b] += 1;
-        }
-
-        let lambda = self.params.lambda;
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
-        let mut best: Option<BestSplit> = None;
-        let mut gl = 0.0;
-        let mut hl = 0.0;
-        let mut nl = 0usize;
-        for b in 0..n_cuts {
-            gl += g[b];
-            hl += h[b];
-            nl += cnt[b];
-            if nl == 0 {
-                continue; // no rows at or below this cut yet
-            }
-            let nr = rows.len() - nl;
-            if nr == 0 {
-                break; // every remaining boundary leaves the right side empty
-            }
-            let gr = g_sum - gl;
-            let hr = h_sum - hl;
-            // Same OR'd support rule as the exact scan above: hessian mass
-            // or sample count must clear min_child_weight on each side.
-            let mcw = self.params.min_child_weight;
-            if (hl < mcw && (nl as f64) < mcw) || (hr < mcw && (nr as f64) < mcw) {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
-                - self.params.gamma;
-            if gain > 0.0 && best.as_ref().is_none_or(|cur| gain > cur.gain) {
-                best = Some(BestSplit { slot, threshold: bins.cut(f, b), gain });
             }
         }
         best
@@ -855,6 +640,13 @@ impl RegressionTree {
                     let right: u32 = r.parse(t[3], "right")?;
                     if left as usize >= n_nodes || right as usize >= n_nodes {
                         return Err(r.err("child index out of range"));
+                    }
+                    // Predicting indexes the row by the feature id, so it
+                    // must lie inside the width the tree records.
+                    if feature as usize >= n_gains {
+                        return Err(r.err(format!(
+                            "split feature {feature} out of range for {n_gains} features"
+                        )));
                     }
                     nodes.push(Node::Split { feature, threshold, left, right });
                 }

@@ -1,10 +1,8 @@
-//! Determinism contract of the pooled model trainers: GBT and forest fits
-//! must be bit-identical for every worker cap. The GBT test uses a matrix
-//! large enough to cross the split-search fan-out threshold, so the
-//! parallel per-feature scan (not just the sequential fallback) is what is
-//! being compared.
+//! Determinism contract of the pooled forest trainer: its fits must be
+//! bit-identical for every worker cap. Trees are the forest's work items,
+//! so the pooled fit runs several trees at once.
 
-use domd_ml::{DenseMatrix, ForestModel, ForestParams, GbtModel, GbtParams};
+use domd_ml::{DenseMatrix, ForestModel, ForestParams};
 
 fn synthetic_xy(n: usize, p: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
     let mut state = seed | 1;
@@ -26,52 +24,6 @@ fn assert_bits_eq(a: &[f64], b: &[f64], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: length");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{label}: prediction {i}: {x} vs {y}");
-    }
-}
-
-#[test]
-fn gbt_parallel_split_search_is_bit_identical() {
-    // 2048 rows x 24 features clears both fan-out gates (>= 1024 rows,
-    // >= 16384 row-feature products) at the root and upper split levels.
-    let (x, y) = synthetic_xy(2048, 24, 7);
-    for seed in [0u64, 13] {
-        let params = GbtParams {
-            n_estimators: 8,
-            subsample: 0.8,
-            colsample_bytree: 0.8,
-            seed,
-            ..GbtParams::default()
-        };
-        let reference = GbtModel::fit_threaded(&x, &y, &params, 1).predict(&x);
-        for threads in [2usize, 3, 6] {
-            let pooled = GbtModel::fit_threaded(&x, &y, &params, threads).predict(&x);
-            assert_bits_eq(&reference, &pooled, &format!("gbt seed {seed} threads {threads}"));
-        }
-    }
-}
-
-#[test]
-fn gbt_histogram_path_is_bit_identical_across_threads() {
-    // 4608 rows crosses HIST_MIN_ROWS, so this exercises the histogram
-    // split search (binned columns + per-bin accumulation) end to end:
-    // the TrainingBins build, every per-round fit_binned, the flat-kernel
-    // prediction refresh, and the final compiled predict must all agree
-    // bit for bit whatever the worker cap.
-    let (x, y) = synthetic_xy(4608, 12, 11);
-    let params = GbtParams {
-        n_estimators: 6,
-        subsample: 0.9,
-        colsample_bytree: 0.8,
-        seed: 3,
-        ..GbtParams::default()
-    };
-    let reference = GbtModel::fit_threaded(&x, &y, &params, 1);
-    let ref_pred = reference.predict(&x);
-    // Flat kernel vs pointer walker on the same model (the inference gate).
-    assert_bits_eq(&ref_pred, &reference.predict_pointer(&x), "gbt hist flat-vs-pointer");
-    for threads in [2usize, 4, 8] {
-        let pooled = GbtModel::fit_threaded(&x, &y, &params, threads).predict(&x);
-        assert_bits_eq(&ref_pred, &pooled, &format!("gbt hist threads {threads}"));
     }
 }
 

@@ -1,9 +1,9 @@
 //! Property tests for the branchless flat-forest kernel: arbitrary random
 //! forests (depth 0–8, wildly skewed thresholds) compiled to the flat
 //! layout must predict `to_bits`-identically to the pointer walker on
-//! every row — including ±∞ feature values — through the plain, batch,
-//! and quantized (pre-binned) descent paths; and persisted ensembles must
-//! recompile to the same kernel on load.
+//! every row — including ±∞ feature values — through the single-row and
+//! batch descent paths; and persisted ensembles must recompile to the
+//! same kernel on load.
 //!
 //! Trees are generated *structurally* (crafted `tree` artifacts parsed by
 //! `RegressionTree::read_text`) rather than fitted, so shapes no fitter
@@ -130,7 +130,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn flat_and_binned_match_pointer_row_for_row(
+    fn flat_matches_pointer_row_for_row(
         seed in 0u64..u64::MAX / 2,
         max_depth in 0usize..=8,
         n_trees in 1usize..5,
@@ -161,15 +161,6 @@ proptest! {
         }
         let batch = flat.predict(&x);
         for (got, w) in batch.iter().zip(&want) {
-            prop_assert_eq!(got.to_bits(), w.to_bits());
-        }
-
-        // Quantized descent (crafted thresholds are never NaN, so the
-        // forest always bins).
-        let bins = flat.bins().expect("finite thresholds must bin");
-        let block = bins.bin_matrix(&x);
-        let binned = flat.predict_binned(&bins, &block);
-        for (got, w) in binned.iter().zip(&want) {
             prop_assert_eq!(got.to_bits(), w.to_bits());
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The deterministic parallel execution layer shared by every hot path of
 //! the framework: the sharded feature-engine sweep, pooled per-step model
-//! training, GBT/forest split search, and batch Status Query execution.
+//! training, per-tree forest fits, and batch Status Query execution.
 //!
 //! Design contract (enforced by the equivalence tests of each consumer):
 //!

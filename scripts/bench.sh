@@ -12,8 +12,8 @@
 # admitted requests, sustained QPS, shed rate) and warns if the
 # max-load p99 exceeds 5x the 1x-load p99. The gbt suite benches the
 # branchless flat-forest inference kernel against the pointer walker
-# (pointer vs flat vs flat+binned at 1x/4x/20x rows, bit-identity-gated)
-# plus histogram-vs-exact tree training into BENCH_gbt.json, warning if
+# (pointer vs flat at 1x/4x/20x rows, bit-identity-gated) plus one
+# exact-greedy tree fit at 65,536 rows into BENCH_gbt.json, warning if
 # the flat kernel misses its 5x acceptance target at the largest scale.
 #
 #   THREADS=8 scripts/bench.sh

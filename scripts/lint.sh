@@ -19,10 +19,10 @@
 # maps), unlogged DurableIndex mutations, and missing/abused lint
 # waivers. Any unwaived finding exits nonzero before clippy runs.
 # The ML gate runs every domd-ml integration suite: the branchless
-# compiled descent bit-identical to the pointer walker, threaded training
-# bit-stable across worker counts, and presorted exact-greedy trees
-# byte-identical to a per-node sort; then a tiny-scale identity-gated
-# bench smoke. The ingest and
+# compiled descent bit-identical to the pointer walker, pooled forest
+# fits bit-stable across worker counts, and presorted exact-greedy trees
+# byte-identical to a per-node sort; then tiny-scale identity-gated
+# smokes of the gbt and parallel-runtime benches. The ingest and
 # restart benches then run one tiny round each, so their identity asserts
 # (maintained view vs a from-scratch build; store-rebuilt vs from-scratch
 # snapshot) run on every change.
@@ -97,17 +97,18 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # property tests, the heap-size ceilings) run here too.
 DOMD_THREADS=2 cargo test -q -p domd-index --tests
 
-# ML gate: every domd-ml integration suite. The compiled descent (plain,
-# batch, quantized) must stay bit-identical to the pointer walker
-# (prop_flat), threaded exact and histogram training bit-stable across
-# worker counts (parallel_equivalence), and presorted exact-greedy trees
-# byte-identical to the per-node stable sort they replaced (prop_ml);
-# then a tiny-scale smoke run of the gbt bench (its built-in identity
-# gates assert before any timing).
+# ML gate: every domd-ml integration suite. The compiled descent (single
+# row and batch) must stay bit-identical to the pointer walker
+# (prop_flat), pooled forest fits thread-stable across worker counts
+# (parallel_equivalence), and presorted exact-greedy trees byte-identical
+# to the per-node stable sort they replaced (prop_ml); then tiny-scale
+# smoke runs of the gbt and parallel-runtime benches (each asserts its
+# bit-identity gates before any timing).
 DOMD_THREADS=2 cargo test -q -p domd-ml --tests
-cargo build --release -q -p domd-bench --bin bench_gbt
+cargo build --release -q -p domd-bench --bin bench_gbt --bin bench_parallel
 target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
   --rows 256 --train-rows 512 --out /dev/null >/dev/null
+target/release/bench_parallel --scales 1 --runs 1 --threads 2 --out /dev/null
 echo "gbt kernel gate: OK"
 
 # Ingest and restart bench smokes: each asserts its identity gate before

@@ -138,6 +138,54 @@ fn corrupted_artifact_never_panics_load_pipeline() {
 }
 
 #[test]
+fn artifact_indexing_past_its_widths_is_refused_at_load() {
+    // Two hand edits that keep the artifact parseable but point a model
+    // past the row it will be given: a split on feature 999, and a step
+    // that selects column 9999. Both must be refused at load as artifact
+    // errors, not panic later inside a query.
+    let ds = generate(&GeneratorConfig { n_avails: 20, target_rccs: 1200, scale: 1, seed: 5 });
+    let inputs = PipelineInputs::build(&ds, 50.0);
+    let split = ds.split(3);
+    let mut cfg = PipelineConfig::paper_final();
+    cfg.gbt.n_estimators = 10;
+    cfg.k = 5;
+    cfg.grid_step = 50.0;
+    let artifact = save_pipeline(&TrainedPipeline::fit(&inputs, &split.train, &cfg));
+    assert!(load_pipeline(&artifact).is_ok(), "clean artifact must load");
+
+    // Replaces the first token after the tag of the first line tagged `tag`.
+    let edit = |tag: &str, value: &str| -> String {
+        let mut done = false;
+        let lines: Vec<String> = artifact
+            .lines()
+            .map(|l| {
+                let mut toks: Vec<&str> = l.split_whitespace().collect();
+                if done || toks.len() < 2 || toks[0] != tag {
+                    return l.to_string();
+                }
+                done = true;
+                toks[1] = value;
+                toks.join(" ")
+            })
+            .collect();
+        assert!(done, "artifact has no `{tag}` line");
+        lines.join("\n") + "\n"
+    };
+    for (scenario, bad) in [
+        ("split on feature 999", edit("S", "999")),
+        ("selected column 9999", edit("selected", "9999")),
+    ] {
+        match assert_no_panic(scenario, || load_pipeline(&bad)) {
+            Ok(_) => panic!("{scenario}: artifact loaded"),
+            Err(e) => {
+                assert_eq!(e.kind(), "artifact", "{scenario}: {e}");
+                assert!(e.to_string().contains("re-train"), "{scenario}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
 fn ten_percent_mangled_extract_is_quarantined_and_usable() {
     // The acceptance scenario: mangle ~10% of data rows across both
     // tables; lenient ingest must name every bad line and still hand back
