@@ -16,7 +16,7 @@ use domd_index::{
     project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, LogicalTimeIndex,
     NaiveJoinIndex, RccArena, RowColumns, StatusQuery, StatusView,
 };
-use domd_data::rcc::RccStatus;
+use domd_data::rcc::{RccStatus, RccType};
 use domd_ml::{
     DenseMatrix, ElasticNetModel, ElasticNetParams, ForestModel, ForestParams, GbtModel,
     GbtParams, Loss, SelectionMethod,
@@ -251,66 +251,76 @@ signal the subsystem totals hide)
     out
 }
 
-/// Status Query latency as the GROUP BY descends the SWLIN hierarchy
-/// (Figure 3 groups by `SWLIN_Level_no`): at depth `d` the workload runs
-/// one aggregate query per (hierarchy node at depth d x status) over the
-/// 11-step grid. `StatusView::aggregate` probes each node's rows against
-/// the arena, so the time per query follows the node's size.
+/// Status Query latency by GROUP BY, at 1x, 4x and 20x: the unfiltered
+/// query and the three RCC types (the heavy groups, answered from the
+/// per-type run directories), then the SWLIN hierarchy nodes at each
+/// depth (Figure 3 groups by `SWLIN_Level_no`; each node's rows are
+/// walked and tested against the arena). Every group is asked each of
+/// the three statuses over the 11-step `t*` grid; the heavy rows repeat
+/// that set [`HEAVY_PASSES`] times so their totals are long enough to
+/// time.
 pub fn groupby_depth_ablation() -> String {
-    groupby_depth_ablation_to(4)
+    groupby_depth_ablation_at(&[1, 4, 20], 4)
 }
 
-/// As [`groupby_depth_ablation`] but stopping at `max_depth` (tests use a
-/// shallow sweep; depth 4 alone runs ~300k queries).
-pub fn groupby_depth_ablation_to(max_depth: u32) -> String {
-    let ds = scaled_dataset(1);
-    let view = StatusView::from_arena(std::sync::Arc::new(RccArena::from_dataset(&ds)));
-    let grid: Vec<f64> = (0..=10).map(|i| f64::from(i) * 10.0).collect();
+/// Repetitions of the heavy rows' query set.
+const HEAVY_PASSES: usize = 50;
 
+/// As [`groupby_depth_ablation`] over `scales`, descending to `max_depth`
+/// (tests use one scale and a shallow sweep).
+pub fn groupby_depth_ablation_at(scales: &[u32], max_depth: u32) -> String {
+    let grid: Vec<f64> = (0..=10).map(|i| f64::from(i) * 10.0).collect();
     let mut out = String::from(
-        "Ablation — Status Query latency vs SWLIN GROUP BY depth (arena-probe aggregate, 11-step grid)
- depth | groups |  queries | total ms | us/query
-",
+        "Ablation — Status Query latency by GROUP BY (3 statuses x 11-step grid per group)\n \
+         scale |      rows | group      | groups |  queries | total ms | us/query\n",
     );
-    for depth in 1u32..=max_depth {
-        // Enumerate the hierarchy nodes present in the data at this depth.
+    for &scale in scales {
+        let ds = scaled_dataset(scale);
+        let view = StatusView::from_arena(std::sync::Arc::new(RccArena::from_dataset(&ds)));
+        type Group = (Option<RccType>, Option<(u32, u32)>);
+        let mut rows: Vec<(String, Vec<Group>, usize)> = vec![
+            ("unfiltered".into(), vec![(None, None)], HEAVY_PASSES),
+            ("type".into(), RccType::ALL.iter().map(|&t| (Some(t), None)).collect(), HEAVY_PASSES),
+        ];
         let mut nodes = vec![(0u32, 0u32)]; // (prefix, len); start at root
-        for _ in 0..depth {
+        for depth in 1..=max_depth {
             nodes = nodes
                 .iter()
-                .flat_map(|&(p, l)| {
-                    view.swlin_children(p, l).into_iter().map(move |c| (c, l + 1))
-                })
+                .flat_map(|&(p, l)| view.swlin_children(p, l).into_iter().map(move |c| (c, l + 1)))
                 .collect();
+            let groups = nodes.iter().map(|&n| (None, Some(n))).collect();
+            rows.push((format!("SWLIN d{depth}"), groups, 1));
         }
-        let mut n_queries = 0usize;
-        let ms = mean_time_ms(3, || {
-            let mut acc = 0.0;
+        for (label, groups, passes) in rows {
+            let mut queries = Vec::with_capacity(grid.len() * groups.len() * 3);
             for &t_star in &grid {
-                for &(prefix, len) in &nodes {
+                for &(rcc_type, swlin_prefix) in &groups {
                     for status in RccStatus::FEATURE_STATUSES {
-                        let q = StatusQuery {
-                            rcc_type: None,
-                            swlin_prefix: Some((prefix, len)),
-                            status,
-                            t_star,
-                        };
-                        acc += view.aggregate(&q).sum_amount;
+                        queries.push(StatusQuery { rcc_type, swlin_prefix, status, t_star });
                     }
                 }
             }
-            acc
-        });
-        n_queries += grid.len() * nodes.len() * 3;
-        out.push_str(&format!(
-            "{:>6} | {:>6} | {:>8} | {:>8.1} | {:>8.1}
-",
-            depth,
-            nodes.len(),
-            n_queries,
-            ms,
-            ms * 1e3 / n_queries as f64,
-        ));
+            let ms = mean_time_ms(3, || {
+                let mut acc = 0.0;
+                for _ in 0..passes {
+                    for q in &queries {
+                        acc += view.aggregate(q).sum_amount;
+                    }
+                }
+                std::hint::black_box(acc)
+            });
+            let n_queries = queries.len() * passes;
+            out.push_str(&format!(
+                "{:>5}x | {:>9} | {:<10} | {:>6} | {:>8} | {:>8.1} | {:>8.2}\n",
+                scale,
+                ds.rccs().len(),
+                label,
+                groups.len(),
+                n_queries,
+                ms,
+                ms * 1e3 / n_queries as f64,
+            ));
+        }
     }
     out
 }
@@ -354,9 +364,11 @@ mod tests {
 
     #[test]
     fn groupby_depth_renders_requested_rows() {
-        let s = groupby_depth_ablation_to(2);
-        assert!(s.contains("depth"));
-        assert_eq!(s.lines().count(), 2 + 2, "{s}");
+        let s = groupby_depth_ablation_at(&[1], 2);
+        for label in ["unfiltered", "type", "SWLIN d1", "SWLIN d2"] {
+            assert!(s.contains(label), "missing {label} in:\n{s}");
+        }
+        assert_eq!(s.lines().count(), 2 + 4, "{s}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   dynamic-index     streaming AVL insert/delete maintenance
 //!   incremental       incremental vs from-scratch on the same index
 //!   backtest          rolling-origin deployment replay (extension)
-//!   groupby-depth     Status Query latency vs SWLIN GROUP BY depth
+//!   groupby-depth     Status Query latency by GROUP BY (unfiltered, type, SWLIN depth; 1x/4x/20x)
 //!   model-ablation    GBT vs random forest vs elastic net
 //!   feature-depth     subsystem (1490) vs module (5810) feature catalogs
 //!   all      everything above, in paper order

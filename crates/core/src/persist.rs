@@ -10,7 +10,7 @@
 use crate::config::{Fusion, ModelFamily, PipelineConfig};
 use crate::error::DomdError;
 use crate::timeline::{StepModel, TrainedPipeline};
-use domd_features::N_STATIC;
+use domd_features::{FeatureCatalog, N_STATIC};
 use domd_ml::persist::{fmt_f64, framed_text, put_line, PersistError, Reader};
 use domd_ml::{ElasticNetParams, GbtParams, Loss, SelectionMethod, TrainedModel};
 use std::path::Path;
@@ -238,11 +238,22 @@ pub fn load_pipeline(text: &str) -> Result<TrainedPipeline, DomdError> {
     Ok(pipeline)
 }
 
-/// The input widths prediction indexes by: the static model reads the
+/// The input widths prediction indexes by: the feature names are the
+/// serving catalog's, in order (prediction builds its rows from that
+/// catalog, not from the artifact's names); the static model reads the
 /// `N_STATIC` statics; each step model reads the statics (or, stacked,
 /// the one base prediction) followed by its selected columns; and every
 /// selected column names one of the feature names.
 fn check_widths(p: &TrainedPipeline) -> Result<(), String> {
+    let catalog = FeatureCatalog::standard().names();
+    if p.feature_names != catalog {
+        let at = p.feature_names.iter().zip(&catalog).take_while(|(a, b)| a == b).count();
+        return Err(format!(
+            "its {} feature names are not the serving catalog's {} (they differ from column {at})",
+            p.feature_names.len(),
+            catalog.len()
+        ));
+    }
     if let Some(m) = &p.static_model {
         let width = m.feature_importance().len();
         if width != N_STATIC {
@@ -431,6 +442,13 @@ mod tests {
         p.static_model =
             Some(domd_ml::ModelSpec::Gbt(GbtParams::default()).fit(&one_col, &[0.0, 1.0, 2.0]));
         refused(&save_pipeline(&p), "static model reads 1 features");
+        // Feature names that are not the serving catalog's: one renamed,
+        // and the table cut short (with its count).
+        let (_, _, mut p) = trained(false);
+        p.feature_names[7] = "renamed".into();
+        refused(&save_pipeline(&p), "not the serving catalog's 1490 (they differ from column 7)");
+        p.feature_names.truncate(7);
+        refused(&save_pipeline(&p), "its 7 feature names");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::avail::{Avail, AvailId, ShipId, StaticAttrs};
 use crate::dataset::Dataset;
 use crate::date::Date;
 use crate::quarantine::QuarantinedRow;
-use crate::rcc::{Rcc, RccId, RccType, Swlin};
+use crate::rcc::{amount_admitted, Rcc, RccId, RccType, Swlin};
 use std::fmt::Write as _;
 
 /// Header of the avail table CSV.
@@ -204,8 +204,23 @@ fn parse_rcc_row(line: &str, line_no: usize) -> Result<Rcc, CsvError> {
         swlin,
         created: parse(f[4], "created", line_no)?,
         settled: parse(f[5], "settled", line_no)?,
-        amount: parse_finite(f[6], "amount", line_no)?,
+        amount: parse_amount(f[6], line_no)?,
     })
+}
+
+/// Parses an RCC amount: finite and inside the admitted window
+/// ([`amount_admitted`]), so a Status-Query sum holds it exactly.
+fn parse_amount(s: &str, line_no: usize) -> Result<f64, CsvError> {
+    let v = parse_finite(s, "amount", line_no)?;
+    if amount_admitted(v) {
+        Ok(v)
+    } else {
+        Err(CsvError::at_field(
+            line_no,
+            "amount",
+            format!("amount {s:?} is outside the admitted window (multiples of 2^-62 below 2^33)"),
+        ))
+    }
 }
 
 fn read_table<T>(
@@ -377,6 +392,24 @@ mod tests {
         }
         let text = format!("{AVAIL_HEADER}\n1,2,1/1/20,6/1/20,1/1/20,,0,0,NaN,1,5.0\n");
         assert_eq!(read_avails(&text).unwrap_err().field, Some("ship_age_years"));
+    }
+
+    #[test]
+    fn rejects_amounts_outside_the_admitted_window() {
+        // 2^33 and past it, 2^-11 + 2^-63 (an odd multiple of 2^-63),
+        // 0.0001 (below the grid's reach) and a tiny normal.
+        for bad in ["8589934592", "1e10", "-9e9", "0.0004882812500000001", "0.0001", "1e-300"] {
+            let text = format!("{RCC_HEADER}\n1,5,G,434-11-001,3/22/20,6/16/20,{bad}\n");
+            let e = read_rccs(&text).unwrap_err();
+            assert_eq!(e.field, Some("amount"), "{bad}: {e}");
+            assert!(e.to_string().contains("admitted window"), "{bad}: {e}");
+        }
+        // Both edges of the window parse: the largest amount below 2^33
+        // and the grid step itself.
+        for good in ["8589934591.999999", "2.168404344971009e-19", "0", "0.001"] {
+            let text = format!("{RCC_HEADER}\n1,5,G,434-11-001,3/22/20,6/16/20,{good}\n");
+            assert!(read_rccs(&text).is_ok(), "{good}");
+        }
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use generator::{censor_ongoing, generate, generate_with_truth, GeneratorConf
 pub use logical_time::{logical_time, physical_time, LogicalTime, TimeGrid};
 pub use obfuscate::{obfuscate, ObfuscationKey};
 pub use quarantine::{read_dataset_lenient, QuarantineReport, QuarantinedRow};
-pub use rcc::{status_at, Rcc, RccId, RccStatus, RccType, Swlin};
+pub use rcc::{amount_admitted, status_at, Rcc, RccId, RccStatus, RccType, Swlin};
 pub use validate::{validate, Finding, Severity, ValidationReport};

@@ -140,7 +140,9 @@ fn rcc_violation(r: &Rcc, live_avails: &FxHashSet<AvailId>) -> Option<(&'static 
 /// `actual_end ≥ actual_start`, finite statics, RCC references resolve
 /// to a surviving avail, `settled ≥ created`, finite non-negative
 /// amounts. Well-formed 8-digit SWLINs are enforced at parse time by
-/// [`crate::rcc::Swlin`].
+/// [`crate::rcc::Swlin`], and so are amounts inside the admitted window
+/// ([`crate::rcc::amount_admitted`]): a row that fails either is
+/// quarantined at the parse stage, as one with a non-finite amount is.
 pub fn read_dataset_lenient(
     avail_csv: &str,
     rcc_csv: &str,
@@ -323,6 +325,20 @@ mod tests {
         let rccs = vec![rcc_line(1, 1, "2/1/20", "3/1/20", "inf")];
         let (_, report) = ingest(&[ok_avail(1)], &rccs);
         assert_eq!(report.rows[0].field, Some("amount"));
+        // So do amounts outside the admitted window; the rows around them
+        // survive.
+        let rccs = vec![
+            rcc_line(1, 1, "2/1/20", "3/1/20", "1e10"),
+            rcc_line(2, 1, "2/1/20", "3/1/20", "100.0"),
+            rcc_line(3, 1, "2/1/20", "3/1/20", "0.0001"),
+        ];
+        let (ds, report) = ingest(&[ok_avail(1)], &rccs);
+        assert_eq!(ds.rccs().len(), 1);
+        assert_eq!(report.len(), 2);
+        for row in &report.rows {
+            assert_eq!(row.field, Some("amount"));
+            assert!(row.reason.contains("admitted window"), "{row}");
+        }
     }
 
     #[test]

@@ -166,6 +166,29 @@ impl Rcc {
     }
 }
 
+/// Fraction bits of the fixed-point grid Status-Query sums add amounts
+/// on: every admitted amount is a whole multiple of `2^-62` dollars.
+pub const AMOUNT_FRACTION_BITS: u32 = 62;
+
+/// Exclusive bound on an admitted amount's magnitude: `2^33` dollars
+/// (about $8.6B).
+pub const AMOUNT_LIMIT: f64 = (1u64 << 33) as f64;
+
+/// True when `amount` lies in the admitted window: finite, below
+/// [`AMOUNT_LIMIT`] in magnitude, and a whole multiple of `2^-62`. Every
+/// such amount is an integer below `2^95` on the `2^-62` grid, so the sum
+/// of up to `2^32` of them (every row id a view can hold) fits an `i128`
+/// exactly, and a Status Query rounds its amount sum once, whatever order
+/// it adds the rows in. Every `f64` from about $0.001 up to the bound is
+/// admitted; smaller amounts only when their last significand bits are
+/// zero. Loads, `validate` and `domd serve`'s ingest refuse the rest.
+pub fn amount_admitted(amount: f64) -> bool {
+    const SCALE: f64 = (1u64 << AMOUNT_FRACTION_BITS) as f64;
+    // Scaling by a power of two is exact, so the product's fraction is
+    // the amount's part below the grid.
+    amount.abs() < AMOUNT_LIMIT && (amount * SCALE).fract() == 0.0
+}
+
 /// Status of an RCC relative to a logical timestamp `t*`
 /// (Equations 3–6: active / settled / created / not-created).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

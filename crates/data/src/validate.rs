@@ -9,6 +9,7 @@
 use crate::avail::AvailId;
 use crate::dataset::Dataset;
 use crate::hash::FxHashMap;
+use crate::rcc::amount_admitted;
 use std::fmt;
 
 /// Severity of a finding.
@@ -72,7 +73,7 @@ impl ValidationReport {
 /// * planned durations within a sane range (30 days .. 5 years — outside
 ///   is a warning, not an error);
 /// * RCCs reference existing avails; `settled >= created`; non-negative
-///   amounts;
+///   amounts inside the admitted window ([`amount_admitted`]);
 /// * RCC dates fall inside a generous horizon around their avail
 ///   (creation before 3x planned duration past the start is a warning).
 pub fn validate(dataset: &Dataset) -> ValidationReport {
@@ -163,6 +164,16 @@ pub fn validate(dataset: &Dataset) -> ValidationReport {
                 Severity::Error,
                 "rcc-amount",
                 format!("RCC {} has negative amount {}", r.id.0, r.amount),
+            );
+        } else if !amount_admitted(r.amount) {
+            report.push(
+                Severity::Error,
+                "rcc-amount-window",
+                format!(
+                    "RCC {} amount {} is outside the admitted window \
+                     (multiples of 2^-62 below 2^33)",
+                    r.id.0, r.amount
+                ),
             );
         } else if r.amount > 50_000_000.0 {
             report.push(
@@ -311,6 +322,34 @@ mod tests {
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"statics-finite"), "{rules:?}");
         assert!(rules.contains(&"rcc-amount-finite"), "{rules:?}");
+    }
+
+    #[test]
+    fn amounts_outside_the_admitted_window_are_errors() {
+        let a = base_avail(1);
+        let rcc = |id: u32, amount: f64| Rcc {
+            id: RccId(id),
+            avail: AvailId(1),
+            rcc_type: RccType::Growth,
+            swlin: "123-45-678".parse().unwrap(),
+            created: a.plan_start + 10,
+            settled: a.plan_start + 15,
+            amount,
+        };
+        let limit = crate::rcc::AMOUNT_LIMIT;
+        let below = limit - 1.0 / 1_048_576.0; // the largest f64 below 2^33
+        let step = 1.0 / (1u64 << 62) as f64;
+        let rccs = vec![rcc(1, limit), rcc(2, step / 2.0), rcc(3, below), rcc(4, step)];
+        let report = Dataset::new(vec![a.clone()], rccs).validate();
+        let window: Vec<&str> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "rcc-amount-window")
+            .map(|f| f.detail.as_str())
+            .collect();
+        assert_eq!(window.len(), 2, "{window:?}");
+        assert!(window.iter().all(|d| d.starts_with("RCC 1 ") || d.starts_with("RCC 2 ")));
+        assert!(!report.is_usable());
     }
 
     #[test]

@@ -170,6 +170,12 @@ impl RccArena {
         f64::from(self.settled[row as usize] - self.created[row as usize])
     }
 
+    /// Duration in days of `row`, the integer [`Self::duration`] converts
+    /// (computed in `i64`, so no pair of day offsets overflows it).
+    pub fn duration_days(&self, row: RowId) -> i64 {
+        i64::from(self.settled[row as usize]) - i64::from(self.created[row as usize])
+    }
+
     /// Logical creation position of `row`.
     pub fn start(&self, row: RowId) -> f64 {
         self.starts[row as usize]
@@ -184,19 +190,6 @@ impl RccArena {
     pub fn logical(&self, row: RowId) -> LogicalRcc {
         let i = row as usize;
         LogicalRcc { id: row, avail: self.avails[i], start: self.starts[i], end: self.ends[i] }
-    }
-
-    /// Every row's logical `start` and `end`, one chunk at a time: each
-    /// item is the chunk's first row id with its two equal-length column
-    /// slices, so a full scan streams both columns without per-row lookups.
-    pub fn logical_chunks(&self) -> impl Iterator<Item = (RowId, &[f64], &[f64])> + '_ {
-        let n = self.len();
-        let mut first: RowId = 0;
-        self.starts.slices(0..n).zip(self.ends.slices(0..n)).map(move |(starts, ends)| {
-            let chunk = (first, starts, ends);
-            first += starts.len() as RowId;
-            chunk
-        })
     }
 
     /// Materializes the projection records (for `LogicalTimeIndex::build`).

@@ -14,19 +14,22 @@
 //! no type, SWLIN, or amount — which is why the typed stream is extracted
 //! where the mutation is issued rather than parsed back out of the log.)
 //!
-//! The maintained view is a [`StatusView`]: the arena and the two group
-//! trees, which is everything `domd serve` reads. It holds no logical-time
-//! index, so a delta mutates none: an insert appends to the arena and
-//! touches one type partition and one SWLIN entry, a settle rewrites the
-//! row's arena chunk, and a removal deletes the row from both group trees,
-//! each `O(log n)`. The arena is append-only — a removed row stays behind
-//! as an orphan no tree references — so every aggregate, visited in
-//! ascending row-id order, stays bit-identical to a from-scratch
-//! [`StatusView::from_arena_rows`] over the live rows of the same arena,
-//! and to folding the index plan
+//! The maintained view is a [`StatusView`]: the arena, the two group
+//! trees and the per-type run directories ([`crate::status_runs`]), which
+//! is everything `domd serve` reads. It holds no logical-time index, so a
+//! delta mutates none. An insert appends to the arena and touches one type
+//! partition, one SWLIN entry and its type's two key orders; a settle
+//! takes the row out of its type's orders, rewrites its arena chunk and
+//! puts it back at its new `end`; a removal deletes the row from both
+//! group trees and both orders. Each is `O(log n)` comparisons plus one
+//! run copy per structure it writes. The arena is append-only — a removed
+//! row stays behind as an orphan nothing references. Sums are exact (see
+//! [`crate::status_query`]), so every aggregate is bit-identical to a
+//! from-scratch [`StatusView::from_arena_rows`] over the live rows of the
+//! same arena, and to the exact sums of the index plan's ids
 //! ([`crate::status_query::StatusQueryEngine::execute`]) built over those
-//! rows. That bit-identity is the correctness gate of the delta
-//! equivalence suite.
+//! rows, whatever order the deltas arrived in. That bit-identity is the
+//! correctness gate of the delta equivalence suite.
 
 use crate::status_query::StatusView;
 use crate::types::RowId;
@@ -66,7 +69,7 @@ pub enum RccDelta {
 }
 
 impl StatusView {
-    /// Applies one delta in O(log n). Returns the affected row id, or
+    /// Applies one delta in `O(log n)`. Returns the affected row id, or
     /// `None` when the delta names a row the view does not hold (out of
     /// bounds, already removed, or under a mismatched avail) — the view
     /// is left untouched in that case, so a malformed delta can never
@@ -77,13 +80,20 @@ impl StatusView {
                 let row = Arc::make_mut(&mut self.arena).push(rcc, avail);
                 self.type_tree.insert(rcc.rcc_type, row);
                 self.swlin_tree.insert(rcc.swlin, row);
+                Arc::make_mut(&mut self.runs[rcc.rcc_type.index()]).insert(&self.arena, row);
                 Some(row)
             }
             RccDelta::Settle { row, settled, avail } => {
                 if !self.is_live(*row) || self.arena.avail(*row) != avail.id {
                     return None;
                 }
+                // The runs find the row by its old `end` (and carry its old
+                // duration in their totals), so it leaves them before the
+                // arena moves it and re-enters after.
+                let runs = Arc::make_mut(&mut self.runs[self.arena.rcc_type(*row).index()]);
+                runs.remove(&self.arena, *row);
                 Arc::make_mut(&mut self.arena).settle(*row, *settled, avail);
+                runs.insert(&self.arena, *row);
                 Some(*row)
             }
             RccDelta::Remove { row } => {
@@ -94,6 +104,7 @@ impl StatusView {
                 let swlin = self.arena.swlin(*row);
                 self.type_tree.remove(rcc_type, *row);
                 self.swlin_tree.remove(swlin, *row);
+                Arc::make_mut(&mut self.runs[rcc_type.index()]).remove(&self.arena, *row);
                 Some(*row)
             }
         }
@@ -259,12 +270,51 @@ mod tests {
         StatusQuery { rcc_type: None, swlin_prefix: None, status: RccStatus::Created, t_star: t }
     }
 
-    /// Storage pieces (arena column chunks, group-tree runs) of `child`
-    /// that no longer share memory with `parent`'s.
+    /// Storage pieces (arena column chunks, group-tree runs, per-type
+    /// order runs) of `child` that no longer share memory with `parent`'s.
     fn unshared(child: &StatusView, parent: &StatusView) -> usize {
         child.arena.unshared_chunks(&parent.arena)
             + child.type_tree.unshared_runs(&parent.type_tree)
             + child.swlin_tree.unshared_runs(&parent.swlin_tree)
+            + unshared_order_runs(child, parent)
+    }
+
+    /// Per-type order runs of `child` not shared with `parent`'s.
+    fn unshared_order_runs(child: &StatusView, parent: &StatusView) -> usize {
+        child.runs.iter().zip(&parent.runs).map(|(c, p)| c.unshared_runs(p)).sum()
+    }
+
+    /// A bulk-built view packs its order runs full, so a one-row insert
+    /// that lands mid-order copies its run in each order and splits it:
+    /// two fresh runs per order, and no other type's runs. A removal
+    /// copies one run per order.
+    #[test]
+    fn one_row_delta_copies_one_run_per_order_plus_a_split() {
+        let config = GeneratorConfig { n_avails: 40, target_rccs: 20_000, scale: 1, seed: 29 };
+        let ds = generate(&config);
+        let parent = view_of(&ds);
+        let avail = ds.avails()[7].clone();
+        let rcc = Rcc {
+            id: RccId(9_300_000),
+            avail: avail.id,
+            rcc_type: RccType::Growth,
+            swlin: "434-55-210".parse().unwrap(),
+            created: avail.actual_start + 20,
+            settled: avail.actual_start + 60,
+            amount: 75.25,
+        };
+        let mut child = parent.clone();
+        child.apply_delta(&RccDelta::Insert { rcc, avail }).expect("insert applies");
+        let g = RccType::Growth.index();
+        assert_eq!(child.runs[g].unshared_runs(&parent.runs[g]), 4, "a split run per order");
+        assert_eq!(unshared_order_runs(&child, &parent), 4, "other types are untouched");
+
+        let row = (0..parent.arena().len() as RowId)
+            .find(|&r| parent.arena().rcc_type(r) == RccType::NewWork)
+            .expect("a NewWork row");
+        let mut child = parent.clone();
+        child.apply_delta(&RccDelta::Remove { row }).expect("live row removes");
+        assert_eq!(unshared_order_runs(&child, &parent), 2, "one run per order");
     }
 
     /// Builds a view over about `target_rccs` generated rows, clones it as
@@ -316,10 +366,11 @@ mod tests {
     #[test]
     fn epoch_clone_copies_a_size_independent_number_of_pieces() {
         // The batch's writes: 9 arena tail chunks for the insert plus the
-        // settled row's 2; one run per group-tree write plus a split.
-        // Measured 16 and 16. At 20k rows the view holds 261 pieces, at
-        // 80k 1,025.
-        const BOUND: usize = 20;
+        // settled row's 2; one run per group-tree write plus a split; and
+        // one order run per order for each row the batch touches, plus the
+        // splits of full runs. Measured 25 and 25. At 20k rows the view
+        // holds 421 pieces, at 80k 1,653.
+        const BOUND: usize = 30;
         let (small, large) = (epoch_copy(20_000), epoch_copy(80_000));
         assert!(small <= BOUND, "{small} pieces copied at 20k rows");
         assert!(large <= BOUND, "{large} pieces copied at 80k rows");

@@ -37,7 +37,7 @@ use crate::traits::MaintainableIndex;
 use crate::types::{LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
 use domd_data::date::Date;
-use domd_data::rcc::{Rcc, RccId, RccType, Swlin};
+use domd_data::rcc::{amount_admitted, Rcc, RccId, RccType, Swlin};
 use domd_storage::{CheckpointEntry, FullRcc, Store, StorageError, WalOp, WalRecord, WalWriter};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -93,6 +93,16 @@ pub enum RebuildError {
         /// The avail no caller-side `Avail` exists for.
         avail: AvailId,
     },
+    /// A row's amount lies outside the admitted window
+    /// ([`domd_data::rcc::amount_admitted`]), so a Status-Query sum could
+    /// not hold it exactly; ingest and load refuse such amounts, so only
+    /// a store written without that check holds one.
+    Amount {
+        /// The row in question.
+        id: RowId,
+        /// Its amount.
+        amount: f64,
+    },
 }
 
 impl fmt::Display for RebuildError {
@@ -113,6 +123,11 @@ impl fmt::Display for RebuildError {
             RebuildError::UnknownAvail { id, avail } => {
                 write!(f, "row {id} belongs to avail {} which the dataset does not hold", avail.0)
             }
+            RebuildError::Amount { id, amount } => write!(
+                f,
+                "row {id} has amount {amount}, outside the admitted window (multiples of \
+                 2^-62 below 2^33)"
+            ),
         }
     }
 }
@@ -557,7 +572,8 @@ impl<I: MaintainableIndex> DurableIndex<I> {
     /// The live rows' full RCCs in row-id order, for a bulk snapshot
     /// build. `resolve_v1` supplies full payloads for projection-only
     /// rows (pass `|_| None` for a strict log-only rebuild); `has_avail`
-    /// says whether the caller holds an owning avail.
+    /// says whether the caller holds an owning avail. A row whose amount
+    /// is outside the admitted window is refused.
     pub fn rebuild_rows(
         &self,
         resolve_v1: impl Fn(&LogicalRcc) -> Option<Rcc>,
@@ -582,6 +598,9 @@ impl<I: MaintainableIndex> DurableIndex<I> {
             }
             if !has_avail(logical.avail) {
                 return Err(RebuildError::UnknownAvail { id: logical.id, avail: logical.avail });
+            }
+            if !amount_admitted(rcc.amount) {
+                return Err(RebuildError::Amount { id: logical.id, amount: rcc.amount });
             }
             rows.push(rcc);
         }
@@ -1139,7 +1158,29 @@ mod tests {
             .rebuild_rows(|l| Some(full_rcc(l.id, 0, 5)), |a| a != AvailId(1))
             .unwrap_err();
         assert!(matches!(e, RebuildError::UnknownAvail { id: 1, avail: AvailId(1) }), "{e}");
+        // ...and so is a resolved row whose amount a status sum cannot hold.
+        let e = v1
+            .rebuild_rows(|l| Some(Rcc { amount: 1e10, ..full_rcc(l.id, 0, 5) }), |_| true)
+            .unwrap_err();
+        assert!(matches!(e, RebuildError::Amount { id: 0, .. }), "{e}");
         assert_eq!(v1.rebuild_rows(|l| Some(full_rcc(l.id, 0, 5)), |_| true).unwrap().len(), 3);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A v2 store row whose amount lies outside the admitted window (one
+    /// a store written before the window existed may hold) is refused by
+    /// a rebuild, typed, after a restart reads it back.
+    #[test]
+    fn stored_amount_outside_the_window_is_refused_on_rebuild() {
+        let d = dir("rows-amount");
+        let mut bad = full_rcc(1, 0, 5);
+        bad.amount = 1e-30;
+        let rows = vec![full_pair(0, 0.0, 5.0), (rcc(1, 0.0, 5.0), bad)];
+        drop(DurableIndex::<FlatAvlIndex>::create_full(&d, rows).unwrap());
+        let (store, _) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let e = store.rebuild_rows(|_| None, |_| true).unwrap_err();
+        assert!(matches!(e, RebuildError::Amount { id: 1, amount } if amount == 1e-30), "{e}");
+        assert!(e.to_string().contains("admitted window"), "{e}");
         std::fs::remove_dir_all(&d).unwrap();
     }
 }

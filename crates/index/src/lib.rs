@@ -31,9 +31,12 @@
 //! valid WAL prefix onto the newest intact checkpoint).
 //!
 //! [`group_tree`] holds the RCC-Type-Tree and SWLIN tree of Algorithm
-//! StatusQ; [`status_query`] implements the algorithm itself, as one type
-//! per use: [`status_query::StatusView`] (the arena and the group trees,
-//! which `domd serve` reads and maintains) and
+//! StatusQ, and [`status_runs`] each type's rows in `start` and `end`
+//! order with exact per-run totals, which answer the unfiltered and
+//! per-type queries without a scan; [`status_query`] implements the
+//! algorithm itself, as one type per use: [`status_query::StatusView`]
+//! (the arena, the group trees and the run directories, which `domd
+//! serve` reads and maintains) and
 //! [`status_query::StatusQueryEngine`] (a view plus a logical-time index,
 //! the paper's index plan, built once and never maintained); and
 //! [`incremental`] provides the `StatStructure` delta computation of
@@ -41,7 +44,8 @@
 //! timeline touching only the RCCs whose endpoints fall in each new window.
 //! [`delta`] maintains a view against a typed insert/settle/remove stream
 //! in the DurableIndex WAL order — O(log n) per delta, bit-identical to a
-//! from-scratch rebuild over the live rows.
+//! from-scratch rebuild over the live rows (every status sum is exact, so
+//! no answer depends on the order rows arrived in).
 
 #![deny(unsafe_code)]
 pub mod arena;
@@ -57,8 +61,15 @@ pub mod naive;
 pub mod snapshot;
 pub mod sorted_array;
 pub mod status_query;
+pub mod status_runs;
 pub mod traits;
 pub mod types;
+
+/// The exact-sum reference the integration tests use, shared with the
+/// unit tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
 
 pub use arena::RccArena;
 pub use cache::{CacheStats, LruCache, DEFAULT_CACHE_CAPACITY};

@@ -10,32 +10,45 @@
 //! The module has one type per use:
 //!
 //! * [`StatusView`] holds what `domd serve` reads and writes: the shared
-//!   columnar [`RccArena`] and the two group-by trees. It answers
+//!   columnar [`RccArena`], the two group-by trees and the per-type run
+//!   directories ([`crate::status_runs`]). It answers
 //!   [`StatusView::aggregate`] and absorbs the typed delta stream
 //!   ([`crate::delta`]). It holds no logical-time index.
 //! * [`StatusQueryEngine`] is the paper's index plan: a view plus a
 //!   logical-time index `I` built once over the view's live rows. Step 1
 //!   takes the group rows from the group-by trees, Step 2 takes the
 //!   fleet-wide status set from the index, and [`StatusQueryEngine::execute`]
-//!   returns their intersection as row ids. Folding those ids is the
+//!   returns their intersection as row ids. Summing those ids is the
 //!   reference the view's aggregates are tested against; `repro fig5` and
 //!   Table 6 time the logical-time indexes themselves.
 //!
-//! [`StatusView::aggregate`] evaluates Step 2 on the group rows
-//! themselves: it visits them in ascending row-id order, reads each row's
-//! logical `start`/`end` from the arena, and folds the matches as it goes.
-//! Its cost follows the group, not the fleet, and it builds no id vector
-//! for an unfiltered or type-only query on a view without removed rows
-//! (every `domd serve` epoch). It applies the index's own comparisons —
+//! [`StatusView::aggregate`] evaluates Step 2 without listing the status
+//! set. The heavy groups — no GROUP BY, or an RCC type alone — add the
+//! totals of whole runs of the type's rows in `start` and `end` order,
+//! plus one partial run per order: `O(n / KEY_RUN + KEY_RUN)` per type
+//! (see [`crate::status_runs`]). A SWLIN group, alone or with a type,
+//! stays output-sensitive: it walks its code range of the SWLIN tree and
+//! tests each row's arena `start`/`end`, `O(g)` for `g` rows, with no
+//! collect and no sort. Both apply the index's own comparisons —
 //! `start <= t*` (created), `end <= t*` (settled), both `start <= t*` and
-//! `end > t*` (active), and `!(start <= t*)` (not-created) — so both plans
-//! pick the same rows even at a NaN `t*` or for a row settled before its
-//! start, and every sum adds the same values in the same order: the
-//! aggregate equals folding `execute`'s ids to the bit.
+//! `end > t*` (active), and `!(start <= t*)` (not-created) — so both
+//! plans pick the same rows even at a NaN `t*` or for a row settled
+//! before its start.
+//!
+//! Sums are exact. `sum_amount` is the correctly rounded sum of the
+//! rows' amounts: every admitted amount
+//! ([`domd_data::rcc::amount_admitted`]) is an integer on the `2^-62`
+//! grid, the rows add up in an `i128`, and the total is rounded to `f64`
+//! once. `sum_duration` is the integer day count, which an `f64` holds
+//! exactly below `2^53`. No answer therefore depends on the order rows
+//! are added in: run totals, the SWLIN walk, a sum over `execute`'s ids
+//! and a restarted view that numbers its rows differently agree to the
+//! bit.
 
 use crate::arena::RccArena;
 use crate::chunked::SortedRuns;
 use crate::group_tree::{RccTypeTree, SwlinTree};
+use crate::status_runs::{hits, Totals, TypeRuns};
 use crate::traits::LogicalTimeIndex;
 use crate::types::{HeapSize, LogicalRcc, RowId};
 use domd_data::dataset::Dataset;
@@ -60,9 +73,11 @@ pub struct StatusQuery {
 pub struct StatusAggregate {
     /// Matching row count.
     pub count: usize,
-    /// Sum of settled amounts ($).
+    /// Sum of settled amounts ($): the exact sum rounded once to the
+    /// nearest `f64` (ties to even), the same whatever order the rows
+    /// are added in.
     pub sum_amount: f64,
-    /// Sum of RCC durations (days).
+    /// Sum of RCC durations (days), an exact integer below `2^53`.
     pub sum_duration: f64,
 }
 
@@ -101,15 +116,21 @@ pub enum GroupRows<'a> {
 }
 
 /// The serving half of Algorithm StatusQ: the shared columnar
-/// [`RccArena`] and the two group-by trees, with no logical-time index.
+/// [`RccArena`], the two group-by trees and the per-type run directories,
+/// with no logical-time index.
 ///
-/// Every part keeps its storage in [`crate::chunked`] pieces, so a clone —
-/// one per `domd serve` ingest epoch — copies piece pointers, not rows,
-/// and applying a batch copies only the pieces its writes land in.
+/// Every part keeps its storage in `Arc`-shared pieces, so a clone — one
+/// per `domd serve` ingest epoch — copies piece pointers, not rows, and
+/// applying a batch copies only the pieces its writes land in.
 #[derive(Debug, Clone)]
 pub struct StatusView {
     pub(crate) type_tree: RccTypeTree,
     pub(crate) swlin_tree: SwlinTree,
+    /// Each type's live rows in `start` and `end` order, with per-run
+    /// totals, indexed by [`RccType::index`]. `Arc` per type, so a clone
+    /// copies three pointers and a delta copies the run directories of
+    /// its row's type only.
+    pub(crate) runs: [Arc<TypeRuns>; 3],
     /// Columnar RCC storage; `Arc` so feature/bench layers can share it
     /// without cloning columns. Deltas copy-on-write via
     /// [`Arc::make_mut`], which clones chunk pointers, not rows.
@@ -122,20 +143,21 @@ impl StatusView {
     pub fn from_arena(arena: Arc<RccArena>) -> Self {
         let type_tree = RccTypeTree::build(arena.type_rows());
         let swlin_tree = SwlinTree::build(arena.swlin_rows());
-        StatusView { type_tree, swlin_tree, arena }
+        let runs = TypeRuns::build(&arena, 0..arena.len() as RowId).map(Arc::new);
+        StatusView { type_tree, swlin_tree, runs, arena }
     }
 
     /// Builds the view over the subset `live` (ascending row ids) of an
     /// existing arena. This is the from-scratch reference for delta
     /// maintenance (see [`crate::delta`]): removed rows stay in the arena
-    /// as orphans, so a recompute must group only the surviving rows — over
-    /// the *same* arena, in the same ascending-id visit order, so that every
-    /// `f64` aggregation is bit-identical to the maintained view's.
+    /// as orphans, so a recompute must group only the surviving rows, over
+    /// the *same* arena so that its row ids are the maintained view's.
     pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
         debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live rows must ascend");
         let type_tree = RccTypeTree::build(live.iter().map(|&r| (arena.rcc_type(r), r)));
         let swlin_tree = SwlinTree::build(live.iter().map(|&r| (arena.swlin(r), r)));
-        StatusView { type_tree, swlin_tree, arena }
+        let runs = TypeRuns::build(&arena, live.iter().copied()).map(Arc::new);
+        StatusView { type_tree, swlin_tree, runs, arena }
     }
 
     /// The shared columnar RCC storage.
@@ -170,55 +192,29 @@ impl StatusView {
         crate::traits::merge_disjoint_sorted(&merged, &ids(RccType::NewGrowth))
     }
 
-    /// The aggregates of `q`'s rows, bit-identical to folding
-    /// [`StatusQueryEngine::execute`]'s ids in order, in time proportional
-    /// to the group: Step 2's status predicate is tested on each group
-    /// row's arena `start`/`end` instead of taken from an index (see the
-    /// module doc).
+    /// The aggregates of `q`'s rows, to the bit the exact sums of
+    /// [`StatusQueryEngine::execute`]'s ids: run totals for the heavy
+    /// groups (no group, or a type alone), a walk of the SWLIN code range
+    /// for a SWLIN group (see the module doc).
     pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
-        let t = q.t_star;
-        let created = |start: f64| start <= t;
-        match q.status {
-            RccStatus::Active => self.fold_group(q, |start, end| created(start) && end > t),
-            RccStatus::Settled => self.fold_group(q, |_, end| end <= t),
-            RccStatus::Created => self.fold_group(q, |start, _| created(start)),
-            RccStatus::NotCreated => self.fold_group(q, |start, _| !created(start)),
-        }
-    }
-
-    /// Folds the group rows of `q` whose logical `(start, end)` satisfy
-    /// `hit`, in ascending row-id order.
-    fn fold_group(&self, q: &StatusQuery, hit: impl Fn(f64, f64) -> bool) -> StatusAggregate {
         let arena = &*self.arena;
-        let mut agg = StatusAggregate::default();
-        let mut add = |id: RowId| {
-            agg.count += 1;
-            agg.sum_amount += arena.amount(id);
-            agg.sum_duration += arena.duration(id);
-        };
-        let probe = |id: RowId| {
-            if hit(arena.start(id), arena.end(id)) {
-                add(id);
-            }
-        };
-        match self.group_rows(q) {
-            // The type tree holds one entry per live row, all below
-            // `arena.len()`: equal counts mean every arena row is live, so
-            // the two logical columns stream without listing the rows.
-            GroupRows::All if self.type_tree.len() == arena.len() => {
-                for (first, starts, ends) in arena.logical_chunks() {
-                    for (id, (&start, &end)) in (first..).zip(starts.iter().zip(ends)) {
-                        if hit(start, end) {
-                            add(id);
-                        }
+        let (status, t) = (q.status, q.t_star);
+        let totals = match (q.rcc_type, q.swlin_prefix) {
+            (None, None) => self.runs.iter().map(|runs| runs.totals(arena, status, t)).sum(),
+            (Some(ty), None) => self.runs[ty.index()].totals(arena, status, t),
+            (ty, Some((prefix, len))) => {
+                let mut totals = Totals::default();
+                for (_, row) in self.swlin_tree.range_for_prefix(prefix, len) {
+                    if ty.is_none_or(|ty| arena.rcc_type(row) == ty)
+                        && hits(status, t, arena.start(row), arena.end(row))
+                    {
+                        totals.add_row(arena, row);
                     }
                 }
+                totals
             }
-            GroupRows::All => self.live_rows().into_iter().for_each(probe),
-            GroupRows::Borrowed(ids) => ids.iter().for_each(probe),
-            GroupRows::Owned(ids) => ids.into_iter().for_each(probe),
-        }
-        agg
+        };
+        totals.aggregate()
     }
 
     /// Batched [`Self::aggregate`] on the shared worker pool, results in
@@ -236,7 +232,8 @@ impl StatusView {
 
 impl HeapSize for StatusView {
     fn heap_bytes(&self) -> usize {
-        self.type_tree.heap_bytes() + self.swlin_tree.heap_bytes() + self.arena.heap_bytes()
+        let runs: usize = self.runs.iter().map(|runs| runs.heap_bytes()).sum();
+        self.type_tree.heap_bytes() + self.swlin_tree.heap_bytes() + runs + self.arena.heap_bytes()
     }
 }
 
@@ -266,7 +263,7 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
 
     /// Builds the engine over the subset `live` (ascending row ids) of an
     /// existing arena: [`StatusView::from_arena_rows`] plus an index over
-    /// the same rows. Folding its [`Self::execute`] is the from-scratch
+    /// the same rows. Summing its [`Self::execute`] is the from-scratch
     /// reference a maintained view's aggregates are checked against.
     pub fn from_arena_rows(arena: Arc<RccArena>, live: &[RowId]) -> Self {
         let projected: Vec<LogicalRcc> = live.iter().map(|&r| arena.logical(r)).collect();
@@ -313,7 +310,7 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
     }
 
     /// The aggregates of `q`'s rows: [`StatusView::aggregate`] on this
-    /// engine's view, bit-identical to folding [`Self::execute`].
+    /// engine's view, to the bit the exact sums of [`Self::execute`].
     pub fn aggregate(&self, q: &StatusQuery) -> StatusAggregate {
         self.view.aggregate(q)
     }
@@ -459,15 +456,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// The aggregate of `ids` folded in the given (ascending) order.
-    pub(crate) fn fold_ids(arena: &RccArena, ids: &[RowId]) -> StatusAggregate {
-        let mut agg = StatusAggregate::default();
-        for &id in ids {
-            agg.count += 1;
-            agg.sum_amount += arena.amount(id);
-            agg.sum_duration += arena.duration(id);
-        }
-        agg
+    /// The aggregate of `ids` by an independent reference: the count, the
+    /// correctly rounded amount sum (`fsum`, not the view's fixed-point
+    /// accumulator), and the durations folded in `ids` order, exact for
+    /// integer day counts.
+    pub(crate) fn exact_sum(arena: &RccArena, ids: &[RowId]) -> StatusAggregate {
+        let sum_amount = crate::test_common::fsum(ids.iter().map(|&id| arena.amount(id)));
+        let sum_duration = ids.iter().fold(0.0, |acc, &id| acc + arena.duration(id));
+        StatusAggregate { count: ids.len(), sum_amount, sum_duration }
     }
 
     pub(crate) fn assert_same_bits(got: &StatusAggregate, want: &StatusAggregate, ctx: &str) {
@@ -481,7 +477,8 @@ pub(crate) mod tests {
         let (_, eng) = engine::<FlatAvlIndex>();
         let q = StatusQuery { rcc_type: Some(RccType::NewWork), swlin_prefix: None, status: RccStatus::Created, t_star: 60.0 };
         let agg = eng.aggregate(&q);
-        assert_same_bits(&agg, &fold_ids(eng.view().arena(), &eng.execute(&q)), "NW created at 60");
+        let want = exact_sum(eng.view().arena(), &eng.execute(&q));
+        assert_same_bits(&agg, &want, "NW created at 60");
         assert!(agg.count > 0);
         assert!(agg.avg_amount() > 0.0);
         assert!(agg.avg_duration() > 0.0);
@@ -495,7 +492,7 @@ pub(crate) mod tests {
     /// absent node) alone and with a type; `t*` at both infinities, NaN,
     /// a 0–110 grid, and the exact `start`/`end` of sampled rows.
     fn probe_queries(arena: &RccArena) -> Vec<StatusQuery> {
-        let mut t_stars = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+        let mut t_stars = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -0.0];
         t_stars.extend((0..=22).map(|i| f64::from(i) * 5.0));
         for row in (0..arena.len() as RowId).step_by(97) {
             t_stars.extend([arena.start(row), arena.end(row)]);
@@ -521,24 +518,31 @@ pub(crate) mod tests {
         out
     }
 
-    /// The view's `aggregate` of every query against two index plans built
-    /// from scratch over its arena and live rows: the folds of the flat-AVL
-    /// engine's `execute` and of the naive-join engine's.
-    pub(crate) fn assert_matches_index_plans(
+    /// The view's `aggregate` of every query against the exact sums of an
+    /// index plan `I` built from scratch over its arena and live rows.
+    fn assert_matches_plan<I: LogicalTimeIndex>(
         view: &StatusView,
         queries: &[StatusQuery],
         label: &str,
     ) {
         let live = view.live_rows();
         let arena = view.arena();
-        let avl = StatusQueryEngine::<FlatAvlIndex>::from_arena_rows(Arc::clone(arena), &live);
-        let naive = StatusQueryEngine::<NaiveJoinIndex>::from_arena_rows(Arc::clone(arena), &live);
+        let plan = StatusQueryEngine::<I>::from_arena_rows(Arc::clone(arena), &live);
         for q in queries {
-            let got = view.aggregate(q);
-            let ctx = format!("{label}: {q:?}");
-            assert_same_bits(&got, &fold_ids(arena, &avl.execute(q)), &ctx);
-            assert_same_bits(&got, &fold_ids(arena, &naive.execute(q)), &ctx);
+            let ctx = format!("{label} ({}): {q:?}", plan.index().name());
+            assert_same_bits(&view.aggregate(q), &exact_sum(arena, &plan.execute(q)), &ctx);
         }
+    }
+
+    /// [`assert_matches_plan`] against the flat-AVL engine and the
+    /// naive-join engine.
+    pub(crate) fn assert_matches_index_plans(
+        view: &StatusView,
+        queries: &[StatusQuery],
+        label: &str,
+    ) {
+        assert_matches_plan::<FlatAvlIndex>(view, queries, label);
+        assert_matches_plan::<NaiveJoinIndex>(view, queries, label);
     }
 
     fn assert_aggregate_is_exact(view: &StatusView, label: &str) {
@@ -593,6 +597,103 @@ pub(crate) mod tests {
         let subset: Vec<RowId> = (0..bulk.arena().len() as RowId).filter(|r| r % 5 != 2).collect();
         let partial = StatusView::from_arena_rows(Arc::clone(bulk.arena()), &subset);
         assert_aggregate_is_exact(&partial, "from_arena_rows subset");
+    }
+
+    /// Each type's runs hold exactly its live rows with `start <= end`, in
+    /// both orders, every directory entry matches its run, and the side
+    /// list holds the type's other live rows.
+    fn assert_runs_hold_the_live_rows(view: &StatusView, label: &str) {
+        let arena = view.arena();
+        for t in RccType::ALL {
+            let live: Vec<RowId> = view.type_tree.ids_of(t).iter().collect();
+            let (ordered, irregular): (Vec<RowId>, Vec<RowId>) =
+                live.iter().partition(|&&r| arena.start(r) <= arena.end(r));
+            let (mut by_start, mut by_end, side) = view.runs[t.index()].checked_rows(arena);
+            by_start.sort_unstable();
+            by_end.sort_unstable();
+            assert_eq!(by_start, ordered, "{label}: {t:?} start order");
+            assert_eq!(by_end, ordered, "{label}: {t:?} end order");
+            assert_eq!(side, irregular, "{label}: {t:?} side list");
+        }
+    }
+
+    /// Keys and amounts on every edge the run directories and the exact
+    /// sums meet: `±0` and heavily tied keys (ties span runs), rows
+    /// settled before their start and NaN endpoints (the side list), runs
+    /// that fill and split, and amounts at both ends of the admitted
+    /// window. Bulk-built, maintained through inserts, settles (some
+    /// before their start) and removals, and rebuilt over a subset, the
+    /// view answers every probe as the exact sums of the naive join's
+    /// ids. (The flat AVL's build asserts a `<` order on its keys, which
+    /// `±0` and NaN keys do not have, so it sits this one out.)
+    #[test]
+    fn aggregate_is_exact_at_the_edges_of_keys_and_amounts() {
+        use crate::delta::RccDelta;
+        use domd_data::rcc::{Rcc, RccId, AMOUNT_LIMIT};
+        let step = 1.0 / (1u64 << 62) as f64;
+        let amounts = [
+            step,
+            AMOUNT_LIMIT - 1.0 / 1_048_576.0,
+            0.001,
+            0.1,
+            1.0 / 3.0,
+            2f64.powi(-11) + step,
+            12_345.678,
+            7.0,
+            0.0,
+        ];
+        assert!(amounts.iter().all(|&a| domd_data::rcc::amount_admitted(a)));
+        let config = GeneratorConfig { n_avails: 8, target_rccs: 3000, scale: 1, seed: 17 };
+        let base = generate(&config);
+        let with_amount =
+            |r: &Rcc, i: usize| Rcc { amount: amounts[i % amounts.len()], ..r.clone() };
+        let rccs = base.rccs().iter().enumerate().map(|(i, r)| with_amount(r, i)).collect();
+        let ds = Dataset::new(base.avails().to_vec(), rccs);
+        let keys = [-0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 50.0, 100.0];
+        let mut proj = project_dataset(&ds);
+        for (i, lr) in proj.iter_mut().enumerate() {
+            lr.start = keys[i % keys.len()];
+            lr.end = lr.start.max(keys[(i / keys.len() + i) % keys.len()]);
+            match i % 41 {
+                0 => lr.end = f64::NAN,
+                1 => lr.end = -5.0,
+                2 => lr.start = f64::NAN,
+                3 => (lr.start, lr.end) = (0.0, -0.0),
+                _ => {}
+            }
+        }
+        let bulk = StatusView::from_arena(Arc::new(RccArena::from_projected(&ds, &proj)));
+        let queries = probe_queries(bulk.arena());
+        assert_runs_hold_the_live_rows(&bulk, "bulk-built");
+        assert_matches_plan::<NaiveJoinIndex>(&bulk, &queries, "edge keys, bulk-built");
+
+        let mut maintained = bulk.clone();
+        let n = ds.rccs().len();
+        for i in 0..300 {
+            let mut rcc = with_amount(&ds.rccs()[i * 7 % n], i + 3);
+            rcc.id = RccId(8_000_000 + i as u32);
+            let avail = ds.avail(rcc.avail).expect("avail exists").clone();
+            maintained.apply_delta(&RccDelta::Insert { rcc, avail });
+        }
+        assert_runs_hold_the_live_rows(&maintained, "after inserts");
+        for i in 0..160 {
+            let row = (i * 23 % n) as RowId;
+            let avail = ds.avail(maintained.arena().avail(row)).expect("avail exists").clone();
+            let created = maintained.arena().created(row);
+            let settled = if i % 2 == 0 { created + -4 } else { created + 30 };
+            maintained.apply_delta(&RccDelta::Settle { row, settled, avail });
+        }
+        for i in 0..90 {
+            maintained.apply_delta(&RccDelta::Remove { row: ((i * 37 + 5) % n) as RowId });
+        }
+        assert_runs_hold_the_live_rows(&maintained, "after settles and removals");
+        assert_matches_plan::<NaiveJoinIndex>(&maintained, &queries, "edge keys, maintained");
+
+        let subset: Vec<RowId> =
+            maintained.live_rows().into_iter().filter(|r| r % 3 != 1).collect();
+        let partial = StatusView::from_arena_rows(Arc::clone(maintained.arena()), &subset);
+        assert_runs_hold_the_live_rows(&partial, "subset");
+        assert_matches_plan::<NaiveJoinIndex>(&partial, &queries, "edge keys, subset");
     }
 
     #[test]

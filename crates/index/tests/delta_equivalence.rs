@@ -15,6 +15,8 @@ use domd_index::{
 };
 use std::sync::{Arc, Mutex};
 
+mod common;
+
 /// SplitMix64: deterministic per seed, no OS entropy.
 struct Mix(u64);
 
@@ -64,20 +66,20 @@ fn settle_delta(rng: &mut Mix, ds: &Dataset, view: &StatusView, row: RowId) -> R
     RccDelta::Settle { row, settled, avail }
 }
 
-/// The aggregate of `ids` folded in ascending order.
+/// The aggregate of `ids` by an independent reference: the count, the
+/// correctly rounded amount sum (`fsum`, not the view's fixed-point
+/// accumulator), and the integer day counts folded in order.
 fn fold(arena: &RccArena, ids: &[RowId]) -> StatusAggregate {
-    let mut agg = StatusAggregate::default();
-    for &id in ids {
-        agg.count += 1;
-        agg.sum_amount += arena.amount(id);
-        agg.sum_duration += arena.duration(id);
+    StatusAggregate {
+        count: ids.len(),
+        sum_amount: common::fsum(ids.iter().map(|&id| arena.amount(id))),
+        sum_duration: ids.iter().fold(0.0, |acc, &id| acc + arena.duration(id)),
     }
-    agg
 }
 
 /// The reference answers for `queries` over `view`'s arena and live rows:
-/// the folds of a flat-AVL and a naive-join index plan built from scratch,
-/// which must agree with each other to the bit.
+/// the exact sums of a flat-AVL and a naive-join index plan's ids, built
+/// from scratch, which must agree with each other to the bit.
 fn reference_answers(view: &StatusView, queries: &[StatusQuery]) -> Vec<StatusAggregate> {
     let live = view.live_rows();
     let arena = view.arena();

@@ -192,4 +192,24 @@ mod tests {
         assert!(msg.contains("migrate-store"), "refusal names the repair: {msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A stored row whose amount lies outside the admitted window (a
+    /// store written before ingest refused such amounts) stops the
+    /// restart with a typed Corrupt refusal, not a panic or an inexact
+    /// sum.
+    #[test]
+    fn stored_amount_outside_the_window_is_a_typed_refusal() {
+        let ds = dataset();
+        let projected = project_dataset(&ds);
+        let dir = scratch("amount");
+        let mut rccs = ds.rccs().to_vec();
+        rccs[5].amount = 1e10;
+        let index: DurableIndex<FlatAvlIndex> =
+            DurableIndex::create_full(&dir, projected.iter().copied().zip(rccs))
+                .expect("create full store");
+        let err = rebuild_tenant(&ds, &index).expect_err("the amount must refuse");
+        assert_eq!(err.kind(), "corrupt", "{err}");
+        assert!(err.to_string().contains("admitted window"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

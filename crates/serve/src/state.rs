@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use domd_core::DomdError;
-use domd_data::rcc::{Rcc, RccId, RccType, Swlin};
+use domd_data::rcc::{amount_admitted, Rcc, RccId, RccType, Swlin};
 use domd_data::{logical_time, AvailId, Dataset, Date};
 use domd_index::{LogicalRcc, RccArena, RccDelta, RowId, StatusView};
 
@@ -102,6 +102,12 @@ impl TenantSnapshot {
                 feature: "ingest amount".into(),
                 step: "serve ingest".into(),
             });
+        }
+        if !amount_admitted(amount) {
+            return Err(DomdError::config(format!(
+                "ingest amount {amount} is outside the admitted window (multiples of 2^-62 \
+                 below 2^33)"
+            )));
         }
         Ok(())
     }
@@ -245,6 +251,17 @@ mod tests {
         assert_eq!(e.kind(), "config");
         let e = s.validate_ingest(a.id, a.actual_start, a.actual_start + 1, f64::NAN).unwrap_err();
         assert_eq!(e.kind(), "non-finite");
+        // Amounts a status sum cannot hold exactly: past 2^33, and off the
+        // 2^-62 grid. Both edges of the window are accepted.
+        let (start, end) = (a.actual_start, a.actual_start + 1);
+        for bad in [1e10, -9e9, 1e-30, 0.0001] {
+            let e = s.validate_ingest(a.id, start, end, bad).unwrap_err();
+            assert_eq!(e.kind(), "config", "{bad}: {e}");
+            assert!(e.to_string().contains("admitted window"), "{bad}: {e}");
+        }
+        for good in [8_589_934_591.999_999, 1.0 / (1u64 << 62) as f64, 0.0] {
+            s.validate_ingest(a.id, start, end, good).unwrap();
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * **A restart serves what the acking epoch served** — a restart that
 //!   recovered `k` acked rows is checked against the live epoch pinned
 //!   right after the `k`-th ack: the dataset row by row and field by
-//!   field (amount bits included), every RCC's arena columns, the count
-//!   of every probe query, and `next_rcc`. Sums are not compared with the
-//!   live epoch: it added the ingested amounts in arrival order, a
-//!   restart adds them in table order, so their last bits may differ.
+//!   field (amount bits included), every RCC's arena columns, every
+//!   probe query's count and sums (as bits), and `next_rcc`. The live
+//!   epoch numbers ingested rows in arrival order and a restart in table
+//!   order; sums are exact, so the order does not reach their bits.
 //! * **Rebuild is bit-identical to a from-scratch build** over the
 //!   recovered rows ([`TenantSnapshot::from_dataset`]): dataset order,
 //!   arena logical positions, and engine aggregates compare equal down
@@ -90,6 +90,10 @@ fn durable_core(snapshot: TenantSnapshot, index: DurableIndex<FlatAvlIndex>) -> 
     .expect("tenant 0")
 }
 
+/// An ingest into the table's first avail, which a restart files ahead
+/// of every extract row while the live epoch appends it. Its amount
+/// fills the significand, so a sum that depended on row order would
+/// round differently after a restart.
 fn ingest_op(ds: &Dataset, salt: u32) -> Op {
     let a = &ds.avails()[0];
     Op::ingest_one(
@@ -98,7 +102,7 @@ fn ingest_op(ds: &Dataset, salt: u32) -> Op {
         Swlin::from_packed(1_000 + salt).expect("valid packed swlin"),
         a.actual_start + 2,
         a.actual_start + 9,
-        12.5,
+        1_234.567_890_123 + 0.1 * f64::from(salt),
     )
 }
 
@@ -225,7 +229,7 @@ fn arena_by_rcc(arena: &RccArena) -> BTreeMap<u32, ArenaColumns> {
 
 /// A restart against the live epoch that acked the same rows: dataset
 /// rows field by field, every RCC's arena columns, every probe query's
-/// count, and `next_rcc`. Sums are left out (see the module doc).
+/// count and sum bits, and `next_rcc`.
 fn assert_matches_acking_epoch(rebuilt: &TenantSnapshot, live: &TenantSnapshot, ctx: &str) {
     assert_eq!(rebuilt.next_rcc(), live.next_rcc(), "{ctx}: next_rcc");
     let (a, b) = (rebuilt.dataset.rccs(), live.dataset.rccs());
@@ -244,6 +248,8 @@ fn assert_matches_acking_epoch(rebuilt: &TenantSnapshot, live: &TenantSnapshot, 
     for q in probe_queries() {
         let (x, y) = (rebuilt.engine.aggregate(&q), live.engine.aggregate(&q));
         assert_eq!(x.count, y.count, "{ctx}: count of {q:?}");
+        assert_eq!(x.sum_amount.to_bits(), y.sum_amount.to_bits(), "{ctx}: amount of {q:?}");
+        assert_eq!(x.sum_duration.to_bits(), y.sum_duration.to_bits(), "{ctx}: days of {q:?}");
     }
 }
 

@@ -29,8 +29,9 @@
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
 # (plus one malformed line, one out-of-range SWLIN depth, one NaN status
-# time, one predict avail past u32 and one NaN alert cut, each refused on
-# its own seq without killing the session),
+# time, one predict avail past u32, one NaN alert cut and one ingest amount
+# outside the admitted window, each refused on its own seq without killing
+# the session),
 # clean `quit` shutdown, and a second session whose driving process is
 # SIGTERM-killed mid-stream — the server must see EOF, drain, and still
 # exit 0.
@@ -142,6 +143,8 @@ status t=55 status=settled swlin=000-00-001:1
 status t=NaN status=not-created
 predict avail=4294967297 t=40
 alert t=80 k=3 min=NaN
+ingest avail=1 type=NW swlin=123-45-678 created=4/1/2015 settled=5/1/2015 amount=10000000000
+status t=55 status=created
 quit
 EOF
 SERVE_OUT="$(target/release/domd serve --data-dir "$SERVE_DIR" \
@@ -167,6 +170,13 @@ echo "$SERVE_OUT" | grep -q '^err seq=8 .*kind=config' || {
   echo "serve smoke: predict avail=2^32+1 was not refused" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q '^err seq=9 .*kind=non-finite' || {
   echo "serve smoke: alert min=NaN was not refused" >&2; exit 1; }
+# An amount outside the admitted window (2^-62 multiples below 2^33, which
+# status sums hold exactly) is refused on its own seq; the next line is
+# still answered.
+echo "$SERVE_OUT" | grep -q '^err seq=10 .*kind=config' || {
+  echo "serve smoke: ingest amount=1e10 was not refused" >&2; exit 1; }
+echo "$SERVE_OUT" | grep -q '^ok seq=11 .*op=status' || {
+  echo "serve smoke: no answer after the refused ingest amount" >&2; exit 1; }
 # Killed-driver shutdown: SIGTERM the writer mid-session; the server must
 # treat the closed pipe as EOF, drain, and exit 0.
 SERVE_FIFO="$SERVE_DIR/in.fifo"

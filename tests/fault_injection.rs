@@ -114,9 +114,9 @@ fn corrupted_artifact_never_panics_load_pipeline() {
         let (bad, kind) = corrupt_text(&artifact, seed);
         let scenario = format!("artifact seed {seed} ({kind})");
         match assert_no_panic(&scenario, || load_pipeline(&bad)) {
-            // Corruption often lands in text the parser treats as opaque
-            // (a feature name out of the ~1490-line name table) — those
-            // artifacts load, and must then still be servable.
+            // Corruption that keeps every parsed field intact loads (a
+            // renamed feature does not: the names must be the serving
+            // catalog's), and must then still be servable.
             Ok(p) => {
                 assert_no_panic(&scenario, || {
                     let engine = domd::features::FeatureEngine::default();
@@ -139,10 +139,11 @@ fn corrupted_artifact_never_panics_load_pipeline() {
 
 #[test]
 fn artifact_indexing_past_its_widths_is_refused_at_load() {
-    // Two hand edits that keep the artifact parseable but point a model
-    // past the row it will be given: a split on feature 999, and a step
-    // that selects column 9999. Both must be refused at load as artifact
-    // errors, not panic later inside a query.
+    // Hand edits that keep the artifact parseable but point a model past
+    // the row it will be given: a split on feature 999, a step that
+    // selects column 9999, and a feature table widened past the serving
+    // catalog. Each must be refused at load as an artifact error, not
+    // panic later inside a query.
     let ds = generate(&GeneratorConfig { n_avails: 20, target_rccs: 1200, scale: 1, seed: 5 });
     let inputs = PipelineInputs::build(&ds, 50.0);
     let split = ds.split(3);
@@ -171,9 +172,18 @@ fn artifact_indexing_past_its_widths_is_refused_at_load() {
         assert!(done, "artifact has no `{tag}` line");
         lines.join("\n") + "\n"
     };
+    // The feature table stated one name longer (the name table is the
+    // artifact's last section), with a step selecting the extra column:
+    // in bounds of the artifact's own table, past the serving catalog's
+    // 1,490 columns.
+    assert!(artifact.contains("\nfeature-names 1490\n"), "the catalog's 1,490 names");
+    let widened = edit("selected", "1490")
+        .replacen("\nfeature-names 1490\n", "\nfeature-names 1491\n", 1)
+        + "extra-feature\n";
     for (scenario, bad) in [
         ("split on feature 999", edit("S", "999")),
         ("selected column 9999", edit("selected", "9999")),
+        ("a feature table past the serving catalog", widened.clone()),
     ] {
         match assert_no_panic(scenario, || load_pipeline(&bad)) {
             Ok(_) => panic!("{scenario}: artifact loaded"),
@@ -183,6 +193,31 @@ fn artifact_indexing_past_its_widths_is_refused_at_load() {
             }
         }
     }
+
+    // Both commands that serve an artifact refuse the widened one with
+    // the artifact exit code, not a panic (exit 101).
+    let dir = std::env::temp_dir().join(format!("domd-widened-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join("avails.csv"), nmd_csv::write_avails(&ds)).expect("avails");
+    std::fs::write(dir.join("rccs.csv"), nmd_csv::write_rccs(&ds)).expect("rccs");
+    std::fs::write(dir.join("model.domd"), &widened).expect("model");
+    let (data, model) = (dir.to_str().expect("utf-8 path"), dir.join("model.domd"));
+    let avail = split.test[0].0.to_string();
+    for args in [
+        vec!["query", "--avail", avail.as_str(), "--t-star", "60"],
+        vec!["evaluate"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_domd"))
+            .args(&args)
+            .args(["--data-dir", data, "--model"])
+            .arg(&model)
+            .output()
+            .expect("run domd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(6), "domd {}: {stderr}", args[0]);
+        assert!(stderr.contains("error [artifact]"), "domd {}: {stderr}", args[0]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
