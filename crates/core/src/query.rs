@@ -7,9 +7,7 @@
 use crate::timeline::TrainedPipeline;
 use domd_data::dataset::Dataset;
 use domd_data::{AvailId, Date};
-use domd_features::{FeatureCache, FeatureEngine};
-use domd_index::CacheStats;
-use std::cell::RefCell;
+use domd_features::FeatureEngine;
 
 /// One estimate in a DoMD answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,13 +45,12 @@ impl DomdAnswer {
 }
 
 /// The query engine: a trained pipeline bound to a dataset snapshot.
+/// Every answer takes the projected online path
+/// ([`TrainedPipeline::predict_online_checked`]) on the bound dataset.
 pub struct DomdQueryEngine<'a> {
     dataset: &'a Dataset,
     pipeline: &'a TrainedPipeline,
     features: FeatureEngine,
-    /// Memoized per-anchor feature snapshots; `None` serves cold every
-    /// query. Interior mutability keeps the query API `&self`.
-    cache: Option<RefCell<FeatureCache>>,
 }
 
 impl<'a> DomdQueryEngine<'a> {
@@ -69,34 +66,7 @@ impl<'a> DomdQueryEngine<'a> {
         pipeline: &'a TrainedPipeline,
         features: FeatureEngine,
     ) -> Self {
-        DomdQueryEngine { dataset, pipeline, features, cache: None }
-    }
-
-    /// Enables snapshot memoization with room for `capacity` feature
-    /// vectors (0 disables). Cached answers are bit-identical to cold
-    /// ones — the cache stores exactly what the cold path computed — so
-    /// this is purely a latency knob for repeated queries on the same
-    /// dataset snapshot.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = if capacity == 0 {
-            None
-        } else {
-            Some(RefCell::new(FeatureCache::new(capacity)))
-        };
-        self
-    }
-
-    /// Declares the bound dataset snapshot changed: every memoized feature
-    /// snapshot is invalidated (epoch bump). No-op without a cache.
-    pub fn invalidate_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().invalidate();
-        }
-    }
-
-    /// Hit/miss/eviction counters of the snapshot cache, when enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.borrow().stats())
+        DomdQueryEngine { dataset, pipeline, features }
     }
 
     /// Answers a DoMD query for one avail at physical time `t`.
@@ -116,18 +86,8 @@ impl<'a> DomdQueryEngine<'a> {
     /// than panicking or dropping the query.
     pub fn query_logical(&self, avail: AvailId, t_star: f64) -> Option<DomdAnswer> {
         self.dataset.avail(avail)?;
-        let online = match &self.cache {
-            Some(cache) => self.pipeline.predict_online_cached(
-                self.dataset,
-                &self.features,
-                &mut cache.borrow_mut(),
-                avail,
-                t_star,
-            ),
-            None => {
-                self.pipeline.predict_online_checked(self.dataset, &self.features, avail, t_star)
-            }
-        };
+        let online =
+            self.pipeline.predict_online_checked(self.dataset, &self.features, avail, t_star);
         let estimates = online
             .estimates
             .into_iter()
@@ -148,15 +108,14 @@ impl<'a> DomdQueryEngine<'a> {
         avails.iter().filter_map(|&a| self.query_at(a, t)).collect()
     }
 
-    /// The explicit degraded-mode serving path: answers via
-    /// [`TrainedPipeline::predict_online_checked`] only — never the cache
-    /// — and marks the answer degraded with `reason` as its first warning.
+    /// The explicit degraded-mode serving path: the same answer as
+    /// [`DomdQueryEngine::query_logical`], marked degraded with `reason`
+    /// as its first warning.
     ///
     /// This is the route a tripped circuit breaker takes: the checked
     /// predictor repairs serving-time faults inline (the behaviour the
-    /// breaker is protecting callers from depending on silently), and
-    /// skipping the cache keeps a possibly-poisoned memo from being
-    /// re-served while the tenant is quarantined.
+    /// breaker is protecting callers from depending on silently), and the
+    /// flag tells the caller the tenant is quarantined.
     pub fn query_logical_degraded(
         &self,
         avail: AvailId,
@@ -272,54 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_answers_are_bit_identical_to_cold() {
-        let (ds, p) = setup();
-        let cold = DomdQueryEngine::new(&ds, &p);
-        let warm = DomdQueryEngine::new(&ds, &p).with_cache(256);
-        for &t_star in &[15.0, 55.0, 80.0, 100.0] {
-            for a in ds.avails().iter().take(6) {
-                let c = cold.query_logical(a.id, t_star).expect("known");
-                // Twice: the second answer is served from the cache.
-                let w1 = warm.query_logical(a.id, t_star).expect("known");
-                let w2 = warm.query_logical(a.id, t_star).expect("known");
-                for (x, y) in c.estimates.iter().zip(&w1.estimates) {
-                    assert_eq!(x.estimated_delay.to_bits(), y.estimated_delay.to_bits());
-                }
-                for (x, y) in w1.estimates.iter().zip(&w2.estimates) {
-                    assert_eq!(x.estimated_delay.to_bits(), y.estimated_delay.to_bits());
-                }
-            }
-        }
-        let stats = warm.cache_stats().expect("cache enabled");
-        assert!(stats.hits > 0, "repeat queries must hit: {stats:?}");
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables() {
-        let (ds, p) = setup();
-        let engine = DomdQueryEngine::new(&ds, &p).with_cache(0);
-        assert!(engine.cache_stats().is_none());
-        assert!(engine.query_logical(ds.avails()[0].id, 55.0).is_some());
-    }
-
-    #[test]
-    fn invalidate_cache_bumps_epoch_and_recomputes() {
-        let (ds, p) = setup();
-        let engine = DomdQueryEngine::new(&ds, &p).with_cache(256);
-        let a = ds.avails()[0].id;
-        engine.query_logical(a, 55.0).expect("known");
-        let before = engine.cache_stats().unwrap();
-        engine.invalidate_cache();
-        engine.query_logical(a, 55.0).expect("known");
-        let after = engine.cache_stats().unwrap();
-        assert_eq!(after.hits, before.hits, "post-invalidate walk must not hit");
-        assert!(after.misses > before.misses);
-    }
-
-    #[test]
     fn degraded_route_is_bit_identical_to_checked_and_flagged() {
         let (ds, p) = setup();
-        let engine = DomdQueryEngine::new(&ds, &p).with_cache(64);
+        let engine = DomdQueryEngine::new(&ds, &p);
         let a = ds.avails()[0].id;
         let healthy = engine.query_logical(a, 55.0).expect("known");
         let degraded =

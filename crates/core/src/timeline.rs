@@ -9,22 +9,22 @@
 //!   features.
 //!
 //! Online prediction (a DoMD query on a live avail) runs three stages:
-//! a feature stage that evaluates, per avail and reached step, only the
-//! step model's `selected` catalog columns; a model stage in which each
-//! reached step predicts every avail of the request as one block; and a
-//! per-avail repair of non-finite steps followed by fusion. An alert runs
-//! them over all ongoing avails at once
-//! ([`TrainedPipeline::predict_online_batch`]); a single predict is the
-//! one-avail case, and the cached predict takes its rows from full
-//! memoized feature rows instead of the feature stage.
+//! a feature stage that evaluates, per avail, only each reached step
+//! model's `selected` catalog columns at the step's anchor, from one read
+//! of the avail's RCC partition ([`FeatureEngine::project_for_avail`]);
+//! a model stage in which each reached step predicts every avail of the
+//! request as one block; and a per-avail repair of non-finite steps
+//! followed by fusion. An alert runs them over all ongoing avails at once
+//! ([`TrainedPipeline::predict_online_batch`]); a single predict, in
+//! `domd serve` and `domd query` alike, is the one-avail case
+//! ([`TrainedPipeline::predict_online_checked`]). No feature row is
+//! memoized: every answer is computed from the dataset it is asked of.
 
 use crate::config::{ModelFamily, PipelineConfig};
 use domd_data::dataset::Dataset;
 use domd_data::logical_time::TimeGrid;
 use domd_data::{Avail, AvailId};
-use domd_features::{
-    static_matrix, FeatureCache, FeatureEngine, FeatureTensor, N_STATIC, STATIC_FEATURE_NAMES,
-};
+use domd_features::{static_matrix, FeatureEngine, FeatureTensor, N_STATIC, STATIC_FEATURE_NAMES};
 use domd_ml::{DenseMatrix, GbtParams, ModelSpec, TrainedModel};
 use domd_runtime::Cancelled;
 
@@ -295,36 +295,8 @@ impl TrainedPipeline {
         self.predict_projected(dataset, &[avail], reached, &rows).swap_remove(0)
     }
 
-    /// As [`TrainedPipeline::predict_online_checked`], but memoizing the
-    /// full per-anchor feature rows in `cache` and projecting each reached
-    /// step's columns from them. A warm cache answers the whole timeline
-    /// walk without touching the RCC rows; a projected column has the
-    /// full row's bits, so cached and uncached serving emit identical
-    /// bits.
-    pub fn predict_online_cached(
-        &self,
-        dataset: &Dataset,
-        engine: &FeatureEngine,
-        cache: &mut FeatureCache,
-        avail: AvailId,
-        t_star: f64,
-    ) -> OnlinePrediction {
-        let reached = self.reached_steps(t_star);
-        let rows = match dataset.avail(avail) {
-            Some(_) => reached
-                .iter()
-                .flat_map(|step| {
-                    let full = cache.features_at(engine, dataset, avail, step.t_star);
-                    step.selected.iter().map(move |&j| full[j])
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        self.predict_projected(dataset, &[avail], reached, &[rows]).swap_remove(0)
-    }
-
-    /// Uncached online prediction for every avail of `avails` at one
-    /// `t_star`, answer for answer equal to
+    /// Online prediction for every avail of `avails` at one `t_star`,
+    /// answer for answer equal to
     /// [`TrainedPipeline::predict_online_checked`] on each avail.
     ///
     /// * **Feature stage** — each avail's projected rows of every reached
@@ -516,7 +488,7 @@ impl TrainedPipeline {
 
 /// Feature stage of one avail: each reached step's `selected` columns at
 /// the step's anchor, concatenated in step order (empty for an avail that
-/// is not in `dataset`).
+/// is not in `dataset`). The avail's partition is read once.
 fn project_steps(
     dataset: &Dataset,
     engine: &FeatureEngine,
@@ -526,13 +498,9 @@ fn project_steps(
     let Some(a) = dataset.avail(avail) else {
         return Vec::new();
     };
-    let mut row = vec![0.0; reached.iter().map(|step| step.selected.len()).sum()];
-    let mut off = 0;
-    for step in reached {
-        let cols = off..off + step.selected.len();
-        engine.project_for_avail_at(dataset, a, step.t_star, &step.selected, &mut row[cols.clone()]);
-        off = cols.end;
-    }
+    let mut row = Vec::with_capacity(reached.iter().map(|step| step.selected.len()).sum());
+    let anchors = reached.iter().map(|step| (step.t_star, step.selected.as_slice()));
+    engine.project_for_avail(dataset, a, anchors, &mut row);
     row
 }
 
@@ -845,14 +813,24 @@ mod tests {
         ];
         for (name, p) in pipelines {
             for t in [-5.0, 0.0, 25.0, 55.0, 100.0, 150.0] {
-                // The full-row path: a fresh cache computes every anchor's
-                // whole catalog row and indexes the step's columns.
-                let want: Vec<OnlinePrediction> = ids
+                // The full-row path: every reached anchor's whole catalog
+                // row from the reference scan, indexed by the step's
+                // columns, then the same model stage, repair and fusion.
+                let reached = p.reached_steps(t);
+                let rows: Vec<Vec<f64>> = ids
                     .iter()
-                    .map(|&id| {
-                        p.predict_online_cached(&live, &engine, &mut FeatureCache::new(16), id, t)
+                    .map(|&id| match live.avail(id) {
+                        Some(_) => reached
+                            .iter()
+                            .flat_map(|step| {
+                                let full = engine.features_for_avail_at(&live, id, step.t_star);
+                                step.selected.iter().map(move |&j| full[j])
+                            })
+                            .collect(),
+                        None => Vec::new(),
                     })
                     .collect();
+                let want = p.predict_projected(&live, &ids, reached, &rows);
                 for threads in [1, 2] {
                     let got = p
                         .predict_online_batch(&live, &engine, &ids, t, threads, || false)

@@ -1,12 +1,16 @@
-//! Memoizing snapshot cache for the online feature path.
+//! Memoizing snapshot cache of full per-avail feature rows.
 //!
-//! The serving path ([`crate::engine::FeatureEngine::features_for_avail_at`])
-//! recomputes the full feature vector of an avail at every timeline anchor
-//! — and a DoMD query at logical time `t*` touches `1 + ceil(t*/x)` anchors,
-//! every one of which was already computed by any earlier query on the same
-//! avail at an equal-or-later `t*`. [`FeatureCache`] memoizes those
-//! snapshots in a [`domd_index::LruCache`] keyed on
-//! `(avail, t* bits, epoch)`.
+//! **Read by nothing in the product.** Every online prediction takes the
+//! projected path ([`crate::engine::FeatureEngine::project_for_avail`]),
+//! which reads an avail's partition once per request and memoizes
+//! nothing. This module stays only because the benchmark harness
+//! (`perfbench`) still compiles against [`FeatureCache`] to mirror the
+//! route `domd serve` once took; it goes, with `domd_index::cache`, once
+//! that harness stops naming it.
+//!
+//! [`FeatureCache`] memoizes full rows
+//! ([`crate::engine::FeatureEngine::features_for_avail_at`]) in a
+//! [`domd_index::LruCache`] keyed on `(avail, t* bits, epoch)`.
 //!
 //! **Invalidation** is epoch-based: the cache is bound to one dataset
 //! snapshot; whoever mutates the dataset (dynamic RCC maintenance,
@@ -38,6 +42,8 @@ pub struct FeatureKey {
 }
 
 /// An LRU of per-avail feature vectors with epoch-based invalidation.
+/// No serving path reads it; it stays while `perfbench` compiles
+/// against it (see the module docs).
 ///
 /// One cache serves one `(FeatureEngine, Dataset)` pair: the key does not
 /// encode the catalog or dataset identity, only the epoch — rebind by

@@ -10,13 +10,22 @@
 //! so generating all slices costs one pass over the RCCs instead of
 //! `steps × |RCC|` work.
 //!
-//! The online path serves one avail at one anchor: a scan of the avail's
-//! rows into the same cells and rollup, then one of two evaluators over
-//! that rollup — the full catalog row
-//! ([`FeatureEngine::features_for_avail_at`]) or only the columns a step
-//! model reads ([`FeatureEngine::project_for_avail_at`]). Both apply the
-//! same spec evaluation to the same rollup, so a projected value is the
-//! full row's column to the bit.
+//! The online path serves one avail from its RCC partition, in two
+//! forms over the same cells, rollup and spec evaluation:
+//!
+//! * [`FeatureEngine::project_for_avail`], the serving path, evaluates
+//!   only the columns each reached step model reads, at every anchor of
+//!   a request, from one read of the partition: each row's logical times,
+//!   cell, amount and duration are computed once, an anchor's created
+//!   rows are a prefix of the partition (it is in `(created, id)` order),
+//!   so created cells carry from one anchor to the next, and settled and
+//!   active cells are re-folded over that prefix per anchor;
+//! * [`FeatureEngine::features_for_avail_at`] scans the partition afresh
+//!   for one anchor and evaluates the whole catalog row: the reference
+//!   every projection is checked against.
+//!
+//! Each cell sees the same additions in the same order on both paths, so
+//! a projected value is the full row's column to the bit.
 
 use crate::spec::{CatalogDepth, FeatureCatalog, FeatureSpec, StatusFilter, SwlinGroup, TypeFilter};
 use crate::tensor::FeatureTensor;
@@ -320,31 +329,75 @@ impl FeatureEngine {
         self.catalog.specs().iter().map(|s| eval_spec(s, &rollup, t_star)).collect()
     }
 
-    /// The projection of [`FeatureEngine::features_for_avail_at`] onto the
-    /// catalog columns `cols`: writes column `cols[i]` into `out[i]` and
-    /// evaluates no other spec. `avail` is one of `dataset`'s avails.
+    /// The projection of [`FeatureEngine::features_for_avail_at`] onto
+    /// several anchors of one avail: for each `(t_star, cols)` of
+    /// `anchors`, in order, appends column `cols[i]` of the avail's full
+    /// row at `t_star` to `out`, and evaluates no other spec. `avail` is
+    /// one of `dataset`'s avails.
     ///
-    /// Both evaluators read the same scan-and-rollup through the same spec
-    /// evaluation, so every projected value has the full row's bits. This
-    /// is the online path for DoMD queries: a step model reads only its
-    /// `selected` columns, a few dozen of the catalog's 1,490.
-    pub fn project_for_avail_at(
+    /// This is the online path for DoMD queries: a step model reads only
+    /// its `selected` columns, a few dozen of the catalog's 1,490, at its
+    /// own anchor. The partition is read once per call, whatever the
+    /// number of anchors; ascending anchors (a request's reached steps)
+    /// also carry the created cells forward, and any other order only
+    /// re-folds them. Every value has the full row's bits.
+    pub fn project_for_avail<'c>(
         &self,
         dataset: &Dataset,
         avail: &Avail,
-        t_star: f64,
-        cols: &[usize],
-        out: &mut [f64],
+        anchors: impl IntoIterator<Item = (f64, &'c [usize])>,
+        out: &mut Vec<f64>,
     ) {
-        let rollup = self.rollup_at(dataset, avail, t_star);
+        let space = CellSpace { depth: self.catalog.depth() };
+        let planned = avail.planned_duration().max(1);
+        let rows: Vec<RowFacts> = dataset
+            .rccs_of(avail.id)
+            .iter()
+            .map(|r| RowFacts {
+                start: domd_data::logical_time(r.created, avail.actual_start, planned),
+                end: domd_data::logical_time(r.settled, avail.actual_start, planned),
+                cell: space.cell_of(rcc_type_slot(r.rcc_type), r.swlin),
+                amount: r.amount,
+                duration: f64::from(r.duration_days()),
+            })
+            .collect();
+        // Logical time is monotone in `created`, so the starts ascend and
+        // the rows an anchor has created are a prefix.
+        debug_assert!(rows.windows(2).all(|w| w[0].start <= w[1].start));
         let specs = self.catalog.specs();
-        for (o, &j) in out.iter_mut().zip(cols) {
-            *o = eval_spec(&specs[j], &rollup, t_star);
+        let mut st = StatStructure::new(space.cells_per_avail());
+        // `st.created` holds the additions of `rows[..carried]`, in order.
+        let mut carried = 0;
+        for (t_star, cols) in anchors {
+            // Created means not skipped by the reference's `start > t_star`
+            // test, so a NaN `t_star` creates every row, as it does there.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let n = rows.partition_point(|r| !(r.start > t_star));
+            if n < carried {
+                st.created.fill(Accum::default());
+                carried = 0;
+            }
+            for r in &rows[carried..n] {
+                st.created[r.cell].add(r.amount, r.duration);
+            }
+            carried = n;
+            st.settled.fill(Accum::default());
+            st.active.fill(Accum::default());
+            for r in &rows[..n] {
+                if r.end <= t_star {
+                    st.settled[r.cell].add(r.amount, r.duration);
+                } else {
+                    st.active[r.cell].add(r.amount, r.duration);
+                }
+            }
+            let rollup = Rollup::from_cells(space, &st, 0);
+            out.extend(cols.iter().map(|&j| eval_spec(&specs[j], &rollup, t_star)));
         }
     }
 
     /// Scans `a`'s RCC rows into per-cell accumulators at `t_star` and
-    /// rolls them up across the type and SWLIN hierarchies.
+    /// rolls them up across the type and SWLIN hierarchies: the reference
+    /// scan, kept apart from [`FeatureEngine::project_for_avail`]'s.
     fn rollup_at(&self, dataset: &Dataset, a: &Avail, t_star: f64) -> Rollup {
         let planned = a.planned_duration().max(1);
         let space = CellSpace { depth: self.catalog.depth() };
@@ -371,6 +424,16 @@ impl FeatureEngine {
 
 fn rcc_type_slot(t: RccType) -> usize {
     t.index()
+}
+
+/// What the online projection reads of one RCC row, computed once per
+/// request.
+struct RowFacts {
+    start: f64,
+    end: f64,
+    cell: usize,
+    amount: f64,
+    duration: f64,
 }
 
 #[cfg(test)]
@@ -566,15 +629,19 @@ mod extended_tests {
 
     #[test]
     fn projected_columns_equal_the_full_row_to_the_bit() {
-        let ds = small();
+        let full_ds = small();
+        // One avail keeps no rows: its projection must still be the full
+        // row of an empty partition.
+        let bare = full_ds.avails()[3].id;
+        let rows = full_ds.rccs().iter().filter(|r| r.avail != bare).cloned().collect();
+        let ds = Dataset::new(full_ds.avails().to_vec(), rows);
+        assert!(ds.rccs_of(bare).is_empty());
         for catalog in [FeatureCatalog::standard(), FeatureCatalog::extended()] {
             let eng = FeatureEngine::new(catalog);
             let n = eng.catalog().len();
-            // Every column once in a scrambled order (7919 is prime and
-            // divides neither catalog width), then repeats: the projection
-            // must not rely on a step's ascending `selected`.
-            let cols: Vec<usize> = (0..n).map(|i| i * 7919 % n).chain([0, n - 1, 0]).collect();
             for a in ds.avails() {
+                // One ascending anchor list: -inf, every created and
+                // settled logical time (ties kept), the grid, +inf.
                 let planned = a.planned_duration().max(1);
                 let mut anchors = vec![f64::NEG_INFINITY, f64::INFINITY];
                 anchors.extend((0..=22).map(|i| f64::from(i) * 5.0));
@@ -582,18 +649,44 @@ mod extended_tests {
                     anchors.push(domd_data::logical_time(r.created, a.actual_start, planned));
                     anchors.push(domd_data::logical_time(r.settled, a.actual_start, planned));
                 }
-                for &t in &anchors {
-                    let full = eng.features_for_avail_at(&ds, a.id, t);
-                    let mut out = vec![f64::NAN; cols.len()];
-                    eng.project_for_avail_at(&ds, a, t, &cols, &mut out);
-                    for (&j, v) in cols.iter().zip(&out) {
+                anchors.sort_by(f64::total_cmp);
+                // Each anchor reads every column once in its own scrambled
+                // order (7919 is prime and divides neither catalog width),
+                // then repeats: nothing may rely on a step's ascending
+                // `selected`.
+                let cols: Vec<Vec<usize>> = (0..anchors.len())
+                    .map(|k| {
+                        (0..n).map(|i| (i * 7919 + k) % n).chain([k % n, n - 1, k % n]).collect()
+                    })
+                    .collect();
+                let full: Vec<Vec<f64>> =
+                    anchors.iter().map(|&t| eng.features_for_avail_at(&ds, a.id, t)).collect();
+                // Ascending (the serving order), then descending, which
+                // re-folds the created cells at every anchor.
+                for descending in [false, true] {
+                    let mut order: Vec<usize> = (0..anchors.len()).collect();
+                    if descending {
+                        order.reverse();
+                    }
+                    let mut out = Vec::new();
+                    eng.project_for_avail(
+                        &ds,
+                        a,
+                        order.iter().map(|&k| (anchors[k], cols[k].as_slice())),
+                        &mut out,
+                    );
+                    let want: Vec<(usize, usize)> =
+                        order.iter().flat_map(|&k| cols[k].iter().map(move |&j| (k, j))).collect();
+                    assert_eq!(out.len(), want.len());
+                    for (v, &(k, j)) in out.iter().zip(&want) {
                         assert_eq!(
                             v.to_bits(),
-                            full[j].to_bits(),
-                            "{} of avail {} at t*={t}: {v} vs {}",
+                            full[k][j].to_bits(),
+                            "{} of avail {} at t*={} (descending: {descending}): {v} vs {}",
                             eng.catalog().names()[j],
                             a.id,
-                            full[j]
+                            anchors[k],
+                            full[k][j]
                         );
                     }
                 }

@@ -9,10 +9,11 @@
 //!   `G1-AVG_AMT_SET`;
 //! * [`static_features`] — the 8 static features `F_i^S`;
 //! * [`engine`] — tensor generation via one incremental Status Query sweep,
-//!   plus the online single-avail path for live DoMD queries;
-//! * [`cache`] — a memoizing LRU over the online per-avail feature
-//!   snapshots with epoch-based invalidation (plus surgical per-avail
-//!   invalidation for classified deltas);
+//!   plus the online single-avail path for live DoMD queries (the
+//!   projected multi-anchor scan, and the full-row reference);
+//! * [`cache`] — a memoizing LRU over full per-avail feature rows, read
+//!   by nothing in the product and kept only while the benchmark harness
+//!   compiles against it;
 //! * [`tensor`] — the materialized tensor with per-grid-point slices.
 //!
 //! `domd serve` holds no tensor: an online query computes the feature rows

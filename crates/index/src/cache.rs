@@ -1,9 +1,10 @@
 //! A capacity-bounded LRU map with hit/miss/eviction counters: the
-//! storage behind the online feature snapshot cache (`domd-features`'
-//! `FeatureCache`), which keys per-avail feature vectors on
-//! `(avail, t*, epoch)` and invalidates by bumping the epoch or by
-//! dropping the entries of the avails a delta touched
-//! ([`LruCache::retain_rekey`]).
+//! storage behind `domd-features`' `FeatureCache`, which keys per-avail
+//! feature vectors on `(avail, t*, epoch)` and invalidates by bumping the
+//! epoch or by dropping the entries of the avails a delta touched
+//! ([`LruCache::retain_rekey`]). No serving path reads that cache; both
+//! stay only while the benchmark harness (`perfbench`) compiles against
+//! it.
 
 use crate::types::HeapSize;
 use domd_data::hash::FxHashMap;

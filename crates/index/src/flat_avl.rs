@@ -357,11 +357,18 @@ impl FlatAvlTree {
     }
 
     /// Bulk-builds a perfectly balanced tree from entries pre-sorted by
-    /// `(key, id)`, with every slot at its in-order column position. O(n).
+    /// `(key, id)` under the tree's own order (`f64::total_cmp` on keys,
+    /// so `-0.0` sorts before `+0.0`), with every slot at its in-order
+    /// column position. O(n). No key may be NaN: the range walks compare
+    /// keys with IEEE `<=`, which cannot place one.
     pub fn build_from_sorted(entries: &[(f64, f64, RowId)]) -> Self {
         debug_assert!(
-            entries.windows(2).all(|w| (w[0].0, w[0].2) < (w[1].0, w[1].2)),
-            "entries must be strictly sorted by (key, id)"
+            entries.windows(2).all(|w| Self::key_lt((w[0].0, w[0].2), (w[1].0, w[1].2))),
+            "entries must be strictly sorted by (key, id) under f64::total_cmp"
+        );
+        debug_assert!(
+            entries.iter().all(|e| !e.0.is_nan()),
+            "a NaN key has no place in a range walk"
         );
         let n = entries.len();
         let mut lefts = vec![NIL; n];

@@ -624,8 +624,8 @@ pub(crate) mod tests {
     /// window. Bulk-built, maintained through inserts, settles (some
     /// before their start) and removals, and rebuilt over a subset, the
     /// view answers every probe as the exact sums of the naive join's
-    /// ids. (The flat AVL's build asserts a `<` order on its keys, which
-    /// `±0` and NaN keys do not have, so it sits this one out.)
+    /// ids, and over its rows without a NaN key (which no range walk can
+    /// place) as those of the flat AVL's too, `±0` keys included.
     #[test]
     fn aggregate_is_exact_at_the_edges_of_keys_and_amounts() {
         use crate::delta::RccDelta;
@@ -666,6 +666,17 @@ pub(crate) mod tests {
         let queries = probe_queries(bulk.arena());
         assert_runs_hold_the_live_rows(&bulk, "bulk-built");
         assert_matches_plan::<NaiveJoinIndex>(&bulk, &queries, "edge keys, bulk-built");
+        let without_nan_keys = |view: &StatusView| {
+            let arena = view.arena();
+            let rows: Vec<RowId> = view
+                .live_rows()
+                .into_iter()
+                .filter(|&r| !arena.start(r).is_nan() && !arena.end(r).is_nan())
+                .collect();
+            StatusView::from_arena_rows(Arc::clone(arena), &rows)
+        };
+        let finite = without_nan_keys(&bulk);
+        assert_matches_index_plans(&finite, &queries, "edge keys without NaN, bulk-built");
 
         let mut maintained = bulk.clone();
         let n = ds.rccs().len();
@@ -688,6 +699,8 @@ pub(crate) mod tests {
         }
         assert_runs_hold_the_live_rows(&maintained, "after settles and removals");
         assert_matches_plan::<NaiveJoinIndex>(&maintained, &queries, "edge keys, maintained");
+        let finite = without_nan_keys(&maintained);
+        assert_matches_index_plans(&finite, &queries, "edge keys without NaN, maintained");
 
         let subset: Vec<RowId> =
             maintained.live_rows().into_iter().filter(|r| r % 3 != 1).collect();

@@ -9,8 +9,8 @@
 //!
 //! Tenant selection is Zipf-skewed (rank-`r` tenant drawn with weight
 //! `1/(r+1)^s`), modelling the few-hot-many-cold tenancy of real fleets;
-//! the skew drives one tenant's circuit breaker and cache much harder
-//! than the rest.
+//! the skew drives one tenant's circuit breaker much harder than the
+//! rest.
 //!
 //! [`classify_retry`] is the client half of the overload contract: typed
 //! `Overloaded`/`DeadlineExceeded` refusals back off exponentially with

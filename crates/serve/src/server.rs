@@ -31,13 +31,13 @@ use std::sync::{Arc, Mutex};
 
 use domd_core::{DomdError, DomdQueryEngine, TrainedPipeline};
 use domd_data::rcc::{Rcc, RccId};
-use domd_features::{FeatureCache, FeatureEngine};
+use domd_features::FeatureEngine;
 use domd_index::{DurableIndex, EpochStore, FlatAvlIndex, Pinned, RecoveryReport, RowId};
 use domd_runtime::{BoundedQueue, Cancelled};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, Route};
 use crate::clock::{Clock, Ticks};
-use crate::request::{Alert, IngestRow, Op, Reply, Request, Response};
+use crate::request::{Alert, Op, Reply, Request, Response};
 use crate::state::TenantSnapshot;
 
 /// The immutable model artifacts every tenant serves with.
@@ -63,7 +63,9 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Avails examined between deadline polls inside the alert sweep.
     pub alert_chunk: usize,
-    /// Per-tenant feature-cache capacity (0 disables).
+    /// Read by nothing in the product: no serving path memoizes feature
+    /// rows. Kept only because the benchmark harness (`perfbench`) still
+    /// compiles against it; it goes once that harness stops reading it.
     pub cache_capacity: usize,
     /// Fsync the durable WAL inside every ingest, before the row is
     /// published or acked. This is the durability stance for deployments
@@ -118,8 +120,6 @@ pub struct ServeMetrics {
     degraded_served: AtomicU64,
     epochs_published: AtomicU64,
     rows_ingested: AtomicU64,
-    cache_surgical: AtomicU64,
-    cache_full: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServeMetrics`] plus breaker totals.
@@ -145,12 +145,6 @@ pub struct MetricsReport {
     /// RCC rows applied by ingest batches (≥ `epochs_published`; the
     /// ratio is the measured batching factor).
     pub rows_ingested: u64,
-    /// Feature-cache invalidations classified surgically (only the
-    /// batch's avails dropped; everything else stayed warm).
-    pub cache_invalidations_surgical: u64,
-    /// Feature-cache invalidations that fell back to wholesale dropping
-    /// (unclassifiable delta or contended cache — never silently stale).
-    pub cache_invalidations_full: u64,
     /// Circuit-breaker trips across tenants.
     pub breaker_trips: u64,
     /// Probe-driven recoveries across tenants.
@@ -173,11 +167,6 @@ struct TenantDurable {
 struct Tenant {
     store: Arc<EpochStore<TenantSnapshot>>,
     breaker: Mutex<CircuitBreaker>,
-    /// Shared feature cache; readers `try_lock` and fall back to the
-    /// uncached path on contention, so the cache can never block serving.
-    cache: Mutex<FeatureCache>,
-    /// Which published epoch the cache's entries were computed against.
-    cache_epoch: AtomicU64,
     /// System of record for this tenant's index maintenance; ingests
     /// append here (WAL-before-apply) before publishing the epoch that
     /// contains them.
@@ -204,14 +193,11 @@ impl ServeCore {
         model: SharedModel,
         snapshots: Vec<TenantSnapshot>,
     ) -> Self {
-        let cache_capacity = config.cache_capacity.max(1);
         let tenants = snapshots
             .into_iter()
             .map(|s| Tenant {
                 store: Arc::new(EpochStore::new(s)),
                 breaker: Mutex::new(CircuitBreaker::new(config.breaker)),
-                cache: Mutex::new(FeatureCache::new(cache_capacity)),
-                cache_epoch: AtomicU64::new(0),
                 durable: None,
             })
             .collect();
@@ -330,8 +316,6 @@ impl ServeCore {
             degraded_served: m.degraded_served.load(Ordering::Relaxed),
             epochs_published: m.epochs_published.load(Ordering::Relaxed),
             rows_ingested: m.rows_ingested.load(Ordering::Relaxed),
-            cache_invalidations_surgical: m.cache_surgical.load(Ordering::Relaxed),
-            cache_invalidations_full: m.cache_full.load(Ordering::Relaxed),
             breaker_trips: trips,
             breaker_recoveries: recoveries,
         }
@@ -569,7 +553,7 @@ impl ServeCore {
                     "circuit open: serving via checked degraded path",
                 )
             }
-            Route::Normal | Route::Probe => self.predict_normal(tenant, pinned, avail, t_star),
+            Route::Normal | Route::Probe => self.predict_normal(pinned, avail, t_star),
         };
         let (failed, reply) = match answer {
             // Unreachable after the pre-admit avail check (both paths read
@@ -601,39 +585,22 @@ impl ServeCore {
         reply
     }
 
-    /// The healthy predict path: feature-cache accelerated when the
-    /// tenant cache is free, bit-identical uncached serving when it is
-    /// contended — a reader never waits on another reader's cache lock.
+    /// The healthy predict path: the projected online prediction on the
+    /// pinned snapshot, the one-avail case of the alert sweep. Nothing is
+    /// memoized, so an ingest has nothing to invalidate.
     fn predict_normal(
         &self,
-        tenant: &Tenant,
         pinned: &Pinned<TenantSnapshot>,
         avail: domd_data::AvailId,
         t_star: f64,
     ) -> Option<domd_core::DomdAnswer> {
         pinned.dataset.avail(avail)?;
-        let online = match tenant.cache.try_lock() {
-            Ok(mut cache) => {
-                // Entries must come from this pinned epoch; on any epoch
-                // mismatch, invalidate before reuse.
-                if tenant.cache_epoch.swap(pinned.epoch(), Ordering::AcqRel) != pinned.epoch() {
-                    cache.invalidate();
-                }
-                self.model.pipeline.predict_online_cached(
-                    &pinned.dataset,
-                    &self.model.features,
-                    &mut cache,
-                    avail,
-                    t_star,
-                )
-            }
-            Err(_) => self.model.pipeline.predict_online_checked(
-                &pinned.dataset,
-                &self.model.features,
-                avail,
-                t_star,
-            ),
-        };
+        let online = self.model.pipeline.predict_online_checked(
+            &pinned.dataset,
+            &self.model.features,
+            avail,
+            t_star,
+        );
         let estimates = online
             .estimates
             .into_iter()
@@ -838,45 +805,9 @@ impl ServeCore {
         let applied = applied?;
         self.metrics.epochs_published.fetch_add(1, Ordering::Relaxed);
         self.metrics.rows_ingested.fetch_add(applied.len() as u64, Ordering::Relaxed);
-        self.maintain_feature_cache(tenant, epoch, rows);
         // domd-lint: allow(no-panic) — the batch was refused above when empty
         let row = *applied.first().expect("non-empty batch applies rows");
         Ok(Reply::Ingested { row, rows: applied.len() as u32, epoch })
-    }
-
-    /// Delta-aware feature-cache maintenance after publishing `epoch`:
-    /// an RCC delta changes only its own avail's feature rows, so when
-    /// the cache's entries were computed against the immediately
-    /// preceding epoch, only the batch's avails are dropped and every
-    /// other entry stays warm into the new epoch. Anything else — the
-    /// cache bound to an older epoch, or its lock contended — falls back
-    /// to wholesale invalidation (counted, never silently stale; a
-    /// contended lock defers it to the next predict's epoch check).
-    fn maintain_feature_cache(&self, tenant: &Tenant, epoch: u64, rows: &[IngestRow]) {
-        match tenant.cache.try_lock() {
-            Ok(mut cache) => {
-                let prev = tenant.cache_epoch.swap(epoch, Ordering::AcqRel);
-                if prev == epoch {
-                    // Already rebound to this epoch (a predict raced the
-                    // publish); its entries already reflect the batch.
-                } else if prev.saturating_add(1) == epoch {
-                    let avails: Vec<domd_data::AvailId> =
-                        rows.iter().map(|r| r.avail).collect();
-                    cache.invalidate_avails(&avails);
-                    self.metrics.cache_surgical.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // Unclassifiable: entries are more than one delta
-                    // behind this publish.
-                    cache.invalidate();
-                    self.metrics.cache_full.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                // Contended: the next predict's epoch check invalidates
-                // wholesale before any entry is reused.
-                self.metrics.cache_full.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Pushes `requests` through the full admission/queue/worker loop and
@@ -998,6 +929,7 @@ pub fn announce_recovery(err: &mut dyn std::io::Write, report: &RecoveryReport) 
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::request::IngestRow;
     use domd_core::{PipelineConfig, PipelineInputs};
     use domd_data::rcc::RccStatus;
     use domd_data::{censor_ongoing, generate, AvailId, GeneratorConfig};
@@ -1063,6 +995,39 @@ mod tests {
         TrainedPipeline::fit(&inputs, &ds.split(1).train, &cfg)
     }
 
+    /// One avail's alert estimate from code the serving path does not
+    /// share: every reached anchor's whole catalog row from the reference
+    /// scan (`features_for_avail_at`), one `predict_row` descent per step,
+    /// each non-finite step replaced by its nearest finite one (the
+    /// earlier on a tie), then fusion over them all. Returns the estimate
+    /// and whether a step was repaired, or `None` when no step is finite.
+    fn full_row_reference(
+        pipeline: &TrainedPipeline,
+        features: &FeatureEngine,
+        ds: &domd_data::Dataset,
+        a: &domd_data::Avail,
+        t_star: f64,
+    ) -> Option<(f64, bool)> {
+        let statics = domd_features::static_row(a);
+        let base = pipeline.static_model.as_ref().map(|m| m.predict_row(&statics));
+        let mut raw = Vec::new();
+        for step in &pipeline.steps {
+            if step.t_star > t_star && !raw.is_empty() {
+                break;
+            }
+            let full = features.features_for_avail_at(ds, a.id, step.t_star);
+            let mut row = base.map_or(statics.to_vec(), |b| vec![b]);
+            row.extend(step.selected.iter().map(|&j| full[j]));
+            raw.push(step.model.predict_row(&row));
+        }
+        let finite: Vec<usize> = (0..raw.len()).filter(|&i| raw[i].is_finite()).collect();
+        let repaired: Option<Vec<f64>> = (0..raw.len())
+            .map(|i| finite.iter().min_by_key(|&&j| i.abs_diff(j)).map(|&j| raw[j]))
+            .collect();
+        let repaired = repaired.filter(|r| !r.is_empty())?;
+        Some((pipeline.config.fusion.fuse(&repaired), finite.len() < raw.len()))
+    }
+
     fn ask_alert(
         core: &ServeCore,
         seq: u64,
@@ -1092,17 +1057,14 @@ mod tests {
                 let ongoing: Vec<AvailId> =
                     ds.avails().iter().filter(|a| a.actual_end.is_none()).map(|a| a.id).collect();
                 for t_star in [10.0, 25.0, 60.0, 100.0] {
-                    // Per-avail full-row answers: a fresh cache computes
-                    // every anchor's whole catalog row.
                     let scored: Vec<(AvailId, f64, bool)> = ongoing
                         .iter()
                         .filter_map(|&id| {
-                            let mut cache = FeatureCache::new(16);
+                            let a = ds.avail(id)?;
                             let features = &core.model.features;
-                            let online =
-                                pipeline.predict_online_cached(ds, features, &mut cache, id, t_star);
-                            let e = online.estimates.last()?.1;
-                            Some((id, e, !online.warnings.is_empty()))
+                            let (e, repaired) =
+                                full_row_reference(&pipeline, features, ds, a, t_star)?;
+                            Some((id, e, repaired))
                         })
                         .collect();
                     let mut sorted: Vec<f64> = scored.iter().map(|s| s.1).collect();

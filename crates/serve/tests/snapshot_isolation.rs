@@ -310,10 +310,10 @@ fn reads_pinned_before_a_swap_answer_from_the_old_epoch() {
 }
 
 #[test]
-fn cached_and_uncached_predictions_are_bit_identical_across_epochs() {
-    // The per-tenant feature cache must be a pure latency knob: serving
-    // the same (avail, t_star) repeatedly — with epoch swaps in between
-    // forcing invalidations — always bit-matches the uncached recompute.
+fn served_predictions_match_a_recompute_of_their_epoch_across_ingests() {
+    // Serving the same (avail, t_star) repeatedly — with epoch swaps in
+    // between that change the avail's rows — always bit-matches a
+    // recompute on a snapshot rebuilt for the epoch the answer pinned.
     let ds = base_dataset();
     let model = model();
     let a = ds.avails()[1].clone();
@@ -347,12 +347,12 @@ fn cached_and_uncached_predictions_are_bit_identical_across_epochs() {
                 assert_eq!(
                     got.estimated_delay.to_bits(),
                     we.to_bits(),
-                    "round {round} rep {rep}: cached serving diverged from recompute"
+                    "round {round} rep {rep}: serving diverged from recompute"
                 );
             }
         }
         // Publish a new epoch directly through the store; the next round's
-        // cached reads must invalidate and re-agree with the recompute.
+        // reads must see it and re-agree with the recompute.
         let op = Op::ingest_one(
             a.id,
             RccType::NewWork,

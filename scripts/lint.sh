@@ -5,8 +5,10 @@
 # domd-features and domd-core integration suite (parallel equivalence,
 # properties, the thread cap) runs under a 2-worker
 # pool so any scheduling-dependent output fails the gate quickly, and the
-# feature cache-invalidation test asserts an invalidation forces a
-# bit-identical recompute of every memoized feature snapshot. The PR-4
+# cache_invalidation test asserts that, with no feature row memoized
+# anywhere, an ingest into one avail makes its served predict the
+# projected recompute on the new epoch while every other avail keeps its
+# bits. The PR-4
 # durability gate runs the storage crate (frame/WAL/checkpoint/atomic-write
 # units), the DurableIndex suite, and the crash-recovery + storage-fault
 # integration tests, so a change that weakens the "never serve torn state"
@@ -34,7 +36,9 @@
 # the session),
 # clean `quit` shutdown, and a second session whose driving process is
 # SIGTERM-killed mid-stream — the server must see EOF, drain, and still
-# exit 0.
+# exit 0. Two starts with a flag `domd serve` does not read (the retired
+# cache-capacity option, and `--stor` for `--store`) must exit 2 with an
+# `error [config]` line naming the flag.
 # The restart gate then proves the store is the system of record: the
 # kill–restart chaos suite (every WAL byte offset), the v1→v2 migration
 # suite, and an end-to-end smoke that `kill -9`s a durable server right
@@ -84,6 +88,9 @@ cargo test -q -p domd-data --tests
 DOMD_THREADS=2 cargo test -q -p domd-runtime
 DOMD_THREADS=2 cargo test -q -p domd-features --tests
 DOMD_THREADS=2 cargo test -q -p domd-core --tests
+# Recompute after ingest on the projected path: the touched avail's served
+# predict is `predict_online_checked` on the new epoch, every other avail
+# keeps its bits.
 cargo test -q -p domd --test cache_invalidation
 
 # Benchmark gate: perfbench compiles against the library as it is now and
@@ -194,6 +201,18 @@ if ! wait "$SERVE_PID"; then
 fi
 grep -q 'op=predict' "$SERVE_DIR/signal.out" || {
   echo "serve smoke: no response before driver kill" >&2; exit 1; }
+# A flag the command does not read is refused by name, before any work: a
+# mistyped `--store` must never start a server without its store.
+for FLAG in cache-capacity stor; do
+  FLAG_STATUS=0
+  target/release/domd serve --data-dir "$SERVE_DIR" --model "$SERVE_DIR/model.domd" \
+    --"$FLAG" "$SERVE_DIR/flag" < /dev/null > /dev/null 2> "$SERVE_DIR/flag.err" ||
+    FLAG_STATUS=$?
+  if [ "$FLAG_STATUS" -ne 2 ] || ! grep -q "^error \[config\]: .*--$FLAG;" "$SERVE_DIR/flag.err"; then
+    echo "serve smoke: --$FLAG was not refused with exit 2 (exit $FLAG_STATUS)" >&2
+    cat "$SERVE_DIR/flag.err" >&2; exit 1
+  fi
+done
 echo "serve smoke: OK"
 
 # Restart gate: acked ingests survive kill -9; the store alone rebuilds

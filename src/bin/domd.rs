@@ -8,7 +8,7 @@
 //! domd train    --data-dir data/ --out pipeline.domd [--grid-step X]
 //! domd evaluate --data-dir data/ --model pipeline.domd
 //! domd query    --data-dir data/ --model pipeline.domd --avail N
-//!               [--t-star P | --date M/D/YYYY] [--cache-capacity N]
+//!               [--t-star P | --date M/D/YYYY]
 //! domd validate  --data-dir data/
 //! domd obfuscate --data-dir data/ --out-dir export/ --key N
 //! domd optimize  --data-dir data/ [--out pipeline.domd] [--quick true]
@@ -17,13 +17,14 @@
 //! domd migrate-store --store store/ --data-dir data/
 //! domd serve      --data-dir data/ --model pipeline.domd [--store store/]
 //!                 [--tenants N] [--workers N] [--queue-capacity N] [--deadline-ms N]
-//!                 [--ack-sync B] [--verify-extracts B]
+//!                 [--ack-sync B] [--verify-extracts B] [--script FILE]
 //! ```
 //!
 //! `generate` writes `avails.csv` and `rccs.csv`; the other commands read
 //! the same two files, so a deployment can swap in real extracts. Commands
 //! that ingest extracts accept `--lenient true`: bad rows are quarantined
-//! (summarized on stderr) instead of failing the whole run.
+//! (summarized on stderr) instead of failing the whole run. Every command
+//! accepts `--threads N`, and refuses any flag it does not read (exit 2).
 //!
 //! Every failure maps to a distinct exit code by [`DomdError`] variant,
 //! so operator scripts can branch on the failure class:
@@ -190,10 +191,7 @@ fn cmd_query(args: &Args) -> Result<(), DomdError> {
             .parse()
             .map_err(|e| DomdError::config(format!("bad --avail: {e}")))?,
     );
-    // Snapshot cache over per-avail feature vectors: repeated queries for
-    // the same (avail, t*) are answered bit-identically from memory.
-    let cache_capacity: usize = args.parse_opt("cache-capacity", 1024usize)?;
-    let engine = DomdQueryEngine::new(&ds, &pipeline).with_cache(cache_capacity);
+    let engine = DomdQueryEngine::new(&ds, &pipeline);
 
     let answer = if let Some(date) = args.get("date") {
         let t: Date = date.parse()?;
@@ -499,7 +497,6 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
         workers: args.parse_opt("workers", 2usize)?.max(1),
         queue_capacity: args.parse_opt("queue-capacity", 64usize)?,
         default_budget: args.parse_opt("deadline-ms", 200u64)?,
-        cache_capacity: args.parse_opt("cache-capacity", 256usize)?,
         // Durable serving defaults to fsync-on-ack: an acked ingest
         // survives `kill -9` at any later instant. SIGTERM-initiated
         // shutdowns need no special handling — durability never waits
@@ -641,10 +638,6 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
         m.rows_ingested,
     );
     eprintln!(
-        "serve: feature-cache invalidations — {} surgical, {} full-fallback",
-        m.cache_invalidations_surgical, m.cache_invalidations_full,
-    );
-    eprintln!(
         "serve: queue peak {}/{}; breaker: {} trip(s), {} recover(ies)",
         core.queue().peak_depth(),
         capacity,
@@ -655,8 +648,42 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  domd generate --out-dir DIR [--seed N] [--avails N] [--rccs N] [--scale N]\n  domd train    --data-dir DIR --out FILE [--grid-step X] [--split-seed N]\n  domd evaluate --data-dir DIR --model FILE [--split-seed N]\n  domd query    --data-dir DIR --model FILE --avail N [--t-star P | --date M/D/YYYY]\n                [--cache-capacity N]  feature-snapshot LRU entries (0 disables; default 1024)\n  domd validate  --data-dir DIR\n  domd obfuscate --data-dir DIR --out-dir DIR [--key N]\n  domd optimize  --data-dir DIR [--out FILE] [--quick true|false]\n  domd checkpoint --store DIR [--data-dir DIR]   compact WAL into a new checkpoint\n                                                 (--data-dir initializes an empty store)\n  domd recover    --store DIR                    replay WAL onto newest intact checkpoint\n                                                 (per tenant sub-store for a serve store)\n  domd migrate-store --store DIR --data-dir DIR  upgrade a pre-v2 store in place: resolve\n                                                 projection-only rows against the extracts\n                                                 and checkpoint them as full v2 payloads\n  domd serve      --data-dir DIR --model FILE [--store DIR] [--tenants N] [--workers N]\n                  [--queue-capacity N] [--deadline-ms N] [--cache-capacity N] [--script FILE]\n                  [--ack-sync true|false] [--verify-extracts true|false]\n                  long-running request loop over stdin (status|predict|alert|ingest lines;\n                  quit or EOF shuts down cleanly); refusals are typed and retryable;\n                  --store keeps one durable sub-store per tenant (DIR/tenant-0, ...),\n                  initialized on first start, then rebuilt from the store alone on every\n                  restart; with --store, ingests fsync before acking (--ack-sync false\n                  restores group-commit batching)\n\nevery command reading --data-dir also accepts --lenient true (quarantine\nbad extract rows instead of failing), and --threads N to cap the worker\npool (0 = auto; results are identical for every value)"
+    "usage:\n  domd generate --out-dir DIR [--seed N] [--avails N] [--rccs N] [--scale N]\n  domd train    --data-dir DIR --out FILE [--grid-step X] [--split-seed N]\n  domd evaluate --data-dir DIR --model FILE [--split-seed N]\n  domd query    --data-dir DIR --model FILE --avail N [--t-star P | --date M/D/YYYY]\n  domd validate  --data-dir DIR\n  domd obfuscate --data-dir DIR --out-dir DIR [--key N]\n  domd optimize  --data-dir DIR [--out FILE] [--quick true|false]\n  domd checkpoint --store DIR [--data-dir DIR]   compact WAL into a new checkpoint\n                                                 (--data-dir initializes an empty store)\n  domd recover    --store DIR                    replay WAL onto newest intact checkpoint\n                                                 (per tenant sub-store for a serve store)\n  domd migrate-store --store DIR --data-dir DIR  upgrade a pre-v2 store in place: resolve\n                                                 projection-only rows against the extracts\n                                                 and checkpoint them as full v2 payloads\n  domd serve      --data-dir DIR --model FILE [--store DIR] [--tenants N] [--workers N]\n                  [--queue-capacity N] [--deadline-ms N] [--script FILE]\n                  [--ack-sync true|false] [--verify-extracts true|false]\n                  long-running request loop over stdin (status|predict|alert|ingest lines;\n                  quit or EOF shuts down cleanly); refusals are typed and retryable;\n                  --store keeps one durable sub-store per tenant (DIR/tenant-0, ...),\n                  initialized on first start, then rebuilt from the store alone on every\n                  restart; with --store, ingests fsync before acking (--ack-sync false\n                  restores group-commit batching)\n\nevery command reading --data-dir also accepts --lenient true (quarantine\nbad extract rows instead of failing); every command accepts --threads N to\ncap the worker pool (0 = auto; results are identical for every value) and\nrefuses any other flag it does not read"
 }
+
+type Command = fn(&Args) -> Result<(), DomdError>;
+
+/// Every command with the flags it reads besides the global `--threads`
+/// (`--data-dir` and `--lenient` wherever it loads the extracts).
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("generate", cmd_generate, &["out-dir", "avails", "rccs", "scale", "seed"]),
+    ("train", cmd_train, &["data-dir", "lenient", "out", "grid-step", "split-seed"]),
+    ("evaluate", cmd_evaluate, &["data-dir", "lenient", "model", "split-seed"]),
+    ("query", cmd_query, &["data-dir", "lenient", "model", "avail", "date", "t-star"]),
+    ("validate", cmd_validate, &["data-dir", "lenient"]),
+    ("obfuscate", cmd_obfuscate, &["data-dir", "lenient", "out-dir", "key"]),
+    ("optimize", cmd_optimize, &["data-dir", "lenient", "grid-step", "quick", "out"]),
+    ("checkpoint", cmd_checkpoint, &["store", "data-dir", "lenient"]),
+    ("recover", cmd_recover, &["store"]),
+    ("migrate-store", cmd_migrate_store, &["store", "data-dir", "lenient"]),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "data-dir",
+            "lenient",
+            "model",
+            "tenants",
+            "workers",
+            "queue-capacity",
+            "deadline-ms",
+            "ack-sync",
+            "store",
+            "verify-extracts",
+            "script",
+        ],
+    ),
+];
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -665,24 +692,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = Args::parse(rest).and_then(|args| {
+        let Some(&(_, run, flags)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+            return Err(DomdError::config(format!("unknown command {cmd:?}\n{}", usage())));
+        };
+        args.check_known(cmd, flags)?;
         // Worker cap for every parallel path (sweep, training, batch
         // queries). 0 = auto-detect; results are identical at any value.
         let threads: usize = args.parse_opt("threads", 0usize)?;
         domd::runtime::set_threads(threads);
-        match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "train" => cmd_train(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "query" => cmd_query(&args),
-        "validate" => cmd_validate(&args),
-        "obfuscate" => cmd_obfuscate(&args),
-        "optimize" => cmd_optimize(&args),
-        "checkpoint" => cmd_checkpoint(&args),
-        "recover" => cmd_recover(&args),
-        "migrate-store" => cmd_migrate_store(&args),
-        "serve" => cmd_serve(&args),
-        other => Err(DomdError::config(format!("unknown command {other:?}\n{}", usage()))),
-        }
+        run(&args)
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -3,7 +3,8 @@
 //! The CLI's flag grammar is deliberately tiny (every option is a
 //! `--name value` pair), so a dependency-free parser keeps the deployment
 //! binary self-contained. Every parse failure is a typed
-//! [`DomdError::Config`], which the binary maps to the usage exit code.
+//! [`DomdError::Config`], which the binary maps to the usage exit code,
+//! and so is a flag the command does not read ([`Args::check_known`]).
 
 use domd_core::DomdError;
 
@@ -36,6 +37,23 @@ impl Args {
             values.push((name.to_string(), value.clone()));
         }
         Ok(Args { values })
+    }
+
+    /// Refuses the first flag that is neither in `known` nor the global
+    /// `--threads`. Each command reads only its own names, so a flag it
+    /// does not read (a typo such as `--stor` for `--store`, or a retired
+    /// option) would otherwise be ignored without a word.
+    pub fn check_known(&self, command: &str, known: &[&str]) -> Result<(), DomdError> {
+        let read = |name: &str| name == "threads" || known.contains(&name);
+        let Some((name, _)) = self.values.iter().find(|(n, _)| !read(n)) else {
+            return Ok(());
+        };
+        let reads: Vec<String> =
+            known.iter().chain(&["threads"]).map(|n| format!("--{n}")).collect();
+        Err(DomdError::config(format!(
+            "`domd {command}` does not read --{name}; it reads {}",
+            reads.join(", ")
+        )))
     }
 
     /// The value of `--name`, if given.
@@ -104,6 +122,24 @@ mod tests {
         assert!(msg.contains("--k") && msg.contains("twice"), "{msg}");
         assert!(msg.contains("\"1\"") && msg.contains("\"2\""), "{msg}");
         assert!(matches!(e, DomdError::Config { .. }));
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_refused_by_name() {
+        let known = ["store", "data-dir", "lenient"];
+        let a = args(&["--data-dir", "d", "--threads", "2", "--store", "s"]).unwrap();
+        assert!(a.check_known("serve", &known).is_ok());
+        let e = args(&["--data-dir", "d", "--stor", "s"]).unwrap().check_known("serve", &known);
+        let e = e.unwrap_err();
+        assert!(matches!(e, DomdError::Config { .. }));
+        let msg = e.to_string();
+        assert!(msg.contains("--stor;") && msg.contains("`domd serve`"), "{msg}");
+        assert!(msg.contains("--store, --data-dir, --lenient, --threads"), "{msg}");
+        // `--threads` is read by every command; nothing else is global.
+        assert!(args(&["--threads", "0"]).unwrap().check_known("recover", &[]).is_ok());
+        let e = args(&["--lenient", "true"]).unwrap().check_known("recover", &["store"]);
+        assert!(e.unwrap_err().to_string().contains("--lenient"));
+        assert!(args(&[]).unwrap().check_known("generate", &[]).is_ok());
     }
 
     #[test]

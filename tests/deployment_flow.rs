@@ -108,3 +108,23 @@ fn artifact_parser_never_panics_on_garbage() {
         }
     }
 }
+
+#[test]
+fn domd_refuses_a_flag_its_command_does_not_read() {
+    // A typo of `--store` and the retired cache-capacity option are
+    // refused by name with the usage exit code before any extract is
+    // read, so a server never starts without the store it was asked for.
+    let cases = [("serve", "stor"), ("serve", "cache-capacity"), ("query", "cache-capacity")];
+    for (command, flag) in cases {
+        let flag = format!("--{flag}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_domd"))
+            .args([command, "--data-dir", "no-such-dir", "--model", "m.domd", &flag, "8"])
+            .output()
+            .expect("run domd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "domd {command} {flag}: {stderr}");
+        assert!(stderr.starts_with("error [config]"), "domd {command} {flag}: {stderr}");
+        let named = stderr.contains(&format!("does not read {flag};"));
+        assert!(named, "domd {command} {flag}: {stderr}");
+    }
+}
