@@ -1,25 +1,29 @@
 // lint-fixture: path=crates/index/src/durable.rs
-// R4 conforming: WAL-before-apply in every mutating function.
+// R4 conforming: every live write appends its record before it applies
+// it, in the same function, whether the apply is a `Self::` path call or
+// a method call.
 
-impl<I> Fixture<I> {
-    pub fn insert(&mut self, rcc: &LogicalRcc) -> Result<bool, StorageError> {
-        let rec = record_of(rcc);
+impl Fixture {
+    fn log_and_apply(&mut self, rec: WalRecord) -> Result<bool, StorageError> {
         self.wal.append(&rec)?;
-        self.index.insert_logical(rcc);
+        Self::apply_record(&mut self.entries, &rec).map_err(refused)?;
         Ok(true)
     }
 
-    pub fn move_end(&mut self, rcc: &LogicalRcc, end: f64) -> Result<bool, StorageError> {
-        self.wal.append(&record_of(rcc))?;
-        self.index.remove_logical(rcc);
-        self.index.insert_logical(&moved(rcc, end));
-        Ok(true)
+    fn log_then_apply(&mut self, rec: &WalRecord) -> Result<(), StorageError> {
+        self.wal.append(rec)?;
+        self.apply_record(rec);
+        Ok(())
     }
 
-    // A replay helper is exempt only through an inventoried waiver: the
-    // records it applies are already durable in the log.
-    fn replay_one(&mut self, rec: &WalRecord) {
-        // domd-lint: allow(wal-order) — replays a record already durable in the WAL //~waiver wal-order
-        self.index.insert_logical(&rec.row);
+    // Replay is exempt only through an inventoried waiver: the records it
+    // applies are already durable in the log.
+    fn replay(entries: &mut Rows, records: &[WalRecord]) {
+        for rec in records {
+            // domd-lint: allow(wal-order) — replays a record already durable in the WAL //~waiver wal-order
+            if Self::apply_record(entries, rec).is_err() {
+                break;
+            }
+        }
     }
 }

@@ -1,16 +1,17 @@
 // lint-fixture: path=crates/index/src/durable.rs
-// R4: index mutation with no preceding WAL append in the same function.
+// R4: a record applied to the store's rows with no preceding WAL append
+// in the same function.
 
-impl<I> Fixture<I> {
-    pub fn apply_unlogged(&mut self, rcc: &LogicalRcc) {
-        self.index.insert_logical(rcc); //~ wal-order
+impl Fixture {
+    pub fn apply_unlogged(&mut self, rec: &WalRecord) {
+        Self::apply_record(&mut self.entries, rec); //~ wal-order
     }
 
-    pub fn append_too_late(&mut self, rcc: &LogicalRcc) -> Result<(), StorageError> {
-        self.index.remove_logical(rcc); //~ wal-order
-        // Logging *after* the mutation inverts the durability contract:
-        // the call above is still a violation.
-        self.wal.append(&rec(rcc))?;
+    pub fn append_too_late(&mut self, rec: &WalRecord) -> Result<(), StorageError> {
+        self.apply_record(rec); //~ wal-order
+        // Logging *after* the apply inverts the durability contract: the
+        // call above is still a violation.
+        self.wal.append(rec)?;
         Ok(())
     }
 
@@ -18,10 +19,10 @@ impl<I> Fixture<I> {
         self.log_first();
         // The append lives in a different function body; call order is
         // checked structurally *within* one body.
-        self.index.insert_logical(&self.pending); //~ wal-order
+        Self::apply_record(&mut self.entries, &self.pending); //~ wal-order
     }
 
     fn log_first(&mut self) {
-        let _ = self.wal.append(&self.rec);
+        let _ = self.wal.append(&self.pending);
     }
 }

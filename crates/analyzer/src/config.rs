@@ -39,16 +39,18 @@ pub const TIME_ALLOWED: &[&str] = &["crates/bench/", "crates/serve/src/clock.rs"
 /// shedding, so it must either check capacity first or carry a waiver.
 pub const QUEUE_ALLOWED: &[&str] = &["crates/runtime/"];
 
-/// The files governed by R4 (`wal-order`): the WAL-before-apply wrapper
-/// and the delta-application module whose mutations are derived from the
-/// wrapper's log order (a delta applied without that provenance must
+/// The files governed by R4 (`wal-order`): the WAL-before-apply durable
+/// store and the delta-application module whose mutations are derived
+/// from the store's log order (an apply without that provenance must
 /// carry a same-body `append` or a waiver explaining the derivation).
 pub const WAL_ORDER_FILES: &[&str] =
     &["crates/index/src/durable.rs", "crates/index/src/delta.rs"];
 
-/// Methods that mutate the wrapped index (R4): each call must be
-/// preceded, within the same `fn` body, by a WAL `append`.
-pub const WAL_MUTATORS: &[&str] = &["insert_logical", "remove_logical"];
+/// The durable store's one apply function (R4): live writes and replay
+/// change its rows only through it, so each call must be preceded,
+/// within the same `fn` body, by a WAL `append`. Replay, whose records
+/// are already in the log, carries the one waiver.
+pub const WAL_MUTATORS: &[&str] = &["apply_record"];
 
 /// The call that makes a mutation durable-ordered (R4).
 pub const WAL_APPENDER: &str = "append";

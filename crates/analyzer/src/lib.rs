@@ -15,7 +15,7 @@
 //! | `no-panic` | non-test code returns typed errors, never panics |
 //! | `thread-spawn` | all parallelism flows through `domd-runtime` |
 //! | `nondeterminism` | no clocks, ambient entropy, or default hashers |
-//! | `wal-order` | WAL append precedes index mutation in `durable.rs` |
+//! | `wal-order` | WAL append precedes the store's record apply in `durable.rs` |
 //! | `lint-header` | every crate root carries `#![deny(unsafe_code)]` |
 //! | `bounded-queues` | queues shed under overload, never grow unbounded |
 //! | `lock-order` | acquisitions follow the declared hierarchy, call-graph-wide |

@@ -11,7 +11,7 @@ pub enum Rule {
     ThreadSpawn,
     /// R3: no wall clocks, ambient RNG, or default-hasher maps.
     Nondeterminism,
-    /// R4: WAL append must precede index mutation in `durable.rs`.
+    /// R4: WAL append must precede the store's record apply in `durable.rs`.
     WalOrder,
     /// R5: crate roots carry the agreed `#![deny(...)]` header.
     LintHeader,
@@ -108,10 +108,10 @@ impl Rule {
             }
             Rule::WalOrder => {
                 "wal-order (R4)\n\
-                 In the WAL-governed files, every index mutation\n\
-                 (`insert_logical`/`remove_logical`) must be preceded in the same\n\
+                 In the WAL-governed files, every call of the durable store's\n\
+                 apply function (`apply_record`) must be preceded in the same\n\
                  fn body by a WAL `append`: log-before-apply is the recovery\n\
-                 contract. Derived mutations carry a waiver naming the provenance.\n"
+                 contract. Replay of logged records carries a waiver naming it.\n"
             }
             Rule::LintHeader => {
                 "lint-header (R5)\n\

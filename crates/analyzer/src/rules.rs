@@ -356,8 +356,9 @@ fn has_explicit_hasher(toks: &[Token], i: usize) -> bool {
     commas >= needed
 }
 
-/// R4: within each `fn` body, every `.insert_logical(`/`.remove_logical(`
-/// must be preceded by a `.append(` in that same body.
+/// R4: within each `fn` body, every call of the store's apply function
+/// (`.apply_record(` or `Self::apply_record(`) must be preceded by a
+/// `.append(` in that same body.
 fn wal_order(toks: &[Token], in_test: &[bool], findings: &mut Vec<Finding>, rel_path: &str) {
     struct Frame {
         depth: isize,
@@ -401,9 +402,9 @@ fn wal_order(toks: &[Token], in_test: &[bool], findings: &mut Vec<Finding>, rel_
                         line: t.line,
                         rule: Rule::WalOrder,
                         message: format!(
-                            "`.{id}(` mutates the wrapped index with no preceding WAL \
-                             `.append(` in this function — a crash here loses an \
-                             acknowledged mutation (WAL-before-apply, DESIGN.md §8)"
+                            "`{id}(` applies a record to the store's rows with no \
+                             preceding WAL `.append(` in this function — a crash here \
+                             loses an acknowledged mutation (WAL-before-apply, DESIGN.md §8)"
                         ),
                     });
                 }
@@ -682,8 +683,8 @@ mod tests {
 
     #[test]
     fn wal_order_requires_append_before_mutation() {
-        let bad = "impl D {\n  fn apply(&mut self) {\n    self.index.insert_logical(&r);\n  }\n}";
-        let good = "impl D {\n  fn apply(&mut self) {\n    self.wal.append(&rec);\n    self.index.insert_logical(&r);\n  }\n}";
+        let bad = "impl D {\n  fn put(&mut self) {\n    Self::apply_record(&mut self.entries, &rec);\n  }\n}";
+        let good = "impl D {\n  fn put(&mut self) {\n    self.wal.append(&rec);\n    Self::apply_record(&mut self.entries, &rec);\n  }\n}";
         for governed in config::WAL_ORDER_FILES {
             let scan = scan_file(governed, bad);
             assert_eq!(

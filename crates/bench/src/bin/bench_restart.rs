@@ -26,7 +26,7 @@
 use domd_bench::util::{scaled_dataset, time_ms};
 use domd_data::rcc::{Rcc, RccId, RccStatus, RccType};
 use domd_data::{logical_time, Dataset};
-use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc, StatusQuery};
+use domd_index::{project_dataset, DurableIndex, LogicalRcc, StatusQuery};
 use domd_serve::{rebuild_tenant, TenantSnapshot};
 use std::path::{Path, PathBuf};
 
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 fn build_store(dir: &Path, ds: &Dataset, ingests: usize) {
     let _ = std::fs::remove_dir_all(dir);
     let projected = project_dataset(ds);
-    let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+    let mut di = DurableIndex::create_full(
         dir,
         projected.iter().copied().zip(ds.rccs().iter().cloned()),
     )
@@ -141,7 +141,7 @@ fn bench_scale(scale: u32, ingests: usize, runs: usize) -> ScaleResult {
 
     // Bit-identity gate: the store-rebuild snapshot must answer exactly
     // like a from-scratch snapshot over the store's own rows.
-    let (index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
+    let (index, _) = DurableIndex::recover(&dir).expect("recover");
     let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
     assert_eq!(summary.from_store, index.len(), "store must rebuild from its own payloads");
     let reference_rccs: Vec<Rcc> = index
@@ -163,7 +163,7 @@ fn bench_scale(scale: u32, ingests: usize, runs: usize) -> ScaleResult {
     for _ in 0..runs {
         // Store-rebuild path: recover + rebuild + first answer.
         let t0 = std::time::Instant::now();
-        let (index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
+        let (index, _) = DurableIndex::recover(&dir).expect("recover");
         let rec = t0.elapsed().as_secs_f64() * 1e3;
         let ((snap, _), reb) = time_ms(|| rebuild_tenant(&ds, &index).expect("rebuild"));
         let (_, ans) = time_ms(|| first_answer(&snap));
@@ -174,7 +174,7 @@ fn bench_scale(scale: u32, ingests: usize, runs: usize) -> ScaleResult {
         // Extract-reload baseline: recover (still needed for durability)
         // + from-extracts snapshot + first answer.
         let t1 = std::time::Instant::now();
-        let (index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
+        let (index, _) = DurableIndex::recover(&dir).expect("recover");
         let old_snap = TenantSnapshot::from_dataset(ds.clone());
         let _ = first_answer(&old_snap);
         extract_to_answer_ms =

@@ -1,15 +1,18 @@
-//! Crash-safe dynamic maintenance: a write-ahead-logged wrapper around any
-//! [`MaintainableIndex`].
+//! Crash-safe dynamic maintenance: a write-ahead-logged store of live
+//! RCC rows, the durable system of record behind `domd serve --store`.
 //!
-//! Section 4.1's O(log n) insert/remove keeps the index current as RCCs
-//! stream in from the Navy environment, but an in-memory tree evaporates
-//! on crash and a half-written snapshot is worse than none. [`DurableIndex`]
-//! makes every mutation durable *before* it is applied:
+//! Section 4.1's O(log n) insert/remove keeps the Status-Query structures
+//! current as RCCs stream in from the Navy environment, but in-memory
+//! state evaporates on crash and a half-written snapshot is worse than
+//! none. [`DurableIndex`] makes every mutation durable *before* it is
+//! applied:
 //!
-//! 1. **WAL-before-apply** — each insert/remove/settle/reopen first appends
-//!    an epoch-stamped, CRC-framed [`WalRecord`] to the store's log (group-
-//!    commit batched; durable at [`DurableIndex::sync`] and checkpoint
-//!    boundaries), then mutates the in-memory index. A crash can only lose
+//! 1. **WAL-before-apply** — each insert/remove/settle/reopen builds an
+//!    epoch-stamped, CRC-framed [`WalRecord`], appends it to the store's
+//!    log (group-commit batched; durable at [`DurableIndex::sync`] and
+//!    checkpoint boundaries), then applies that same record through the
+//!    one function replay uses. A live store therefore holds, by
+//!    construction, the state its log replays to. A crash can only lose
 //!    an unsynced *suffix* of mutations — never reorder them — and a crash
 //!    mid-write leaves a torn tail that replay provably discards.
 //! 2. **Checkpoint compaction** — [`DurableIndex::checkpoint`] snapshots
@@ -22,32 +25,34 @@
 //!    prefix onto it, and compacts the damaged tail out of the live log
 //!    (quarantining the removed bytes to `wal.<n>.damaged`, since a tail
 //!    stranded beyond a fallen-back checkpoint generation can hold
-//!    fsync-acknowledged records). The recovered
-//!    index answers every Status Query bit-identically to an engine that
-//!    never crashed (asserted by `tests/recovery.rs`).
+//!    fsync-acknowledged records). The recovered rows are exactly the
+//!    uncrashed store's, and an index built over them answers every
+//!    Status Query bit-identically (asserted by `tests/recovery.rs`).
 //!
-//! The wrapper — not the wrapped tree — owns the durable system of record:
-//! a [`BTreeMap`] of live [`LogicalRcc`] entries (index trees store only
-//! `(start, end, id)`, while checkpoints also need the owning avail), and a
-//! *durable epoch* that survives rebuilds (the inner index's epoch restarts
-//! at zero whenever `I::build` runs).
+//! The store wraps no tree. Its `entries` — a [`BTreeMap`] of live
+//! [`StoredRow`]s, each a [`LogicalRcc`] plus, for v2 rows, the full RCC
+//! that checkpoints and log-only rebuilds need — are the system of record,
+//! and every decision the store makes reads them. A reader that wants the
+//! paper's dual AVL trees builds them from [`DurableIndex::entries`];
+//! serving rebuilds a `StatusView` from [`DurableIndex::rebuild_rows`]. The
+//! *durable epoch* counts logged mutations and survives recovery.
 
 use crate::delta::RccDelta;
-use crate::traits::MaintainableIndex;
+use crate::flat_avl::FlatAvlIndex;
 use crate::types::{LogicalRcc, RowId};
 use domd_data::avail::{Avail, AvailId};
 use domd_data::date::Date;
 use domd_data::rcc::{amount_admitted, Rcc, RccId, RccType, Swlin};
 use domd_storage::{CheckpointEntry, FullRcc, Store, StorageError, WalOp, WalRecord, WalWriter};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Mutations applied between automatic checkpoint compactions. Small
 /// enough that replay after a crash is bounded, large enough that the
-/// (entry-set-sized) checkpoint write amortizes away; `bench_wal` measures
-/// the end-to-end overhead of this default at under 10% per mutation.
+/// (entry-set-sized) checkpoint write amortizes away; `bench_wal`'s
+/// checkpointing arm times this default.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 4096;
 
 /// One durable row: the logical projection every index layer consumes,
@@ -173,25 +178,31 @@ pub struct RecoveryReport {
     pub full_rows: usize,
 }
 
-/// A [`MaintainableIndex`] whose mutations survive process crashes.
+/// A store of live RCC rows whose mutations survive process crashes.
+///
+/// It holds no index. The type parameter is a phantom, kept only because
+/// perfbench names `DurableIndex<FlatAvlIndex>` and
+/// `DurableIndex::<FlatAvlIndex>::recover`; the `[benchmark]` change of
+/// ROADMAP item 1(a) drops it. Every method lives on the default
+/// `DurableIndex`.
 #[derive(Debug)]
-pub struct DurableIndex<I> {
+pub struct DurableIndex<I = FlatAvlIndex> {
     store: Store,
     wal: WalWriter,
-    index: I,
+    /// The system of record: every live row, by id.
     entries: BTreeMap<RowId, StoredRow>,
-    /// Durable mutation counter; unlike `index.current_epoch()` it does not
-    /// reset when the inner index is rebuilt during recovery.
+    /// Durable mutation counter: the epoch of the last applied record.
     epoch: u64,
     /// Epoch of the newest on-disk checkpoint.
     checkpoint_epoch: u64,
     /// Auto-compact after this many WAL records (`None` = manual only).
     checkpoint_every: Option<u64>,
+    _index: PhantomData<fn() -> I>,
 }
 
-impl<I: MaintainableIndex> DurableIndex<I> {
+impl DurableIndex {
     /// Initializes a fresh store at `dir` over `rccs`: writes the epoch-0
-    /// checkpoint, truncates the WAL, and builds the in-memory index.
+    /// checkpoint and truncates the WAL.
     /// Fails with [`StorageError::AlreadyInitialized`] when `dir` already
     /// holds a store — creating over live durable state would silently
     /// destroy it; use [`DurableIndex::recover`] (or clear the directory)
@@ -223,7 +234,9 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         }
         let mut entries = BTreeMap::new();
         for row in rows {
-            check_avail_agreement(dir, &row)?;
+            if let Some(rcc) = &row.rcc {
+                check_avail_agreement(dir, &row.logical, rcc)?;
+            }
             let id = row.logical.id;
             if entries.insert(id, row).is_some() {
                 return Err(StorageError::malformed(
@@ -236,16 +249,14 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         store.write_checkpoint(0, entries.values().map(checkpoint_entry))?;
         store.rewrite_wal(&[])?;
         let wal = WalWriter::open(&store.wal_path())?;
-        let projected: Vec<LogicalRcc> = entries.values().map(|s| s.logical).collect();
-        let index = I::build(&projected);
         Ok(DurableIndex {
             store,
             wal,
-            index,
             entries,
             epoch: 0,
             checkpoint_epoch: 0,
             checkpoint_every: Some(DEFAULT_CHECKPOINT_EVERY),
+            _index: PhantomData,
         })
     }
 
@@ -262,8 +273,6 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         }
         let wal_bytes = store.read_wal()?;
         let replayed = domd_storage::replay(&wal_bytes, recovered.checkpoint.epoch);
-        let projected: Vec<LogicalRcc> = entries.values().map(|s| s.logical).collect();
-        let mut index = I::build(&projected);
         let mut epoch = recovered.checkpoint.epoch;
         let mut applied = 0usize;
         let (mut replayed_v1, mut replayed_v2) = (0usize, 0usize);
@@ -274,9 +283,11 @@ impl<I: MaintainableIndex> DurableIndex<I> {
             // (e.g. remove of an absent id) means the log and checkpoint
             // describe different histories; stop there, as after a torn
             // record — everything before it is still consistent.
-            if !apply_record(&mut index, &mut entries, rec) {
+            // domd-lint: allow(wal-order) — replays a record already durable in the WAL
+            if let Err(misfit) = Self::apply_record(&mut entries, rec) {
                 tail_fault = Some(format!(
-                    "wal record at epoch {} ({} id {}) does not apply to the recovered state",
+                    "wal record at epoch {} ({} id {}) does not apply to the recovered \
+                     state: {misfit}",
                     rec.epoch,
                     rec.op.name(),
                     rec.id
@@ -325,11 +336,11 @@ impl<I: MaintainableIndex> DurableIndex<I> {
             DurableIndex {
                 store,
                 wal,
-                index,
                 entries,
                 epoch,
                 checkpoint_epoch: recovered.checkpoint.epoch,
                 checkpoint_every: Some(DEFAULT_CHECKPOINT_EVERY),
+                _index: PhantomData,
             },
             report,
         ))
@@ -340,20 +351,17 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         self.checkpoint_every = every;
     }
 
-    // Each live mutation follows the WAL-before-apply discipline: the
-    // record enters the log stream (group-commit batch) before the
-    // in-memory index changes, so the log always orders every applied
-    // mutation; durability of the tail is guaranteed at
-    // [`DurableIndex::sync`] / checkpoint boundaries. The hot paths borrow
-    // `entries` once — the measured WAL overhead budget (<10% per
-    // mutation, `bench_wal`) leaves no room for double map lookups.
+    // Every live mutation ends in `log_and_apply`: WAL-before-apply,
+    // through the apply replay uses. Durability of the log's tail is
+    // guaranteed at [`DurableIndex::sync`] / checkpoint boundaries.
 
     /// Inserts one projected RCC as a version-1 (projection-only) record.
     /// `Ok(false)` when the id is already live (nothing is logged for
     /// no-ops). Rows inserted this way cannot feed a log-only snapshot
     /// rebuild — prefer [`DurableIndex::insert_full`] on serving paths.
     pub fn insert(&mut self, rcc: &LogicalRcc) -> Result<bool, StorageError> {
-        self.insert_row(StoredRow { logical: *rcc, rcc: None })
+        let rec = self.record(WalOp::Insert, rcc, None);
+        self.log_and_apply(rec)
     }
 
     /// Inserts one RCC with its full payload as a version-2 record, so
@@ -361,54 +369,16 @@ impl<I: MaintainableIndex> DurableIndex<I> {
     /// Fails with [`StorageError::Malformed`] when the projection and the
     /// RCC disagree on the owning avail (nothing is logged).
     pub fn insert_full(&mut self, logical: &LogicalRcc, rcc: &Rcc) -> Result<bool, StorageError> {
-        let row = StoredRow { logical: *logical, rcc: Some(rcc.clone()) };
-        check_avail_agreement(self.store.dir(), &row)?;
-        self.insert_row(row)
-    }
-
-    fn insert_row(&mut self, row: StoredRow) -> Result<bool, StorageError> {
-        match self.entries.entry(row.logical.id) {
-            Entry::Occupied(_) => Ok(false),
-            Entry::Vacant(slot) => {
-                let logical = row.logical;
-                let rec = WalRecord {
-                    epoch: self.epoch + 1,
-                    op: WalOp::Insert,
-                    id: logical.id,
-                    avail: logical.avail.0,
-                    start: logical.start,
-                    end: logical.end,
-                    full: row.rcc.as_ref().map(full_of),
-                };
-                self.wal.append(&rec)?;
-                self.index.insert_logical(&logical);
-                slot.insert(row);
-                self.bump_epoch()
-            }
-        }
+        check_avail_agreement(self.store.dir(), logical, rcc)?;
+        let rec = self.record(WalOp::Insert, logical, Some(rcc));
+        self.log_and_apply(rec)
     }
 
     /// Removes a live RCC by id. `Ok(false)` when absent.
     pub fn remove(&mut self, id: RowId) -> Result<bool, StorageError> {
-        match self.entries.entry(id) {
-            Entry::Vacant(_) => Ok(false),
-            Entry::Occupied(slot) => {
-                let old = slot.get().logical;
-                let rec = WalRecord {
-                    epoch: self.epoch + 1,
-                    op: WalOp::Remove,
-                    id,
-                    avail: old.avail.0,
-                    start: old.start,
-                    end: old.end,
-                    full: None,
-                };
-                self.wal.append(&rec)?;
-                self.index.remove_logical(&old);
-                slot.remove();
-                self.bump_epoch()
-            }
-        }
+        let Some(old) = self.entries.get(&id) else { return Ok(false) };
+        let rec = self.record(WalOp::Remove, &old.logical, None);
+        self.log_and_apply(rec)
     }
 
     /// Settles a live RCC: moves its logical end to `new_end` (the dynamic
@@ -457,43 +427,80 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         op: WalOp,
         settled: Option<Date>,
     ) -> Result<bool, StorageError> {
-        let Some(old) = self.entries.get_mut(&id) else { return Ok(false) };
-        // The record's version mirrors what the in-memory row will hold
-        // afterwards, so replaying it reproduces this state transition
-        // exactly: a dated move on a full row re-logs the updated payload
-        // (v2); an undated move drops the payload (v1) because its settled
-        // date no longer describes the row.
-        let moved_rcc = match (settled, &old.rcc) {
+        let Some(old) = self.entries.get(&id) else { return Ok(false) };
+        // The record's version is what the row holds afterwards: a dated
+        // move on a full row re-logs the updated payload (v2); an undated
+        // move drops the payload (v1) because its settled date no longer
+        // describes the row.
+        let moved = match (settled, &old.rcc) {
             (Some(date), Some(rcc)) => Some(Rcc { settled: date, ..rcc.clone() }),
             _ => None,
         };
-        let rec = WalRecord {
-            epoch: self.epoch + 1,
-            op,
-            id,
-            avail: old.logical.avail.0,
-            start: old.logical.start,
-            end: new_end,
-            full: moved_rcc.as_ref().map(full_of),
-        };
-        self.wal.append(&rec)?;
-        self.index.remove_logical(&LogicalRcc { ..old.logical });
-        old.logical.end = new_end;
-        old.rcc = moved_rcc;
-        self.index.insert_logical(&LogicalRcc { ..old.logical });
-        self.bump_epoch()
+        let rec = self.record(op, &LogicalRcc { end: new_end, ..old.logical }, moved.as_ref());
+        self.log_and_apply(rec)
     }
 
-    /// Advances the durable epoch after a logged-and-applied mutation and
-    /// runs the auto-compaction cadence.
-    fn bump_epoch(&mut self) -> Result<bool, StorageError> {
-        self.epoch += 1;
+    /// The record a live write logs: `op` on `row` at the next epoch,
+    /// carrying `full` as its payload when the row keeps one.
+    fn record(&self, op: WalOp, row: &LogicalRcc, full: Option<&Rcc>) -> WalRecord {
+        WalRecord {
+            epoch: self.epoch + 1,
+            op,
+            id: row.id,
+            avail: row.avail.0,
+            start: row.start,
+            end: row.end,
+            full: full.map(full_of),
+        }
+    }
+
+    /// Logs `rec`, applies it, and runs the auto-compaction cadence.
+    /// `Ok(false)`, with nothing logged, when `rec` inserts a live id or
+    /// changes an absent one; a record that would not apply for any other
+    /// reason is refused before it is logged.
+    fn log_and_apply(&mut self, rec: WalRecord) -> Result<bool, StorageError> {
+        match next_row(&self.entries, &rec) {
+            Ok(_) => {}
+            Err(Misfit::Present | Misfit::Absent) => return Ok(false),
+            Err(misfit) => return Err(self.refusal(&rec, misfit)),
+        }
+        self.wal.append(&rec)?;
+        Self::apply_record(&mut self.entries, &rec).map_err(|m| self.refusal(&rec, m))?;
+        self.epoch = rec.epoch;
         if let Some(every) = self.checkpoint_every {
             if self.epoch - self.checkpoint_epoch >= every {
                 self.checkpoint()?;
             }
         }
         Ok(true)
+    }
+
+    /// Applies one WAL record to the live rows. Live writes (once they
+    /// have logged the record) and replay (of a record already in the
+    /// log) change `entries` only through this; the one other writer is
+    /// [`DurableIndex::migrate_full`]'s payload upgrade, which a
+    /// checkpoint persists. On a misfit the rows are left untouched.
+    fn apply_record(
+        entries: &mut BTreeMap<RowId, StoredRow>,
+        rec: &WalRecord,
+    ) -> Result<(), Misfit> {
+        match next_row(entries, rec)? {
+            Some(row) => entries.insert(rec.id, row),
+            None => entries.remove(&rec.id),
+        };
+        Ok(())
+    }
+
+    fn refusal(&self, rec: &WalRecord, misfit: Misfit) -> StorageError {
+        StorageError::malformed(
+            self.store.dir().display().to_string(),
+            0,
+            format!(
+                "{} of row {} does not apply to the live rows: {misfit}",
+                rec.op.name(),
+                rec.id
+            ),
+        )
     }
 
     /// Compacts: durably snapshots the live entry set at the current epoch
@@ -513,12 +520,7 @@ impl<I: MaintainableIndex> DurableIndex<I> {
         self.wal.sync()
     }
 
-    /// The wrapped index, for query execution.
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
-    /// Durable mutation counter (survives recovery rebuilds).
+    /// Durable mutation counter (survives recovery).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -560,9 +562,8 @@ impl<I: MaintainableIndex> DurableIndex<I> {
                 continue;
             }
             if let Some(rcc) = resolve(&row.logical) {
-                let candidate = StoredRow { logical: row.logical, rcc: Some(rcc) };
-                check_avail_agreement(&dir, &candidate)?;
-                *row = candidate;
+                check_avail_agreement(&dir, &row.logical, &rcc)?;
+                row.rcc = Some(rcc);
                 upgraded += 1;
             }
         }
@@ -649,62 +650,54 @@ impl<I: MaintainableIndex> DurableIndex<I> {
     }
 }
 
-/// Applies one WAL record to the in-memory state; `false` when the record
-/// does not fit the current state (recovery treats that as a damaged tail).
-fn apply_record<I: MaintainableIndex>(
-    index: &mut I,
-    entries: &mut BTreeMap<RowId, StoredRow>,
+/// Why a WAL record does not apply to the live rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Misfit {
+    /// An insert of an id that is already live.
+    Present,
+    /// A remove, settle or reopen of an id that is not live.
+    Absent,
+    /// A full-row payload that does not lift back into a typed RCC.
+    Payload,
+}
+
+impl fmt::Display for Misfit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Misfit::Present => "the id is already live",
+            Misfit::Absent => "the id is not live",
+            Misfit::Payload => "its full-row payload is out of domain",
+        })
+    }
+}
+
+/// The row `rec` leaves at its id (`None` after a remove), or why it does
+/// not apply to `entries`. Pure, so a live write can ask before it logs.
+fn next_row(
+    entries: &BTreeMap<RowId, StoredRow>,
     rec: &WalRecord,
-) -> bool {
-    let incoming = LogicalRcc {
-        id: rec.id,
-        avail: AvailId(rec.avail),
-        start: rec.start,
-        end: rec.end,
-    };
+) -> Result<Option<StoredRow>, Misfit> {
+    let avail = AvailId(rec.avail);
     // A v2 record re-materializes the full payload the writer logged; a
-    // v1 record carries none, and replay mirrors the writer's own rule —
-    // v1 settle/reopen drop any stale payload the row held.
+    // v1 record carries none, so a v1 settle/reopen drops any stale
+    // payload the row held. replay() validated the domain already, so on
+    // replay an unconvertible payload means the log disagrees with itself;
+    // a live write refuses one before logging it.
     let full = match &rec.full {
-        Some(f) => match rcc_of(f, incoming.avail) {
-            Some(rcc) => Some(rcc),
-            // replay() validated the domain already; an unconvertible
-            // payload means the log disagrees with itself.
-            None => return false,
-        },
+        Some(f) => Some(rcc_of(f, avail).ok_or(Misfit::Payload)?),
         None => None,
     };
-    match rec.op {
-        WalOp::Insert => {
-            if entries.contains_key(&rec.id) {
-                return false;
-            }
-            // domd-lint: allow(wal-order) — replays a record already durable in the WAL
-            index.insert_logical(&incoming);
-            entries.insert(rec.id, StoredRow { logical: incoming, rcc: full });
-            true
+    match (rec.op, entries.get(&rec.id)) {
+        (WalOp::Insert, Some(_)) => Err(Misfit::Present),
+        (WalOp::Insert, None) => {
+            let logical = LogicalRcc { id: rec.id, avail, start: rec.start, end: rec.end };
+            Ok(Some(StoredRow { logical, rcc: full }))
         }
-        WalOp::Remove => match entries.remove(&rec.id) {
-            Some(old) => {
-                // domd-lint: allow(wal-order) — replays a record already durable in the WAL
-                index.remove_logical(&old.logical);
-                true
-            }
-            None => false,
-        },
-        WalOp::Settle | WalOp::Reopen => match entries.get_mut(&rec.id) {
-            Some(old) => {
-                // domd-lint: allow(wal-order) — replays a record already durable in the WAL
-                index.remove_logical(&LogicalRcc { ..old.logical });
-                let moved = LogicalRcc { end: rec.end, ..old.logical };
-                // domd-lint: allow(wal-order) — replays a record already durable in the WAL
-                index.insert_logical(&moved);
-                old.logical = moved;
-                old.rcc = full;
-                true
-            }
-            None => false,
-        },
+        (_, None) => Err(Misfit::Absent),
+        (WalOp::Remove, Some(_)) => Ok(None),
+        (WalOp::Settle | WalOp::Reopen, Some(old)) => {
+            Ok(Some(StoredRow { logical: LogicalRcc { end: rec.end, ..old.logical }, rcc: full }))
+        }
     }
 }
 
@@ -736,18 +729,16 @@ fn rcc_of(full: &FullRcc, avail: AvailId) -> Option<Rcc> {
 }
 
 /// Refuses a row whose projection and full payload name different avails.
-fn check_avail_agreement(dir: &Path, row: &StoredRow) -> Result<(), StorageError> {
-    if let Some(rcc) = &row.rcc {
-        if rcc.avail != row.logical.avail {
-            return Err(StorageError::malformed(
-                dir.display().to_string(),
-                0,
-                format!(
-                    "row {}: projection names avail {} but the full RCC names avail {}",
-                    row.logical.id, row.logical.avail.0, rcc.avail.0
-                ),
-            ));
-        }
+fn check_avail_agreement(dir: &Path, logical: &LogicalRcc, rcc: &Rcc) -> Result<(), StorageError> {
+    if rcc.avail != logical.avail {
+        return Err(StorageError::malformed(
+            dir.display().to_string(),
+            0,
+            format!(
+                "row {}: projection names avail {} but the full RCC names avail {}",
+                logical.id, logical.avail.0, rcc.avail.0
+            ),
+        ));
     }
     Ok(())
 }
@@ -770,7 +761,6 @@ fn from_checkpoint_entry(e: &CheckpointEntry) -> StoredRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat_avl::FlatAvlIndex;
     use crate::traits::LogicalTimeIndex;
 
     fn rcc(id: u32, start: f64, end: f64) -> LogicalRcc {
@@ -792,14 +782,17 @@ mod tests {
     fn create_then_recover_is_bit_identical() {
         let d = dir("create");
         let rccs = seed_rccs(40);
-        let di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &rccs).unwrap();
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let di = DurableIndex::create(&d, &rccs).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(report.rows, 40);
         assert!(report.tail_fault.is_none());
+        assert_eq!(rec.entries(), rccs);
+        let (created, recovered) =
+            (FlatAvlIndex::build(&di.entries()), FlatAvlIndex::build(&rec.entries()));
         for t in [0.0, 10.0, 25.0, 100.0] {
-            assert_eq!(di.index().active_at(t), rec.index().active_at(t));
-            assert_eq!(di.index().settled_by(t), rec.index().settled_by(t));
+            assert_eq!(created.active_at(t), recovered.active_at(t));
+            assert_eq!(created.settled_by(t), recovered.settled_by(t));
         }
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -807,7 +800,7 @@ mod tests {
     #[test]
     fn mutations_survive_crash_without_checkpoint() {
         let d = dir("wal-replay");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(10)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(10)).unwrap();
         di.set_checkpoint_every(None);
         assert!(di.insert(&rcc(50, 1.0, 99.0)).unwrap());
         assert!(di.settle(3, 12.5).unwrap());
@@ -819,19 +812,19 @@ mod tests {
         let epoch = di.epoch();
         di.sync().unwrap();
         drop(di); // crash: no checkpoint was written after the mutations
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.checkpoint_epoch, 0);
         assert_eq!(report.replayed, 4);
         assert_eq!(rec.epoch(), epoch);
         assert_eq!(rec.entries(), baseline);
-        assert_eq!(rec.index().len(), baseline.len());
+        assert_eq!(rec.len(), baseline.len());
         std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
     fn checkpoint_compacts_and_recovery_skips_replay() {
         let d = dir("compact");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(10)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(10)).unwrap();
         di.set_checkpoint_every(None);
         for i in 20..30 {
             di.insert(&rcc(i, 2.0, 60.0)).unwrap();
@@ -842,7 +835,7 @@ mod tests {
         di.sync().unwrap();
         let baseline = di.entries();
         drop(di);
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.checkpoint_epoch, 10);
         assert_eq!(report.replayed, 1);
         assert_eq!(rec.entries(), baseline);
@@ -852,7 +845,7 @@ mod tests {
     #[test]
     fn auto_checkpoint_fires_at_cadence() {
         let d = dir("auto");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &[]).unwrap();
+        let mut di = DurableIndex::create(&d, &[]).unwrap();
         di.set_checkpoint_every(Some(4));
         for i in 0..9 {
             di.insert(&rcc(i, 0.0, 50.0)).unwrap();
@@ -871,7 +864,7 @@ mod tests {
     #[test]
     fn torn_wal_tail_is_discarded_and_compacted() {
         let d = dir("torn");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(5)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(5)).unwrap();
         di.set_checkpoint_every(None);
         di.insert(&rcc(10, 0.0, 40.0)).unwrap();
         di.insert(&rcc(11, 0.0, 40.0)).unwrap();
@@ -881,7 +874,7 @@ mod tests {
         // Tear the second record mid-payload.
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..domd_storage::RECORD_LEN + 11]).unwrap();
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.replayed, 1);
         assert!(report.tail_fault.is_some());
         assert_eq!(report.discarded_bytes, 11);
@@ -901,7 +894,7 @@ mod tests {
     #[test]
     fn inapplicable_record_stops_replay() {
         let d = dir("inapplicable");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(5)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(5)).unwrap();
         di.set_checkpoint_every(None);
         di.insert(&rcc(10, 0.0, 40.0)).unwrap();
         di.sync().unwrap();
@@ -920,11 +913,12 @@ mod tests {
         let mut bytes = std::fs::read(&wal_path).unwrap();
         bytes.extend_from_slice(&forged.encode());
         std::fs::write(&wal_path, &bytes).unwrap();
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.replayed, 1);
         assert_eq!(rec.epoch(), 1);
         let fault = report.tail_fault.expect("inapplicable record is a tail fault");
         assert!(fault.contains("does not apply"), "{fault}");
+        assert!(fault.ends_with("the id is not live"), "{fault}");
         assert_eq!(report.discarded_bytes, domd_storage::RECORD_LEN as u64);
         // The forged-but-CRC-valid record is evidence; it must be
         // preserved byte-for-byte, not destroyed with the rewrite.
@@ -936,7 +930,7 @@ mod tests {
     #[test]
     fn recovery_falls_back_to_previous_generation() {
         let d = dir("fallback");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(6)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(6)).unwrap();
         di.set_checkpoint_every(None);
         di.insert(&rcc(20, 0.0, 30.0)).unwrap();
         di.checkpoint().unwrap();
@@ -948,7 +942,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&newest, &bytes).unwrap();
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.checkpoint_epoch, 0);
         assert_eq!(report.generations_tried, 2);
         assert_eq!(report.damaged_generations.len(), 1);
@@ -957,7 +951,7 @@ mod tests {
         // straight from the intact epoch-0 generation.
         assert!(!newest.exists(), "damaged generation must be quarantined");
         drop(rec);
-        let (_, report2) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (_, report2) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report2.generations_tried, 1);
         assert!(report2.damaged_generations.is_empty());
         std::fs::remove_dir_all(&d).unwrap();
@@ -966,11 +960,11 @@ mod tests {
     #[test]
     fn create_refuses_to_overwrite_an_initialized_store() {
         let d = dir("no-overwrite");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(8)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(8)).unwrap();
         di.insert(&rcc(30, 1.0, 20.0)).unwrap();
         di.sync().unwrap();
         drop(di);
-        let e = DurableIndex::<FlatAvlIndex>::create(&d, &seed_rccs(3)).unwrap_err();
+        let e = DurableIndex::create(&d, &seed_rccs(3)).unwrap_err();
         assert!(
             matches!(e, StorageError::AlreadyInitialized { .. }),
             "expected AlreadyInitialized, got {e:?}"
@@ -978,7 +972,7 @@ mod tests {
         assert!(!e.is_corruption(), "a refused create is usage, not corruption");
         // The refused create destroyed nothing: the store still recovers
         // to its pre-refusal state.
-        let (rec, _) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, _) = DurableIndex::recover(&d).unwrap();
         assert_eq!(rec.len(), 9);
         assert!(rec.entries().iter().any(|r| r.id == 30), "WAL record survived");
         std::fs::remove_dir_all(&d).unwrap();
@@ -988,7 +982,7 @@ mod tests {
     fn duplicate_initial_id_is_rejected() {
         let d = dir("dup");
         let rccs = vec![rcc(1, 0.0, 1.0), rcc(1, 2.0, 3.0)];
-        let e = DurableIndex::<FlatAvlIndex>::create(&d, &rccs).unwrap_err();
+        let e = DurableIndex::create(&d, &rccs).unwrap_err();
         assert!(e.is_corruption());
         assert!(e.to_string().contains("duplicate row id 1"), "{e}");
         let _ = std::fs::remove_dir_all(&d);
@@ -1015,47 +1009,81 @@ mod tests {
         let d = dir("full-roundtrip");
         let seed: Vec<(LogicalRcc, Rcc)> =
             (0..6).map(|i| full_pair(i, f64::from(i), f64::from(i) + 20.0)).collect();
-        let mut di: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create_full(&d, seed.clone()).unwrap();
+        let mut di = DurableIndex::create_full(&d, seed.clone()).unwrap();
         di.set_checkpoint_every(None);
         assert_eq!(di.full_rows(), 6);
-        // One full insert via the WAL, one dated settle, one undated
-        // settle (drops the payload), one remove.
+        // Every live transition through the shared apply: a full and a
+        // v1 insert, dated and undated settles and reopens of full rows
+        // (the undated ones drop the payload), and a remove.
         let (l, r) = full_pair(10, 1.0, 80.0);
         assert!(di.insert_full(&l, &r).unwrap());
         assert!(di.settle_dated(2, 9.0, Date::from_days(9)).unwrap());
         assert!(di.settle(3, 11.0).unwrap());
         assert!(di.remove(4).unwrap());
+        assert!(di.reopen_dated(1, 90.0, Date::from_days(90)).unwrap());
+        assert!(di.reopen(5, 95.0).unwrap());
+        assert!(di.insert(&rcc(11, 2.0, 50.0)).unwrap());
+        // No-ops log nothing and change nothing.
+        let before = di.entries_full();
+        assert!(!di.insert_full(&l, &r).unwrap(), "duplicate full insert is a no-op");
+        assert!(!di.insert(&rcc(11, 3.0, 40.0)).unwrap(), "duplicate insert is a no-op");
+        assert!(!di.remove(4).unwrap(), "absent remove is a no-op");
+        assert!(!di.reopen_dated(4, 99.0, Date::from_days(99)).unwrap(), "absent reopen");
+        assert_eq!(di.entries_full(), before);
+        assert_eq!(di.epoch(), 7);
         di.sync().unwrap();
         let baseline = di.entries_full();
-        assert_eq!(di.full_rows(), 5, "undated settle dropped row 3's payload");
+        assert_eq!(di.full_rows(), 4, "undated settle and reopen dropped rows 3 and 5");
         drop(di);
         // Crash-recover: everything rebuilt from checkpoint + WAL.
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
-        assert_eq!(report.replayed, 4);
-        assert_eq!(report.replayed_v2, 2, "full insert + dated settle");
-        assert_eq!(report.replayed_v1, 2, "undated settle + remove");
-        assert_eq!(report.full_rows, 5);
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
+        assert_eq!(report.replayed, 7);
+        assert_eq!(report.replayed_v2, 3, "full insert + dated settle + dated reopen");
+        assert_eq!(report.replayed_v1, 4, "undated settle + remove + undated reopen + insert");
+        assert_eq!(report.full_rows, 4);
         assert_eq!(report.checkpoint_version, domd_storage::CHECKPOINT_VERSION);
+        assert_eq!(rec.epoch(), 7);
         assert_eq!(rec.entries_full(), baseline);
-        let settled_row =
-            rec.entries_full().into_iter().find(|s| s.logical.id == 2).unwrap();
-        assert_eq!(settled_row.rcc.unwrap().settled, Date::from_days(9));
+        let row = |id: RowId| rec.entries_full().into_iter().find(|s| s.logical.id == id).unwrap();
+        assert_eq!(row(2).rcc.unwrap().settled, Date::from_days(9));
+        assert_eq!(row(1).rcc.unwrap().settled, Date::from_days(90));
+        assert_eq!(row(1).logical.end, 90.0);
+        assert_eq!((row(5).logical.end, row(5).rcc), (95.0, None));
+        assert_eq!(row(11).rcc, None);
         // Checkpoint, then recover with an empty WAL: payloads persist in
         // the v2 checkpoint entries too.
-        let (mut rec, _) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (mut rec, _) = DurableIndex::recover(&d).unwrap();
         rec.checkpoint().unwrap();
         drop(rec);
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(rec.entries_full(), baseline);
         std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
+    fn a_record_that_would_not_apply_is_refused_before_logging() {
+        let d = dir("misfit");
+        let mut di = DurableIndex::create_full(&d, vec![full_pair(0, 0.0, 5.0)]).unwrap();
+        di.set_checkpoint_every(None);
+        // A payload no typed RCC projects to: the shared apply cannot
+        // lift it back, so the write is refused, typed, before the log
+        // sees it.
+        let mut rec = di.record(WalOp::Insert, &rcc(7, 0.0, 5.0), Some(&full_rcc(7, 0, 5)));
+        rec.full.as_mut().unwrap().rcc_type = 9;
+        let e = di.log_and_apply(rec).unwrap_err();
+        assert!(e.to_string().contains("payload is out of domain"), "{e}");
+        assert_eq!(di.epoch(), 0);
+        assert_eq!(di.len(), 1);
+        di.sync().unwrap();
+        assert_eq!(std::fs::metadata(di.store_dir().join("wal.log")).unwrap().len(), 0);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
     fn avail_disagreement_is_refused_before_logging() {
         let d = dir("avail-mismatch");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(3)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(3)).unwrap();
         let epoch = di.epoch();
         let logical = rcc(9, 0.0, 10.0); // avail 9 % 5 = 4
         let mut full = full_rcc(9, 0, 10);
@@ -1069,7 +1097,7 @@ mod tests {
     #[test]
     fn migrate_full_upgrades_v1_rows_in_place() {
         let d = dir("migrate");
-        let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(8)).unwrap();
+        let mut di = DurableIndex::create(&d, &seed_rccs(8)).unwrap();
         di.set_checkpoint_every(None);
         assert_eq!(di.full_rows(), 0);
         let upgraded = di
@@ -1080,7 +1108,7 @@ mod tests {
         // Persist through a checkpoint and recover from the store alone.
         di.checkpoint().unwrap();
         drop(di);
-        let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        let (rec, report) = DurableIndex::recover(&d).unwrap();
         assert_eq!(report.full_rows, 8);
         // A second migrate is a no-op; a declining resolver changes nothing.
         let mut rec = rec;
@@ -1113,7 +1141,7 @@ mod tests {
         // dataset's (avail, created, id) table order.
         let seed: Vec<(LogicalRcc, Rcc)> =
             (0..10).map(|i| full_pair(i, f64::from(10 - i), f64::from(10 - i) + 5.0)).collect();
-        let di: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(&d, seed.clone()).unwrap();
+        let di = DurableIndex::create_full(&d, seed.clone()).unwrap();
         let rows = di.rebuild_rows(|_| None, |_| true).unwrap();
         let want: Vec<Rcc> = seed.into_iter().map(|(_, r)| r).collect();
         assert_eq!(rows, want, "rows come back as stored, in row-id order");
@@ -1137,7 +1165,7 @@ mod tests {
     #[test]
     fn rebuild_rows_refusals_are_typed() {
         let d = dir("rows-v1");
-        let v1: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &seed_rccs(3)).unwrap();
+        let v1 = DurableIndex::create(&d, &seed_rccs(3)).unwrap();
         // A projection-only row that no resolver vouches for...
         let e = v1.rebuild_rows(|_| None, |_| true).unwrap_err();
         assert!(matches!(e, RebuildError::MissingFull { id: 0, avail: AvailId(0) }), "{e}");
@@ -1176,8 +1204,8 @@ mod tests {
         let mut bad = full_rcc(1, 0, 5);
         bad.amount = 1e-30;
         let rows = vec![full_pair(0, 0.0, 5.0), (rcc(1, 0.0, 5.0), bad)];
-        drop(DurableIndex::<FlatAvlIndex>::create_full(&d, rows).unwrap());
-        let (store, _) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+        drop(DurableIndex::create_full(&d, rows).unwrap());
+        let (store, _) = DurableIndex::recover(&d).unwrap();
         let e = store.rebuild_rows(|_| None, |_| true).unwrap_err();
         assert!(matches!(e, RebuildError::Amount { id: 1, amount } if amount == 1e-30), "{e}");
         assert!(e.to_string().contains("admitted window"), "{e}");

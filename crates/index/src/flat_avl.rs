@@ -22,7 +22,7 @@
 //! only when the value differs, so an unchanged ancestor stays shared.
 
 use crate::chunked::ChunkedVec;
-use crate::traits::{LogicalTimeIndex, MaintainableIndex};
+use crate::traits::LogicalTimeIndex;
 use crate::types::{HeapSize, LogicalRcc, RowId};
 
 const NIL: u32 = u32::MAX;
@@ -526,20 +526,6 @@ impl LogicalTimeIndex for FlatAvlIndex {
         self.starts.for_each_leq(t_star, &mut |_s, _e, id| out.push(id));
         out.sort_unstable();
         out
-    }
-}
-
-impl MaintainableIndex for FlatAvlIndex {
-    fn insert_logical(&mut self, rcc: &LogicalRcc) -> bool {
-        self.insert(rcc)
-    }
-
-    fn remove_logical(&mut self, rcc: &LogicalRcc) -> bool {
-        self.remove(rcc)
-    }
-
-    fn current_epoch(&self) -> u64 {
-        self.epoch
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::flat_avl::FlatAvlIndex;
 use crate::traits::LogicalTimeIndex;
-use crate::types::{HeapSize, LogicalRcc, RowId};
+use crate::types::{HeapSize, RowId};
 
 /// Running aggregates of one (group × status) cell. Supports removal
 /// (needed for the active set, which RCCs leave when they settle), so only
@@ -227,23 +227,10 @@ fn row(cols: RowColumns<'_>, id: RowId) -> (usize, f64, f64) {
     (cols.groups[i], cols.amounts[i], cols.durations[i])
 }
 
-/// Convenience: builds the column arrays for a projected RCC set using a
-/// caller-provided group assignment.
-pub fn columns_from<FG: Fn(&LogicalRcc) -> usize>(
-    projected: &[LogicalRcc],
-    amounts: Vec<f64>,
-    durations: Vec<f64>,
-    group_of: FG,
-) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
-    assert_eq!(projected.len(), amounts.len());
-    assert_eq!(projected.len(), durations.len());
-    let groups = projected.iter().map(group_of).collect();
-    (amounts, durations, groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::LogicalRcc;
     use domd_data::AvailId;
 
     fn rcc(id: RowId, start: f64, end: f64) -> LogicalRcc {

@@ -25,10 +25,11 @@
 //! so a view clone copies pointers and a delta copies only the pieces it
 //! writes. [`cache::LruCache`] is the bounded LRU behind the online
 //! feature snapshot cache in `domd-features`.
-//! [`durable::DurableIndex`] wraps any maintainable index with a
-//! write-ahead log and rolling checksummed checkpoints so dynamic
-//! maintenance survives process crashes (recovery replays the longest
-//! valid WAL prefix onto the newest intact checkpoint).
+//! [`durable::DurableIndex`] is the durable row store: live RCC rows
+//! behind a write-ahead log and rolling checksummed checkpoints, so
+//! dynamic maintenance survives process crashes (recovery replays the
+//! longest valid WAL prefix onto the newest intact checkpoint). It holds
+//! no index; readers build one from its rows.
 //!
 //! [`group_tree`] holds the RCC-Type-Tree and SWLIN tree of Algorithm
 //! StatusQ, and [`status_runs`] each type's rows in `start` and `end`
@@ -88,5 +89,5 @@ pub use naive::NaiveJoinIndex;
 pub use snapshot::{EpochStore, Pinned};
 pub use sorted_array::SortedArrayIndex;
 pub use status_query::{GroupRows, StatusAggregate, StatusQuery, StatusQueryEngine, StatusView};
-pub use traits::{LogicalTimeIndex, MaintainableIndex};
+pub use traits::LogicalTimeIndex;
 pub use types::{project_dataset, HeapSize, LogicalRcc, OrderedF64, RowId};

@@ -316,16 +316,6 @@ impl<I: LogicalTimeIndex> StatusQueryEngine<I> {
     }
 }
 
-impl<I: LogicalTimeIndex + Sync> StatusQueryEngine<I> {
-    /// Executes a batch of Status Queries on the shared worker pool,
-    /// returning one result per query in input order. Queries are
-    /// read-only and independent, so the batch output is identical to
-    /// mapping [`StatusQueryEngine::execute`] sequentially.
-    pub fn execute_batch(&self, queries: &[StatusQuery], threads: usize) -> Vec<Vec<RowId>> {
-        domd_runtime::par_map(threads, queries, |_, q| self.execute(q))
-    }
-}
-
 impl<I: HeapSize> HeapSize for StatusQueryEngine<I> {
     fn heap_bytes(&self) -> usize {
         self.index.heap_bytes() + self.view.heap_bytes()
@@ -723,10 +713,8 @@ pub(crate) mod tests {
                 });
             }
         }
-        let seq_rows: Vec<Vec<RowId>> = queries.iter().map(|q| eng.execute(q)).collect();
         let seq_aggs: Vec<StatusAggregate> = queries.iter().map(|q| eng.aggregate(q)).collect();
         for threads in [1, 2, 3, 7] {
-            assert_eq!(eng.execute_batch(&queries, threads), seq_rows, "threads={threads}");
             let aggs = eng.view().aggregate_batch(&queries, threads);
             assert_eq!(aggs, seq_aggs, "threads={threads}");
         }

@@ -53,20 +53,6 @@ pub trait LogicalTimeIndex: HeapSize {
     }
 }
 
-/// A [`LogicalTimeIndex`] supporting the O(log n) dynamic maintenance of
-/// Section 4.1, with a monotone *epoch* counter: every successful mutation
-/// bumps it, so anything derived from an older epoch is recognizably stale.
-pub trait MaintainableIndex: LogicalTimeIndex {
-    /// Inserts one projected RCC; `false` if `(positions, id)` already exist.
-    fn insert_logical(&mut self, rcc: &LogicalRcc) -> bool;
-
-    /// Removes one projected RCC; `false` when absent.
-    fn remove_logical(&mut self, rcc: &LogicalRcc) -> bool;
-
-    /// Mutation counter; bumped by every successful insert/remove.
-    fn current_epoch(&self) -> u64;
-}
-
 /// Merges two ascending, disjoint id lists into one ascending list.
 pub(crate) fn merge_disjoint_sorted(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
     let mut out = Vec::with_capacity(a.len() + b.len());

@@ -7,7 +7,7 @@
 use domd_data::{generate, AvailId, GeneratorConfig};
 use domd_index::{
     project_dataset, sweep_from_scratch, sweep_incremental, FlatAvlIndex, IntervalTreeIndex,
-    LogicalTimeIndex, MaintainableIndex, NaiveJoinIndex, RccArena, RowColumns, SortedArrayIndex,
+    LogicalTimeIndex, NaiveJoinIndex, RccArena, RowColumns, SortedArrayIndex,
 };
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
         t in 0.0f64..120.0,
     ) {
         let mut favl = FlatAvlIndex::build(&rccs);
-        let epoch0 = favl.current_epoch();
+        let epoch0 = favl.epoch();
         let before = (favl.active_at(t), favl.settled_by(t), favl.created_by(t));
         let extras: Vec<domd_index::LogicalRcc> = (0..10)
             .map(|i| domd_index::LogicalRcc {
@@ -99,13 +99,13 @@ proptest! {
             })
             .collect();
         for e in &extras {
-            prop_assert!(favl.insert_logical(e));
+            prop_assert!(favl.insert(e));
         }
-        prop_assert_eq!(favl.current_epoch(), epoch0 + 10, "each insert bumps the epoch");
+        prop_assert_eq!(favl.epoch(), epoch0 + 10, "each insert bumps the epoch");
         for e in &extras {
-            prop_assert!(favl.remove_logical(e));
+            prop_assert!(favl.remove(e));
         }
-        prop_assert_eq!(favl.current_epoch(), epoch0 + 20, "each remove bumps the epoch");
+        prop_assert_eq!(favl.epoch(), epoch0 + 20, "each remove bumps the epoch");
         prop_assert_eq!((favl.active_at(t), favl.settled_by(t), favl.created_by(t)), before);
     }
 

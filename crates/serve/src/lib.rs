@@ -44,9 +44,7 @@ pub mod state;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
 pub use clock::{Clock, ManualClock, Ticks, WallClock};
-pub use loadgen::{
-    classify_retry, generate_schedule, LoadGenConfig, RetryDecision, RetryPolicy, TrafficMix,
-};
+pub use loadgen::{generate_schedule, LoadGenConfig, TrafficMix};
 pub use protocol::{parse_line, render_response, run_session, SessionStats};
 pub use rebuild::{rebuild_tenant, resolve_v1_row, RebuildSummary};
 pub use request::{Alert, IngestRow, Op, Reply, Request, Response};

@@ -1,4 +1,4 @@
-//! Deterministic open-loop load generation and client-side retry policy.
+//! Deterministic open-loop load generation.
 //!
 //! The generator is seeded end-to-end: the same [`LoadGenConfig`] always
 //! yields the same arrival schedule, tenant choices, and operation mix,
@@ -11,12 +11,7 @@
 //! `1/(r+1)^s`), modelling the few-hot-many-cold tenancy of real fleets;
 //! the skew drives one tenant's circuit breaker much harder than the
 //! rest.
-//!
-//! [`classify_retry`] is the client half of the overload contract: typed
-//! `Overloaded`/`DeadlineExceeded` refusals back off exponentially with
-//! seeded jitter; every other error is terminal for the request.
 
-use domd_core::DomdError;
 use domd_data::rcc::RccStatus;
 use domd_data::{AvailId, Dataset};
 use domd_index::StatusQuery;
@@ -180,49 +175,6 @@ fn ingest_op(ds: &Dataset, avail: AvailId, rng: &mut SmallRng) -> Op {
     Op::Ingest { rows }
 }
 
-/// What a client should do with a refused or failed request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Retry after this many ticks of backoff.
-    RetryAfter(Ticks),
-    /// Terminal: retrying verbatim will fail again (or the budget of
-    /// attempts is spent).
-    GiveUp,
-}
-
-/// Retry policy tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// First-attempt backoff in ticks.
-    pub base: Ticks,
-    /// Backoff ceiling in ticks.
-    pub cap: Ticks,
-    /// Attempts before giving up on a retryable error.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { base: 8, cap: 512, max_attempts: 5 }
-    }
-}
-
-/// Classifies one failure: shedding errors back off exponentially
-/// (`base << attempt`, capped) with seeded full jitter — the classic
-/// thundering-herd spreader — while every other error is terminal.
-pub fn classify_retry(
-    err: &DomdError,
-    attempt: u32,
-    policy: &RetryPolicy,
-    rng: &mut SmallRng,
-) -> RetryDecision {
-    if !err.is_retryable() || attempt + 1 >= policy.max_attempts {
-        return RetryDecision::GiveUp;
-    }
-    let exp = policy.base.checked_shl(attempt.min(20)).unwrap_or(policy.cap).clamp(1, policy.cap);
-    RetryDecision::RetryAfter(rng.gen_range(0..exp) + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,34 +227,5 @@ mod tests {
         for pair in schedule.windows(2) {
             assert!(pair[0].0 <= pair[1].0);
         }
-    }
-
-    #[test]
-    fn retry_classification_backs_off_shedding_only() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let policy = RetryPolicy::default();
-        let overloaded =
-            DomdError::Overloaded { context: "q".into(), depth: 9, capacity: 9 };
-        let mut last = 0;
-        for attempt in 0..policy.max_attempts - 1 {
-            match classify_retry(&overloaded, attempt, &policy, &mut rng) {
-                RetryDecision::RetryAfter(t) => {
-                    assert!(t >= 1 && t <= policy.cap + 1, "attempt {attempt}: backoff {t}");
-                    last = t;
-                }
-                RetryDecision::GiveUp => panic!("attempt {attempt} should retry"),
-            }
-        }
-        let _ = last;
-        // Attempt budget exhausted.
-        assert_eq!(
-            classify_retry(&overloaded, policy.max_attempts, &policy, &mut rng),
-            RetryDecision::GiveUp
-        );
-        // Non-shedding errors are terminal immediately.
-        assert_eq!(
-            classify_retry(&DomdError::config("bad flag"), 0, &policy, &mut rng),
-            RetryDecision::GiveUp
-        );
     }
 }

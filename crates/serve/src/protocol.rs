@@ -336,7 +336,7 @@ pub fn run_session<R: BufRead + Send, W: Write + Send>(
                         emit(&resp);
                     } else {
                         // Mirror run_batch: the hook sees every admission.
-                        core_fire_admitted(core, &req);
+                        core.fire(Stage::Admitted, &req);
                     }
                 }
                 Err(e) => {
@@ -361,12 +361,6 @@ pub fn run_session<R: BufRead + Send, W: Write + Send>(
     // domd-lint: allow(no-panic) — all workers joined; the stats mutex is free and unpoisoned
     let stats = *stats.lock().expect("session stats");
     stats
-}
-
-fn core_fire_admitted(core: &ServeCore, req: &Request) {
-    // The public hook surface lives on ServeCore; sessions route through
-    // this shim so the chaos harness sees protocol-driven admissions too.
-    core.fire_stage(Stage::Admitted, req);
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 use domd_core::DomdError;
 use domd_data::rcc::Rcc;
 use domd_data::{AvailId, Dataset};
-use domd_index::{project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc};
+use domd_index::{project_dataset, DurableIndex, LogicalRcc};
 
 use crate::state::TenantSnapshot;
 
@@ -77,7 +77,7 @@ pub fn resolve_v1_row(
 /// instead, naming `domd migrate-store` as the repair.
 pub fn rebuild_tenant(
     ds: &Dataset,
-    index: &DurableIndex<FlatAvlIndex>,
+    index: &DurableIndex,
 ) -> Result<(TenantSnapshot, RebuildSummary), DomdError> {
     let projected = project_dataset(ds);
     let mut avail_ids: Vec<AvailId> = ds.avails().iter().map(|a| a.id).collect();
@@ -138,7 +138,7 @@ mod tests {
         let ds = dataset();
         let projected = project_dataset(&ds);
         let dir = scratch("full");
-        let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+        let index = DurableIndex::create_full(
             &dir,
             projected.iter().copied().zip(ds.rccs().iter().cloned()),
         )
@@ -166,8 +166,7 @@ mod tests {
         let ds = dataset();
         let projected = project_dataset(&ds);
         let dir = scratch("v1");
-        let index: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(&dir, &projected).expect("create v1 store");
+        let index = DurableIndex::create(&dir, &projected).expect("create v1 store");
         let (snap, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
         assert_eq!(summary.from_store, 0);
         assert_eq!(summary.from_extracts, ds.rccs().len());
@@ -185,8 +184,7 @@ mod tests {
         // Perturb one row's logical end before it reaches the store: the
         // store now holds a projection the extracts cannot vouch for.
         projected[3].end = (projected[3].end * 0.5).max(projected[3].start);
-        let index: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(&dir, &projected).expect("create diverged store");
+        let index = DurableIndex::create(&dir, &projected).expect("create diverged store");
         let err = rebuild_tenant(&ds, &index).expect_err("diverged row must refuse");
         let msg = err.to_string();
         assert!(msg.contains("migrate-store"), "refusal names the repair: {msg}");
@@ -204,9 +202,8 @@ mod tests {
         let dir = scratch("amount");
         let mut rccs = ds.rccs().to_vec();
         rccs[5].amount = 1e10;
-        let index: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create_full(&dir, projected.iter().copied().zip(rccs))
-                .expect("create full store");
+        let index = DurableIndex::create_full(&dir, projected.iter().copied().zip(rccs))
+            .expect("create full store");
         let err = rebuild_tenant(&ds, &index).expect_err("the amount must refuse");
         assert_eq!(err.kind(), "corrupt", "{err}");
         assert!(err.to_string().contains("admitted window"), "{err}");

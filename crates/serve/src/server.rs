@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use domd_core::{DomdError, DomdQueryEngine, TrainedPipeline};
 use domd_data::rcc::{Rcc, RccId};
 use domd_features::FeatureEngine;
-use domd_index::{DurableIndex, EpochStore, FlatAvlIndex, Pinned, RecoveryReport, RowId};
+use domd_index::{DurableIndex, EpochStore, Pinned, RecoveryReport, RowId};
 use domd_runtime::{BoundedQueue, Cancelled};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker, Route};
@@ -155,7 +155,7 @@ pub struct MetricsReport {
 /// live under one lock: an id is allocated and logged atomically, so two
 /// concurrent ingests can never project the same durable row id.
 struct TenantDurable {
-    index: DurableIndex<FlatAvlIndex>,
+    index: DurableIndex,
     /// Next fresh durable row id — seeded past the store's own max id at
     /// attach time, so ids stay unique across restarts (where the serving
     /// arena resets to the extracts while prior ingests remain live in
@@ -222,7 +222,7 @@ impl ServeCore {
     pub fn with_durable(
         mut self,
         t: usize,
-        durable: DurableIndex<FlatAvlIndex>,
+        durable: DurableIndex,
     ) -> Result<Self, DomdError> {
         let tenants = self.tenants.len();
         let Some(tenant) = self.tenants.get_mut(t) else {
@@ -332,17 +332,13 @@ impl ServeCore {
         }
     }
 
-    fn fire(&self, stage: Stage, req: &Request) {
+    /// Fires the installed [`StageHook`] for `req` at `stage`. The line
+    /// protocol routes its admissions through this too, so chaos hooks
+    /// observe them.
+    pub(crate) fn fire(&self, stage: Stage, req: &Request) {
         if let Some(hook) = &self.hook {
             hook(stage, req);
         }
-    }
-
-    /// Fires the installed [`StageHook`] for `req` at `stage`. Session
-    /// drivers outside this module (the line protocol) route admissions
-    /// through this so chaos hooks observe them too.
-    pub fn fire_stage(&self, stage: Stage, req: &Request) {
-        self.fire(stage, req);
     }
 
     fn lock_breaker<'a>(&self, tenant: &'a Tenant) -> std::sync::MutexGuard<'a, CircuitBreaker> {

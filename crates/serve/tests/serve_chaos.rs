@@ -29,7 +29,7 @@ use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::rcc::{RccType, Swlin};
 use domd_data::{corrupt_bytes, generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
-use domd_index::{project_dataset, DurableIndex, FlatAvlIndex};
+use domd_index::{project_dataset, DurableIndex};
 use domd_serve::{
     announce_recovery, generate_schedule, LoadGenConfig, ManualClock, Op, Request, Response,
     ServeConfig, ServeCore, SharedModel, Stage, TenantSnapshot,
@@ -328,8 +328,7 @@ fn run_batched_ingest_scenario(seed: u64) {
     };
     let dir = chaos_dir(&format!("batch{seed}"));
     let projected = project_dataset(&ds);
-    let di: DurableIndex<FlatAvlIndex> =
-        DurableIndex::create(&dir, &projected).expect("create store");
+    let di = DurableIndex::create(&dir, &projected).expect("create store");
     let rows_before = di.len();
     let core = ServeCore::new(
         ServeConfig {
@@ -531,8 +530,7 @@ fn startup_recovery_over_damaged_stores_never_panics_and_serves() {
         let scenario = format!("startup seed {seed}");
         let dir = chaos_dir(&format!("s{seed}"));
         {
-            let mut di: DurableIndex<FlatAvlIndex> =
-                DurableIndex::create(&dir, &projected).expect("create store");
+            let mut di = DurableIndex::create(&dir, &projected).expect("create store");
             // A few WAL records past the checkpoint so the tail is live.
             for k in 0..4u32 {
                 let mut rcc = projected[k as usize % projected.len()];
@@ -546,7 +544,7 @@ fn startup_recovery_over_damaged_stores_never_panics_and_serves() {
         let (bad, kind) = corrupt_bytes(&good, seed, None);
         std::fs::write(&wal, &bad).expect("write damaged wal");
 
-        let outcome = assert_no_panic(&scenario, || DurableIndex::<FlatAvlIndex>::recover(&dir));
+        let outcome = assert_no_panic(&scenario, || DurableIndex::recover(&dir));
         match outcome {
             Err(e) => {
                 // A typed refusal is a legal startup outcome; the CLI maps

@@ -24,7 +24,7 @@ use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::rcc::{RccId, RccType, Swlin};
 use domd_data::{generate, Dataset, GeneratorConfig};
 use domd_features::FeatureEngine;
-use domd_index::{project_dataset, DurableIndex, FlatAvlIndex};
+use domd_index::{project_dataset, DurableIndex};
 use domd_serve::{
     run_session, ManualClock, Op, Reply, ServeConfig, ServeCore, SharedModel, TenantSnapshot,
 };
@@ -106,8 +106,7 @@ fn acked_ingests_reach_the_wal_across_restarts() {
 
     // Session 1: fresh store initialized from the extracts' projection.
     {
-        let di: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(&dir, &projected).expect("create store");
+        let di = DurableIndex::create(&dir, &projected).expect("create store");
         let core = core_for(&ds, 1).with_durable(0, di).expect("tenant 0");
         let acked = ack_ingests(&core, &ds, 0, 2, 0);
         assert_eq!(core.durable_rows(0), Some(n + acked), "session 1 acks must be logged");
@@ -115,7 +114,7 @@ fn acked_ingests_reach_the_wal_across_restarts() {
     }
 
     // Restart: the store kept the ingests; the snapshot did not.
-    let (di, report) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
+    let (di, report) = DurableIndex::recover(&dir).expect("recover");
     assert_eq!(report.rows, n + 2, "session 1 ingests survive the restart");
     {
         let core = core_for(&ds, 1).with_durable(0, di).expect("tenant 0");
@@ -130,7 +129,7 @@ fn acked_ingests_reach_the_wal_across_restarts() {
 
     // Every ingested row is live under its own id: the four ingests got
     // the four ids past the projection, in order.
-    let (di, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover again");
+    let (di, _) = DurableIndex::recover(&dir).expect("recover again");
     let ids: Vec<u32> = di.entries().iter().map(|r| r.id).skip(n).collect();
     let n = n as u32;
     assert_eq!(ids, vec![n, n + 1, n + 2, n + 3]);
@@ -149,8 +148,7 @@ fn per_tenant_stores_keep_every_tenants_acks() {
 
     let mut core = core_for(&ds, 2);
     for (t, dir) in dirs.iter().enumerate() {
-        let di: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(dir, &projected).expect("create store");
+        let di = DurableIndex::create(dir, &projected).expect("create store");
         core = core.with_durable(t, di).expect("tenant exists");
     }
     for t in 0..2 {
@@ -177,8 +175,7 @@ fn dataset_with_max_rcc_id(max: u32) -> Dataset {
 
 /// A durable core over `ds` whose store holds the extracts' projection.
 fn durable_core(ds: &Dataset, dir: &Path) -> ServeCore {
-    let di: DurableIndex<FlatAvlIndex> =
-        DurableIndex::create(dir, &project_dataset(ds)).expect("create store");
+    let di = DurableIndex::create(dir, &project_dataset(ds)).expect("create store");
     core_for(ds, 1).with_durable(0, di).expect("tenant 0")
 }
 
@@ -220,8 +217,7 @@ fn extracts_holding_rcc_id_u32_max_load_and_refuse_every_ingest() {
 fn attaching_a_store_to_an_unknown_tenant_is_a_typed_error() {
     let ds = base_dataset();
     let dir = store_dir("unknown-tenant");
-    let di: DurableIndex<FlatAvlIndex> =
-        DurableIndex::create(&dir, &project_dataset(&ds)).expect("create store");
+    let di = DurableIndex::create(&dir, &project_dataset(&ds)).expect("create store");
     match core_for(&ds, 1).with_durable(7, di) {
         Err(err) => assert_eq!(err.kind(), "config"),
         Ok(_) => panic!("attaching a store to tenant 7 of 1 must be refused"),

@@ -38,9 +38,7 @@ use domd_core::{PipelineConfig, PipelineInputs, TrainedPipeline};
 use domd_data::rcc::{RccStatus, RccType, Swlin};
 use domd_data::{corrupt_bytes, generate, AvailId, Dataset, Date, GeneratorConfig};
 use domd_features::FeatureEngine;
-use domd_index::{
-    project_dataset, DurableIndex, FlatAvlIndex, Pinned, RccArena, RowId, StatusQuery,
-};
+use domd_index::{project_dataset, DurableIndex, Pinned, RccArena, RowId, StatusQuery};
 use domd_serve::{
     rebuild_tenant, Op, Reply, ServeConfig, ServeCore, SharedModel, TenantSnapshot,
 };
@@ -74,7 +72,7 @@ fn scratch(label: &str) -> PathBuf {
 
 /// A serving core in the durable configuration under test: fsync-on-ack,
 /// so an ack is a durability promise a kill cannot revoke.
-fn durable_core(snapshot: TenantSnapshot, index: DurableIndex<FlatAvlIndex>) -> ServeCore {
+fn durable_core(snapshot: TenantSnapshot, index: DurableIndex) -> ServeCore {
     ServeCore::new(
         ServeConfig {
             workers: 2,
@@ -143,7 +141,7 @@ fn copy_store(src: &Path, dst: &Path) {
 /// suffices). This is the same `from_dataset(Dataset::new(..))` build a
 /// restart runs, so [`assert_matches_acking_epoch`] is the check that
 /// reaches past it, to the live path.
-fn reference_for(ds: &Dataset, index: &DurableIndex<FlatAvlIndex>) -> TenantSnapshot {
+fn reference_for(ds: &Dataset, index: &DurableIndex) -> TenantSnapshot {
     let rccs = index
         .entries_full()
         .into_iter()
@@ -260,7 +258,7 @@ fn assert_matches_acking_epoch(rebuilt: &TenantSnapshot, live: &TenantSnapshot, 
 /// before any).
 fn acked_session(ds: &Dataset, dir: &Path, ingests: u32) -> (usize, Vec<Pinned<TenantSnapshot>>) {
     let projected = project_dataset(ds);
-    let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+    let index = DurableIndex::create_full(
         dir,
         projected.iter().copied().zip(ds.rccs().iter().cloned()),
     )
@@ -296,8 +294,7 @@ fn kill_at_every_wal_byte_offset_is_survivable() {
         f.set_len(cut as u64).expect("truncate wal at kill point");
         drop(f);
 
-        let (index, report) =
-            DurableIndex::<FlatAvlIndex>::recover(&kill).expect("recover from kill point");
+        let (index, report) = DurableIndex::recover(&kill).expect("recover from kill point");
         let survived = cut / RECORD_LEN_V2;
         assert_eq!(
             index.len(),
@@ -343,8 +340,7 @@ fn seeded_damage_storm_recovers_a_bit_identical_prefix() {
         let (bad, _fault) = corrupt_bytes(&good, seed, Some(RECORD_LEN_V2));
         std::fs::write(kill.join("wal.log"), &bad).expect("write damaged wal");
 
-        let (index, _report) =
-            DurableIndex::<FlatAvlIndex>::recover(&kill).expect("damage must degrade, not fail");
+        let (index, _report) = DurableIndex::recover(&kill).expect("damage must degrade, not fail");
         let survived = index.len() - n;
         assert!(survived <= INGESTS as usize, "seed {seed}: rows invented from damage");
         // The survivors are a dense id prefix of the acked ingests: WAL
@@ -383,15 +379,14 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
     let mut last_acked: Option<Pinned<TenantSnapshot>> = None;
     for session in 0..SESSIONS {
         let (snapshot, index) = if session == 0 {
-            let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+            let index = DurableIndex::create_full(
                 &dir,
                 projected.iter().copied().zip(ds.rccs().iter().cloned()),
             )
             .expect("create full store");
             (TenantSnapshot::from_dataset(ds.clone()), index)
         } else {
-            let (index, _) =
-                DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover at session start");
+            let (index, _) = DurableIndex::recover(&dir).expect("recover at session start");
             let expected = n + (session * PER_SESSION) as usize;
             assert_eq!(index.len(), expected, "session {session}: an acked row went missing");
             let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("rebuild");
@@ -417,7 +412,7 @@ fn restart_storm_keeps_every_acked_row_across_sessions() {
     }
 
     // Final restart: all sessions' acks are visible with their payloads.
-    let (index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("final recover");
+    let (index, _) = DurableIndex::recover(&dir).expect("final recover");
     assert_eq!(index.len(), n + (SESSIONS * PER_SESSION) as usize);
     let (rebuilt, _) = rebuild_tenant(&ds, &index).expect("final rebuild");
     for session in 0..SESSIONS {
@@ -445,10 +440,9 @@ fn v1_store_recovers_unmigrated_and_diverged_v1_refuses() {
     let projected = project_dataset(&ds);
     let dir = scratch("v1");
     {
-        let _: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(&dir, &projected).expect("create v1 store");
+        let _ = DurableIndex::create(&dir, &projected).expect("create v1 store");
     }
-    let (index, report) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover v1");
+    let (index, report) = DurableIndex::recover(&dir).expect("recover v1");
     assert_eq!(report.full_rows, 0, "a v1 store carries no payloads");
     let (rebuilt, summary) = rebuild_tenant(&ds, &index).expect("v1 rebuild via extracts");
     assert_eq!(summary.from_extracts, projected.len());
@@ -465,7 +459,7 @@ fn v1_store_recovers_unmigrated_and_diverged_v1_refuses() {
         .expect("v1 settle");
     index.sync().expect("sync");
     drop(index);
-    let (index, report) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover mutated");
+    let (index, report) = DurableIndex::recover(&dir).expect("recover mutated");
     assert_eq!(report.replayed_v1, 1, "the settle replays as a v1 record");
     let err = rebuild_tenant(&ds, &index).expect_err("diverged v1 row must refuse");
     assert_eq!(err.kind(), "corrupt");

@@ -331,9 +331,9 @@ pub fn replay(bytes: &[u8], checkpoint_epoch: u64) -> WalReplay {
 
 /// Record bytes accumulated in user space before one `write` syscall
 /// pushes them to the OS (group commit). 32 KiB ≈ 800 records — large
-/// enough that the per-mutation syscall cost amortizes below the 10%
-/// overhead target, small enough that a crash loses at most one batch
-/// (which replay's prefix contract already tolerates).
+/// enough that one `write` syscall serves hundreds of mutations, small
+/// enough that a crash loses at most one batch (which replay's prefix
+/// contract already tolerates).
 const FLUSH_THRESHOLD: usize = 32 * 1024;
 
 /// Appending writer over the WAL file with group commit: appends

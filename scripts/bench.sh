@@ -4,9 +4,9 @@
 # (sorted event arrays and the dual AVL: build time, 11-step sweep time and
 # heap at 1x-20x, each checked against a naive-join sweep) into
 # BENCH_pr3.json, then the PR-4 durability layer (WAL append overhead on
-# the dynamic-maintenance path vs the in-memory baseline, checkpoint
-# cadence cost, recovery time) into BENCH_pr4.json. Every timing is bit-identity-checked against its
-# reference path first; the WAL arm warns if overhead reaches 10%. The
+# the dynamic-maintenance path vs the store's row map without the WAL,
+# checkpoint cadence cost, recovery time) into BENCH_pr4.json. Every
+# timing is bit-identity-checked against its reference path first. The
 # serve suite drives the overload-safe serving core open-loop at 1x-20x
 # data and 1x-10x offered load into BENCH_serve.json (p50/p99 latency of
 # admitted requests, sustained QPS, shed rate) and warns if the

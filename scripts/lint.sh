@@ -24,10 +24,11 @@
 # compiled descent bit-identical to the pointer walker, pooled forest
 # fits bit-stable across worker counts, and presorted exact-greedy trees
 # byte-identical to a per-node sort; then tiny-scale identity-gated
-# smokes of the gbt and parallel-runtime benches. The ingest and
-# restart benches then run one tiny round each, so their identity asserts
+# smokes of the gbt and parallel-runtime benches. The ingest, restart
+# and WAL benches then run one tiny round each, so their identity asserts
 # (maintained view vs a from-scratch build; store-rebuilt vs from-scratch
-# snapshot) run on every change.
+# snapshot; both durable stores vs the bare row map, entries and flat-AVL
+# retrieval) run on every change.
 # The serving gate at the end smoke-tests `domd serve` end to end: tiny
 # dataset, tiny model, one request of every type over the line protocol
 # (plus one malformed line, one out-of-range SWLIN depth, one NaN status
@@ -119,13 +120,14 @@ target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
 target/release/bench_parallel --scales 1 --runs 1 --threads 2 --out /dev/null
 echo "gbt kernel gate: OK"
 
-# Ingest and restart bench smokes: each asserts its identity gate before
-# timing. One round of two batches cannot show the ingest speedup, so a
-# 10x WARNING on stderr here is informational, not a failure.
-cargo build --release -q -p domd-bench --bin bench_ingest --bin bench_restart
+# Ingest, restart and WAL bench smokes: each asserts its identity gate
+# before timing. One round of two batches cannot show the ingest speedup,
+# so a 10x WARNING on stderr here is informational, not a failure.
+cargo build --release -q -p domd-bench --bin bench_ingest --bin bench_restart --bin bench_wal
 target/release/bench_ingest --scales 1 --batches 2 --runs 1 --out /dev/null
 target/release/bench_restart --scales 1 --ingests 64 --runs 1 --out /dev/null
-echo "ingest/restart bench gate: OK"
+target/release/bench_wal --scales 1 --mutations 2000 --runs 1 --out /dev/null
+echo "ingest/restart/wal bench gate: OK"
 
 cargo test -q -p domd-storage
 cargo test -q -p domd-index durable

@@ -374,8 +374,7 @@ fn cmd_recover(args: &Args) -> Result<(), DomdError> {
         if many {
             println!("{}:", dir.display());
         }
-        let (_index, report) =
-            domd::index::DurableIndex::<domd::index::FlatAvlIndex>::recover(&dir)?;
+        let (_index, report) = domd::index::DurableIndex::recover(&dir)?;
         print_recovery_report(&report);
     }
     Ok(())
@@ -389,13 +388,13 @@ fn cmd_recover(args: &Args) -> Result<(), DomdError> {
 /// truncates the WAL. After migration the store rebuilds serving state
 /// by itself — the extracts are no longer load-bearing at startup.
 fn cmd_migrate_store(args: &Args) -> Result<(), DomdError> {
-    use domd::index::{DurableIndex, FlatAvlIndex};
+    use domd::index::DurableIndex;
     use domd::serve::resolve_v1_row;
     let store = PathBuf::from(args.require("store")?);
     let ds = load_dataset(args)?;
     let projected = domd::index::project_dataset(&ds);
     for dir in store_targets(&store)? {
-        let (mut index, report) = DurableIndex::<FlatAvlIndex>::recover(&dir)?;
+        let (mut index, report) = DurableIndex::recover(&dir)?;
         print_recovery_report(&report);
         let upgraded = index
             .migrate_full(|logical| resolve_v1_row(&ds, &projected, logical))
@@ -427,7 +426,7 @@ fn cmd_migrate_store(args: &Args) -> Result<(), DomdError> {
 /// `--data-dir` on an empty store, initialize it from the extracts'
 /// logical projection (the epoch-0 checkpoint).
 fn cmd_checkpoint(args: &Args) -> Result<(), DomdError> {
-    use domd::index::{DurableIndex, FlatAvlIndex};
+    use domd::index::DurableIndex;
     let store_dir = PathBuf::from(args.require("store")?);
     let store = domd::storage::Store::open(&store_dir).map_err(DomdError::from)?;
     if !store.is_initialized().map_err(DomdError::from)? {
@@ -442,7 +441,7 @@ fn cmd_checkpoint(args: &Args) -> Result<(), DomdError> {
         // Full-row (v2) initialization: the epoch-0 checkpoint carries
         // each row's RCC fields, so the store can rebuild serving state
         // without the extracts from its very first generation.
-        let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+        let index = DurableIndex::create_full(
             &store_dir,
             projected.iter().copied().zip(ds.rccs().iter().cloned()),
         )?;
@@ -453,7 +452,7 @@ fn cmd_checkpoint(args: &Args) -> Result<(), DomdError> {
         );
         return Ok(());
     }
-    let (mut index, report) = DurableIndex::<FlatAvlIndex>::recover(&store_dir)?;
+    let (mut index, report) = DurableIndex::recover(&store_dir)?;
     print_recovery_report(&report);
     let path = index.checkpoint()?;
     println!("compacted into {} (WAL truncated)", path.display());
@@ -510,10 +509,9 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
     // own epoch-versioned copy of the extracts; with one, the store is
     // the system of record and the snapshot is rebuilt from it.
     let mut snapshots: Vec<TenantSnapshot> = Vec::with_capacity(tenants);
-    let mut durables: Vec<Option<domd::index::DurableIndex<domd::index::FlatAvlIndex>>> =
-        Vec::with_capacity(tenants);
+    let mut durables: Vec<Option<domd::index::DurableIndex>> = Vec::with_capacity(tenants);
     if let Some(store) = args.get("store") {
-        use domd::index::{DurableIndex, FlatAvlIndex};
+        use domd::index::DurableIndex;
         let verify_extracts: bool = args.parse_opt("verify-extracts", false)?;
         let base = Path::new(store);
         // Serve keeps one durable sub-store per tenant: per-store row ids
@@ -539,7 +537,7 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 // First start: the epoch-0 checkpoint carries the full
                 // extract rows (v2), so every later start can rebuild
                 // serving state from the store alone.
-                let index: DurableIndex<FlatAvlIndex> = DurableIndex::create_full(
+                let index = DurableIndex::create_full(
                     &dir,
                     projected.iter().copied().zip(ds.rccs().iter().cloned()),
                 )?;
@@ -556,7 +554,7 @@ fn cmd_serve(args: &Args) -> Result<(), DomdError> {
                 // operator before the first request is admitted. An
                 // unrecoverable store is a typed `Corrupt` failure
                 // (exit 9) — never a partial start.
-                let (index, report) = DurableIndex::<FlatAvlIndex>::recover(&dir)?;
+                let (index, report) = DurableIndex::recover(&dir)?;
                 eprintln!("serve: tenant {t}: durable store {}", dir.display());
                 announce_recovery(&mut std::io::stderr().lock(), &report);
                 // The store is the system of record: rebuild this

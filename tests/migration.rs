@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use domd::data::{generate, logical_time, Dataset, GeneratorConfig};
-use domd::index::{project_dataset, DurableIndex, FlatAvlIndex, StoredRow};
+use domd::index::{project_dataset, DurableIndex, StoredRow};
 use domd::serve::{rebuild_tenant, resolve_v1_row, TenantSnapshot};
 use domd::storage::{
     write_framed_atomic, Store, WalOp, WalRecord, CHECKPOINT_VERSION, CHECKPOINT_VERSION_V1,
@@ -82,13 +82,11 @@ proptest! {
         prop_assert!(!projected.is_empty(), "generator always emits rows at these sizes");
         let dir = scratch("prop");
         {
-            let _: DurableIndex<FlatAvlIndex> =
-                DurableIndex::create(&dir, &projected).expect("create v1 store");
+            let _ = DurableIndex::create(&dir, &projected).expect("create v1 store");
         }
 
         // Migrate: every row matches the extracts, so all upgrade.
-        let (mut index, _) =
-            DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover v1 store");
+        let (mut index, _) = DurableIndex::recover(&dir).expect("recover v1 store");
         let upgraded = index
             .migrate_full(|l| resolve_v1_row(&ds, &projected, l))
             .expect("migrate");
@@ -112,8 +110,7 @@ proptest! {
         let expected = index.entries_full();
         drop(index);
 
-        let (index, report) =
-            DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover migrated store");
+        let (index, report) = DurableIndex::recover(&dir).expect("recover migrated store");
         prop_assert_eq!(report.replayed_v1, 0, "a migrated store has no v1 records left");
         prop_assert_eq!(report.full_rows, expected.len());
         assert_rows_bit_identical(&index.entries_full(), &expected);
@@ -188,8 +185,7 @@ fn literal_v1_fixture_recovers_and_migrates() {
     std::fs::write(store.wal_path(), &wal).expect("write v1 wal");
 
     // Unmigrated recovery: the fixture's versions are reported exactly.
-    let (mut index, report) =
-        DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover literal v1 store");
+    let (mut index, report) = DurableIndex::recover(&dir).expect("recover literal v1 store");
     assert_eq!(report.checkpoint_version, CHECKPOINT_VERSION_V1);
     assert_eq!((report.replayed_v1, report.replayed_v2), (2, 0));
     assert_eq!(report.full_rows, 0);
@@ -204,8 +200,7 @@ fn literal_v1_fixture_recovers_and_migrates() {
     index.checkpoint().expect("migration checkpoint");
     drop(index);
 
-    let (index, report) =
-        DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover migrated fixture");
+    let (index, report) = DurableIndex::recover(&dir).expect("recover migrated fixture");
     assert_eq!(report.checkpoint_version, CHECKPOINT_VERSION);
     assert_eq!(report.full_rows, projected.len());
     let (snap, summary) = rebuild_tenant(&ds, &index).expect("rebuild migrated fixture");
@@ -234,11 +229,10 @@ fn migration_is_idempotent_and_never_guesses() {
     // before it reaches the store: migration must leave it v1.
     projected[2].end = (projected[2].end * 0.25).max(projected[2].start);
     {
-        let _: DurableIndex<FlatAvlIndex> =
-            DurableIndex::create(&dir, &projected).expect("create store");
+        let _ = DurableIndex::create(&dir, &projected).expect("create store");
     }
     let clean = project_dataset(&ds);
-    let (mut index, _) = DurableIndex::<FlatAvlIndex>::recover(&dir).expect("recover");
+    let (mut index, _) = DurableIndex::recover(&dir).expect("recover");
     let upgraded =
         index.migrate_full(|l| resolve_v1_row(&ds, &clean, l)).expect("first migration");
     assert_eq!(upgraded, clean.len() - 1, "the diverged row must stay projection-only");

@@ -10,16 +10,16 @@
 //! * **seeded storage faults** — torn writes, truncation, bit-flips, and
 //!   duplicated tail records (`domd::data::fault::corrupt_bytes`) on both
 //!   the WAL and the newest checkpoint generation;
-//! * **bit-identity** — Status Query retrieval sets and aggregates, and
-//!   DoMD artifact answers, compared `to_bits`-exact against the
-//!   uncrashed baseline;
+//! * **bit-identity** — the recovered rows, the retrieval sets of a dual
+//!   AVL built over them, Status Query aggregates, and DoMD artifact
+//!   answers, compared `to_bits`-exact against the uncrashed baseline;
 //! * **property tests** — arbitrary truncation/bit-flip offsets drawn by
 //!   proptest never panic the frame, artifact, or WAL replay layers.
 
 use domd::data::{corrupt_bytes, generate, GeneratorConfig, StorageFault};
 use domd::index::{
-    project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc, LogicalTimeIndex, StatusQuery,
-    StatusQueryEngine,
+    project_dataset, DurableIndex, FlatAvlIndex, LogicalRcc, LogicalTimeIndex, NaiveJoinIndex,
+    StatusQuery, StatusQueryEngine,
 };
 use domd::storage::RECORD_LEN;
 use std::collections::btree_map::Entry;
@@ -43,7 +43,7 @@ fn small_dataset() -> domd::data::Dataset {
 /// entries once `k` mutations applied), computed independently of the
 /// durability layer.
 fn run_script(
-    di: &mut DurableIndex<FlatAvlIndex>,
+    di: &mut DurableIndex,
     projected: &[LogicalRcc],
 ) -> Vec<Vec<LogicalRcc>> {
     let n = projected.len() as u32;
@@ -98,14 +98,17 @@ fn run_script(
     states
 }
 
-/// Asserts the recovered index answers the four retrieval sets exactly
-/// like a fresh index built over the same entries (the uncrashed shape).
-fn assert_queries_match(recovered: &DurableIndex<FlatAvlIndex>, scenario: &str) {
+/// Asserts that the paper's dual AVL, built over the recovered rows,
+/// answers the active, settled and created retrieval sets exactly like
+/// the naive join (the from-scratch oracle) over the `expected` rows of
+/// the uncrashed history.
+fn assert_queries_match(recovered: &DurableIndex, expected: &[LogicalRcc], scenario: &str) {
     let rebuilt = FlatAvlIndex::build(&recovered.entries());
+    let oracle = NaiveJoinIndex::build(expected);
     for t in [0.0, 12.5, 40.0, 77.7, 100.0, 160.0] {
-        assert_eq!(recovered.index().active_at(t), rebuilt.active_at(t), "{scenario} t={t}");
-        assert_eq!(recovered.index().settled_by(t), rebuilt.settled_by(t), "{scenario} t={t}");
-        assert_eq!(recovered.index().created_by(t), rebuilt.created_by(t), "{scenario} t={t}");
+        assert_eq!(rebuilt.active_at(t), oracle.active_at(t), "{scenario} t={t}");
+        assert_eq!(rebuilt.settled_by(t), oracle.settled_by(t), "{scenario} t={t}");
+        assert_eq!(rebuilt.created_by(t), oracle.created_by(t), "{scenario} t={t}");
     }
 }
 
@@ -114,7 +117,7 @@ fn crash_at_every_wal_byte_recovers_the_last_complete_record() {
     let d = test_dir("every-offset");
     let ds = small_dataset();
     let projected = project_dataset(&ds);
-    let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &projected).unwrap();
+    let mut di = DurableIndex::create(&d, &projected).unwrap();
     di.set_checkpoint_every(None);
     let states = run_script(&mut di, &projected);
     di.sync().unwrap();
@@ -126,11 +129,9 @@ fn crash_at_every_wal_byte_recovers_the_last_complete_record() {
     for cut in 0..=wal.len() {
         std::fs::write(&wal_path, &wal[..cut]).unwrap();
         let scenario = format!("crash at wal byte {cut}");
-        let (rec, report) = catch_unwind(AssertUnwindSafe(|| {
-            DurableIndex::<FlatAvlIndex>::recover(&d)
-        }))
-        .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
-        .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
+        let (rec, report) = catch_unwind(AssertUnwindSafe(|| DurableIndex::recover(&d)))
+            .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
+            .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
         // Exactly the complete-record prefix survives — never a torn
         // record, never a lost complete one.
         let complete = cut / RECORD_LEN;
@@ -141,7 +142,7 @@ fn crash_at_every_wal_byte_recovers_the_last_complete_record() {
             assert!(report.tail_fault.is_some(), "{scenario}: torn tail not diagnosed");
         }
         if cut % (4 * RECORD_LEN) == 0 {
-            assert_queries_match(&rec, &scenario);
+            assert_queries_match(&rec, &states[complete], &scenario);
         }
     }
     std::fs::remove_dir_all(&d).unwrap();
@@ -152,7 +153,7 @@ fn seeded_wal_storage_faults_never_panic_and_never_serve_torn_state() {
     let d = test_dir("wal-faults");
     let ds = small_dataset();
     let projected = project_dataset(&ds);
-    let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &projected).unwrap();
+    let mut di = DurableIndex::create(&d, &projected).unwrap();
     di.set_checkpoint_every(None);
     let states = run_script(&mut di, &projected);
     di.sync().unwrap();
@@ -166,11 +167,9 @@ fn seeded_wal_storage_faults_never_panic_and_never_serve_torn_state() {
         kinds_seen.insert(kind);
         std::fs::write(&wal_path, &bad).unwrap();
         let scenario = format!("wal fault seed {seed} ({kind})");
-        let (rec, report) = catch_unwind(AssertUnwindSafe(|| {
-            DurableIndex::<FlatAvlIndex>::recover(&d)
-        }))
-        .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
-        .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
+        let (rec, report) = catch_unwind(AssertUnwindSafe(|| DurableIndex::recover(&d)))
+            .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
+            .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
         // Whatever the fault, the recovered state is *some* exact prefix
         // of the mutation history — never a blend, never a torn record.
         assert_eq!(rec.entries(), states[report.replayed], "{scenario}");
@@ -192,7 +191,7 @@ fn seeded_wal_storage_faults_never_panic_and_never_serve_torn_state() {
                 assert!(report.replayed < states.len(), "{scenario}");
             }
         }
-        assert_queries_match(&rec, &scenario);
+        assert_queries_match(&rec, &states[report.replayed], &scenario);
     }
     assert_eq!(kinds_seen.len(), 4, "all four storage-fault families must be drawn");
     std::fs::remove_dir_all(&d).unwrap();
@@ -203,7 +202,7 @@ fn damaged_newest_checkpoint_falls_back_without_serving_it() {
     let d = test_dir("ckpt-faults");
     let ds = small_dataset();
     let projected = project_dataset(&ds);
-    let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &projected).unwrap();
+    let mut di = DurableIndex::create(&d, &projected).unwrap();
     di.set_checkpoint_every(None);
     let states = run_script(&mut di, &projected);
     di.checkpoint().unwrap();
@@ -219,11 +218,9 @@ fn damaged_newest_checkpoint_falls_back_without_serving_it() {
         }
         std::fs::write(&newest, &bad).unwrap();
         let scenario = format!("checkpoint fault seed {seed} ({kind})");
-        let (rec, report) = catch_unwind(AssertUnwindSafe(|| {
-            DurableIndex::<FlatAvlIndex>::recover(&d)
-        }))
-        .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
-        .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
+        let (rec, report) = catch_unwind(AssertUnwindSafe(|| DurableIndex::recover(&d)))
+            .unwrap_or_else(|_| panic!("{scenario}: recovery panicked"))
+            .unwrap_or_else(|e| panic!("{scenario}: recovery failed: {e}"));
         // The damaged generation is never served: recovery falls back to
         // the epoch-0 generation (the WAL beyond it was compacted away, so
         // the recovered state is the initial snapshot).
@@ -236,7 +233,7 @@ fn damaged_newest_checkpoint_falls_back_without_serving_it() {
     }
 
     // With the newest generation intact again, recovery serves it.
-    let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+    let (rec, report) = DurableIndex::recover(&d).unwrap();
     assert_eq!(report.checkpoint_epoch, epoch);
     assert_eq!(rec.entries(), *states.last().unwrap());
     std::fs::remove_dir_all(&d).unwrap();
@@ -247,7 +244,7 @@ fn recovered_status_query_engine_is_bit_identical_to_uncrashed() {
     let d = test_dir("bit-identity");
     let ds = small_dataset();
     let projected = project_dataset(&ds);
-    let mut di: DurableIndex<FlatAvlIndex> = DurableIndex::create(&d, &projected).unwrap();
+    let mut di = DurableIndex::create(&d, &projected).unwrap();
     di.set_checkpoint_every(None);
     // Settle/reopen only: row ids stay dense, so both entry sets describe
     // the same RCC table and can drive full Status Query engines.
@@ -264,7 +261,7 @@ fn recovered_status_query_engine_is_bit_identical_to_uncrashed() {
     let baseline = di.entries();
     drop(di); // crash after sync, before any checkpoint
 
-    let (rec, report) = DurableIndex::<FlatAvlIndex>::recover(&d).unwrap();
+    let (rec, report) = DurableIndex::recover(&d).unwrap();
     assert_eq!(report.replayed, 20);
     assert_eq!(rec.entries(), baseline);
 
@@ -388,8 +385,7 @@ mod prop {
 
             let d = test_dir("proptest");
             let projected = project_dataset(&ds);
-            let mut di: DurableIndex<FlatAvlIndex> =
-                DurableIndex::create(&d, &projected).unwrap();
+            let mut di = DurableIndex::create(&d, &projected).unwrap();
             di.set_checkpoint_every(None);
             run_script(&mut di, &projected);
             di.sync().unwrap();
