@@ -1,6 +1,9 @@
 //! `bench_gbt` — batch-predict throughput of the branchless flat-forest
-//! kernel versus the pointer walker, plus the cost of one exact-greedy
-//! tree fit at fleet scale.
+//! kernel versus the pointer walker, plus the cost of exact-greedy
+//! training at fleet scale on both ways a tree orders its root rows:
+//! `model_fit_ms` (the bench model, `subsample 0.9`, so every round's
+//! shuffled rows take the stable counting sort) and `exact_fit_ms` (one
+//! tree on every row in order, which copies the fit-wide column orders).
 //!
 //! One boosted ensemble is trained, then two inference arms score the
 //! same row matrices at growing scales: `pointer` walks the enum trees
@@ -130,7 +133,8 @@ impl TrainResult {
 
 /// One exact-greedy tree fit (squared loss, depth 6) over every row and
 /// feature, column ranking included: the per-tree cost of a fit at this
-/// row count. Reports the minimum over `runs`.
+/// row count. Its root is every row in order, so the tree copies the
+/// orders the column sort produced. Reports the minimum over `runs`.
 fn bench_training(rows: usize, runs: usize) -> TrainResult {
     let (x, y) = synthetic_xy(rows, 0x7EA1);
     let grad: Vec<f64> = y.iter().map(|v| -v).collect();

@@ -13,8 +13,11 @@
 //! pointer walker survives as [`GbtModel::predict_pointer`] /
 //! [`GbtModel::predict_row_pointer`], the reference arm of the
 //! bit-identity gates. Split finding is exact greedy over orders sorted
-//! once per fit: every column is ranked once, every tree's root is ordered
-//! once per offered feature, and nodes partition those orders.
+//! once per fit: one sort per column gives its ranks, its row order and a
+//! column-major copy of its values. A round on every row (`subsample = 1`,
+//! every shipped pipeline) copies each offered feature's order; a
+//! subsampled round orders its shuffled rows by a stable counting sort of
+//! the ranks. Nodes partition those orders (see [`crate::tree`]).
 
 use crate::flat::{Combine, FlatForest};
 use crate::loss::Loss;
@@ -81,7 +84,7 @@ pub struct GbtModel {
 
 impl GbtModel {
     /// Fits the ensemble on `x` (rows = instances) against targets `y`.
-    /// The columns are ranked once and the ranks shared by every round.
+    /// The columns are sorted once and shared by every round.
     /// Boosting rounds are inherently sequential, and so is each round.
     pub fn fit(x: &DenseMatrix, y: &[f64], params: &GbtParams) -> Self {
         assert_eq!(x.n_rows(), y.len(), "x and y row counts differ");
@@ -118,7 +121,7 @@ impl GbtModel {
         let mut gains = vec![0.0; p];
         let mut row_pool = all_rows.clone();
         let mut col_pool = all_cols.clone();
-        // One ranking pass serves every round and node.
+        // One sort per column serves every round and node.
         let ranks = ColumnRanks::build(x);
 
         for _ in 0..params.n_estimators {

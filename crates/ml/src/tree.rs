@@ -8,11 +8,21 @@
 //!
 //! Split finding is exact greedy: it enumerates every boundary between
 //! sorted feature values, and it sorts once per fit, not once per node
-//! (XGBoost's column blocks). Every column is ranked once (`ColumnRanks`,
-//! shared by all trees of an ensemble), each tree orders its root rows
-//! once per offered feature by a stable counting sort of those ranks, and
-//! a split stable-partitions the orders instead of re-sorting them, so
-//! every node's segment *is* its stable sorted order.
+//! (XGBoost's column blocks). One sort per column (`ColumnRanks`, shared
+//! by all trees of an ensemble) yields its ranks, its row order and a
+//! column-major copy of its values. A tree whose root is every row in
+//! order copies those orders; any other root list (a shuffled subsample,
+//! a bootstrap) orders its rows once per offered feature by a stable
+//! counting sort of the ranks. A split stable-partitions the orders,
+//! branch-free, instead of re-sorting them, so every node's segment *is*
+//! its stable sorted order.
+//!
+//! A node's search runs in three passes over its segments: one walk per
+//! feature accumulates the left sums in order and keeps the admissible
+//! boundaries, a branch-free pass computes their gains (the divisions,
+//! which dominate, run independent of each other), and a last pass keeps
+//! the first strict maximum, so the earliest feature and then the earliest
+//! boundary win ties.
 //!
 //! The sort order puts NaN after every number, whatever its sign bit, and
 //! orders numbers by [`f64::total_cmp`]. A boundary is a candidate only
@@ -57,32 +67,39 @@ pub struct RegressionTree {
 }
 
 struct Builder<'a> {
-    x: &'a DenseMatrix,
-    grad: &'a [f64],
-    hess: &'a [f64],
     features: &'a [usize],
     params: TreeParams,
     sorted: Presorted,
-    /// Scratch for the stable partition of a node's rows.
-    row_buf: Vec<usize>,
+    /// Scratch for the admissible boundaries of the node being searched.
+    cands: Candidates,
     nodes: Vec<Node>,
     gains: Vec<f64>,
 }
 
-/// Dense per-column ranks of a training matrix under the split search's
-/// sort order: values that compare equal share a rank, and ranks ascend
-/// with the order, so a stable counting sort by rank is a stable sort by
-/// value.
+/// The fit-wide column blocks of a training matrix, one per column.
 pub(crate) struct ColumnRanks {
-    /// `ranks[f][row]`, each below the row count.
-    ranks: Vec<Vec<u32>>,
+    cols: Vec<Column>,
+}
+
+/// One column, from one sort: dense ranks under the split search's sort
+/// order (values that compare equal share a rank, and ranks ascend with
+/// the order, so a stable counting sort by rank is a stable sort by
+/// value), every row in that order, and the values.
+struct Column {
+    /// Rank by row, each below the row count.
+    ranks: Vec<u32>,
+    /// Every row by ascending rank, ties by row id: the stable sort of the
+    /// row list `0..n` by this column.
+    order: Vec<u32>,
+    /// Value by row.
+    vals: Vec<f64>,
 }
 
 impl ColumnRanks {
-    /// Ranks every column of `x`: one sort per column.
+    /// Sorts every column of `x` once.
     pub(crate) fn build(x: &DenseMatrix) -> Self {
         assert!(u32::try_from(x.n_rows()).is_ok(), "row ids must fit u32");
-        ColumnRanks { ranks: (0..x.n_cols()).map(|f| rank_column(x, f)).collect() }
+        ColumnRanks { cols: (0..x.n_cols()).map(|f| rank_column(x.col(f))).collect() }
     }
 }
 
@@ -101,10 +118,10 @@ fn sort_key(v: f64) -> u64 {
     }
 }
 
-/// Dense ranks of column `f` of `x`.
-fn rank_column(x: &DenseMatrix, f: usize) -> Vec<u32> {
+/// The block of the column `vals`, from one sort of `(key, row)` pairs.
+fn rank_column(vals: Vec<f64>) -> Column {
     let mut keyed: Vec<(u64, u32)> =
-        (0..x.n_rows()).map(|i| (sort_key(x.get(i, f)), i as u32)).collect();
+        vals.iter().enumerate().map(|(i, &v)| (sort_key(v), i as u32)).collect();
     keyed.sort_unstable();
     let mut ranks = vec![0u32; keyed.len()];
     let mut rank = 0u32;
@@ -114,14 +131,15 @@ fn rank_column(x: &DenseMatrix, f: usize) -> Vec<u32> {
         }
         ranks[row as usize] = rank;
     }
-    ranks
+    Column { ranks, order: keyed.into_iter().map(|(_, row)| row).collect(), vals }
 }
 
 /// One tree's sorted orders. A *position* indexes the root's row list.
 /// Segment `i` lists the root's positions in the stable sorted order of
-/// feature `features[i]`, and a node owns `[lo, hi)` of every segment:
-/// splits stable-partition the segments, so that range is always the
-/// node's own stable sorted order.
+/// feature `features[i]`, and a node owns `[lo, hi)` of every segment and
+/// of `pos`: splits stable-partition them, so that range of a segment is
+/// always the node's own stable sorted order, and that range of `pos`
+/// its positions in list order.
 struct Presorted {
     /// Root row count: the length of every segment.
     m: usize,
@@ -132,46 +150,59 @@ struct Presorted {
     /// Gradient and hessian by position.
     grad: Vec<f64>,
     hess: Vec<f64>,
+    /// Every position, in list order within each node.
+    pos: Vec<u32>,
     /// Per position, whether the split being applied sends it left.
     left: Vec<bool>,
-    /// Scratch for the stable partition of a segment.
+    /// Scratch for the stable partition of a segment: `m` long.
     buf: Vec<u32>,
 }
 
 impl Presorted {
-    /// Orders the root `rows` once per offered feature by a stable counting
-    /// sort of positions by rank: the stable sort of `rows` by value, ties
-    /// in list order, for any `rows` (subsets, shuffles, duplicates).
+    /// Orders the root `rows` once per offered feature: the stable sort of
+    /// `rows` by value, ties in list order, for any `rows` (subsets,
+    /// shuffles, duplicates). When `rows` is every row in order, a
+    /// position is a row and the fit-wide orders are that sort, so they
+    /// are copied; any other list takes a stable counting sort of its
+    /// positions by rank.
     fn new(
-        x: &DenseMatrix,
         grad: &[f64],
         hess: &[f64],
         rows: &[usize],
         features: &[usize],
-        ranks: &ColumnRanks,
+        cols: &ColumnRanks,
     ) -> Self {
         let m = rows.len();
         assert!(u32::try_from(m).is_ok(), "root positions must fit u32");
-        let mut order = vec![0u32; features.len() * m];
+        let n = grad.len();
+        let mut order = Vec::with_capacity(features.len() * m);
         let mut vals = Vec::with_capacity(features.len() * m);
-        let mut next: Vec<usize> = Vec::new();
-        for (seg, &f) in order.chunks_exact_mut(m).zip(features) {
-            let rank = &ranks.ranks[f];
-            // next[k] = first slot of rank k: the count of smaller ranks.
-            next.clear();
-            next.resize(x.n_rows() + 1, 0);
-            for &r in rows {
-                next[rank[r] as usize + 1] += 1;
+        if m == n && rows.iter().enumerate().all(|(p, &r)| p == r) {
+            for &f in features {
+                order.extend_from_slice(&cols.cols[f].order);
+                vals.extend_from_slice(&cols.cols[f].vals);
             }
-            for k in 1..next.len() {
-                next[k] += next[k - 1];
+        } else {
+            order.resize(features.len() * m, 0);
+            let mut next: Vec<usize> = Vec::new();
+            for (seg, &f) in order.chunks_exact_mut(m).zip(features) {
+                let Column { ranks: rank, vals: col, .. } = &cols.cols[f];
+                // next[k] = first slot of rank k: the count of smaller ranks.
+                next.clear();
+                next.resize(n + 1, 0);
+                for &r in rows {
+                    next[rank[r] as usize + 1] += 1;
+                }
+                for k in 1..next.len() {
+                    next[k] += next[k - 1];
+                }
+                for (p, &r) in rows.iter().enumerate() {
+                    let slot = &mut next[rank[r] as usize];
+                    seg[*slot] = p as u32;
+                    *slot += 1;
+                }
+                vals.extend(rows.iter().map(|&r| col[r]));
             }
-            for (p, &r) in rows.iter().enumerate() {
-                let slot = &mut next[rank[r] as usize];
-                seg[*slot] = p as u32;
-                *slot += 1;
-            }
-            vals.extend(rows.iter().map(|&r| x.get(r, f)));
         }
         Presorted {
             m,
@@ -179,25 +210,120 @@ impl Presorted {
             vals,
             grad: rows.iter().map(|&r| grad[r]).collect(),
             hess: rows.iter().map(|&r| hess[r]).collect(),
+            pos: (0..m as u32).collect(),
             left: vec![false; m],
-            buf: Vec::with_capacity(m),
+            buf: vec![0; m],
         }
     }
 
+    /// Gradient and hessian sums of the node `[lo, hi)`, in list order.
+    fn sums(&self, lo: usize, hi: usize) -> (f64, f64) {
+        let mut g = 0.0;
+        let mut h = 0.0;
+        for &p in &self.pos[lo..hi] {
+            g += self.grad[p as usize];
+            h += self.hess[p as usize];
+        }
+        (g, h)
+    }
+
     /// Applies the split `feature[slot] <= threshold` to the node `[lo, hi)`
-    /// by stable-partitioning every segment with the predicate that
-    /// partitions the node's rows: each child's range is again its own
-    /// stable sorted order.
-    fn split(&mut self, lo: usize, hi: usize, slot: usize, threshold: f64, n_left: usize) {
+    /// and returns its left child's size. It stable-partitions the node's
+    /// positions and, when `segments` is set, every segment with the same
+    /// predicate: each child's range is again its own stable sorted order.
+    /// Children at the depth cap scan nothing, so their parent passes
+    /// `segments = false`.
+    fn split(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        slot: usize,
+        threshold: f64,
+        segments: bool,
+    ) -> usize {
         let base = slot * self.m;
         let vals = &self.vals[base..base + self.m];
-        for &p in &self.order[base + lo..base + hi] {
+        for &p in &self.pos[lo..hi] {
             self.left[p as usize] = vals[p as usize] <= threshold;
         }
-        for seg in self.order.chunks_exact_mut(self.m) {
-            let k = partition(&mut seg[lo..hi], |&p| self.left[p as usize], &mut self.buf);
-            debug_assert_eq!(k, n_left, "every segment must split like the rows");
+        let n_left = partition(&mut self.pos[lo..hi], &self.left, &mut self.buf);
+        if segments {
+            for seg in self.order.chunks_exact_mut(self.m) {
+                let k = partition(&mut seg[lo..hi], &self.left, &mut self.buf);
+                debug_assert_eq!(k, n_left, "every segment must split like the rows");
+            }
         }
+        n_left
+    }
+
+    /// Pass 1 of a scan: walks segment `slot`'s node range `[lo, hi)` once,
+    /// accumulating the left sums in order, and keeps each admissible
+    /// boundary in `c`: a number on its left (the walk stops at the first
+    /// NaN, which sorts last), a different value (`!=`) on its right, and
+    /// enough support on both sides. Returns how many it kept. Up to the
+    /// NaN stop it is branch-free: every boundary is written at the
+    /// cursor, and only an admissible one advances it.
+    fn admissible(
+        &self,
+        slot: usize,
+        lo: usize,
+        hi: usize,
+        h_sum: f64,
+        mcw: f64,
+        c: &mut Candidates,
+    ) -> usize {
+        let base = slot * self.m;
+        let order = &self.order[base + lo..base + hi];
+        let vals = &self.vals[base..base + self.m];
+        let mut k = 0;
+        let mut gl = 0.0;
+        let mut hl = 0.0;
+        // Row counts on each side, counted in floats (exact below 2^53):
+        // a `usize` to `f64` conversion per boundary costs more.
+        let mut nl = 0.0;
+        let mut nr = order.len() as f64;
+        let mut v = vals[order[0] as usize];
+        for (w, pair) in order.windows(2).enumerate() {
+            let p = pair[0] as usize;
+            gl += self.grad[p];
+            hl += self.hess[p];
+            if v.is_nan() {
+                break;
+            }
+            let v_next = vals[pair[1] as usize];
+            nl += 1.0;
+            nr -= 1.0;
+            // Child support: hessian mass (XGBoost semantics) *or*
+            // sample count (LightGBM's min_child_samples). Robust
+            // losses have near-zero hessians on large residuals; a
+            // hessian-only constraint would forbid every split that
+            // isolates the outlier group, structurally preventing
+            // pseudo-Huber/Huber from ever fitting a heavy tail.
+            let hr = h_sum - hl;
+            let thin = ((hl < mcw) & (nl < mcw)) | ((hr < mcw) & (nr < mcw));
+            c.gl[k] = gl;
+            c.hl[k] = hl;
+            c.at[k] = w as u32;
+            k += ((v != v_next) & !thin) as usize;
+            v = v_next;
+        }
+        k
+    }
+}
+
+/// One feature's admissible boundaries at a node: the left sums at each,
+/// then its gain. Every buffer is the root's row count long.
+struct Candidates {
+    gl: Vec<f64>,
+    hl: Vec<f64>,
+    gain: Vec<f64>,
+    /// Offset of the boundary's left side in its node range.
+    at: Vec<u32>,
+}
+
+impl Candidates {
+    fn new(m: usize) -> Self {
+        Candidates { gl: vec![0.0; m], hl: vec![0.0; m], gain: vec![0.0; m], at: vec![0; m] }
     }
 }
 
@@ -232,19 +358,16 @@ impl RegressionTree {
         assert_eq!(grad.len(), x.n_rows());
         assert_eq!(hess.len(), x.n_rows());
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        let sorted = Presorted::new(grad, hess, rows, features, ranks);
         let mut b = Builder {
-            x,
-            grad,
-            hess,
             features,
             params,
-            sorted: Presorted::new(x, grad, hess, rows, features, ranks),
-            row_buf: Vec::with_capacity(rows.len()),
+            cands: Candidates::new(sorted.m),
+            sorted,
             nodes: Vec::new(),
             gains: vec![0.0; x.n_cols()],
         };
-        let mut rows = rows.to_vec();
-        b.build(&mut rows, 0, 0);
+        b.build(0, rows.len(), 0);
         RegressionTree { nodes: b.nodes, gains: b.gains }
     }
 
@@ -313,38 +436,32 @@ struct BestSplit {
 }
 
 impl Builder<'_> {
-    /// Builds the subtree over `rows`, which sit at `[lo, lo + rows.len())`
-    /// of every presorted segment, returning its node index.
-    fn build(&mut self, rows: &mut [usize], lo: usize, depth: usize) -> u32 {
-        let (g_sum, h_sum) = self.sums(rows);
+    /// Builds the subtree over the node `[lo, hi)` of the presorted
+    /// positions, returning its node index.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let (g_sum, h_sum) = self.sorted.sums(lo, hi);
         let leaf_value = -g_sum / (h_sum + self.params.lambda);
 
-        if depth >= self.params.max_depth || rows.len() < 2 {
+        if depth >= self.params.max_depth || hi - lo < 2 {
             return self.push(Node::Leaf { value: leaf_value });
         }
-        let Some(best) = self.best_split(lo, lo + rows.len(), g_sum, h_sum) else {
+        let Some(best) = self.best_split(lo, hi, g_sum, h_sum) else {
             return self.push(Node::Leaf { value: leaf_value });
         };
 
         let feature = self.features[best.slot];
         self.gains[feature] += best.gain;
-        // Partition rows in place around the threshold.
-        let x = self.x;
-        let mid = partition(rows, |&r| x.get(r, feature) <= best.threshold, &mut self.row_buf);
-        debug_assert!(mid > 0 && mid < rows.len(), "split must separate rows");
-        // Children at the depth cap are leaves and scan nothing.
-        if depth + 1 < self.params.max_depth {
-            self.sorted.split(lo, lo + rows.len(), best.slot, best.threshold, mid);
-        }
+        let segments = depth + 1 < self.params.max_depth;
+        let mid = lo + self.sorted.split(lo, hi, best.slot, best.threshold, segments);
+        debug_assert!(mid > lo && mid < hi, "split must separate rows");
         let slot = self.push(Node::Split {
             feature: feature as u32,
             threshold: best.threshold,
             left: 0,
             right: 0,
         });
-        let (l_rows, r_rows) = rows.split_at_mut(mid);
-        let left = self.build(l_rows, lo, depth + 1);
-        let right = self.build(r_rows, lo + mid, depth + 1);
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
         if let Node::Split { left: l, right: r, .. } = &mut self.nodes[slot as usize] {
             *l = left;
             *r = right;
@@ -357,95 +474,64 @@ impl Builder<'_> {
         (self.nodes.len() - 1) as u32
     }
 
-    fn sums(&self, rows: &[usize]) -> (f64, f64) {
-        let mut g = 0.0;
-        let mut h = 0.0;
-        for &r in rows {
-            g += self.grad[r];
-            h += self.hess[r];
-        }
-        (g, h)
-    }
-
-    /// The best admissible split of the node `[lo, hi)`. Features reduce in
-    /// order with a strict-improvement rule, so the earliest feature wins
-    /// ties.
-    fn best_split(&self, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let mut best: Option<BestSplit> = None;
-        for slot in 0..self.features.len() {
-            let Some(cand) = self.scan(slot, lo, hi, g_sum, h_sum) else { continue };
-            if best.as_ref().is_none_or(|b| cand.gain > b.gain) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// Exact greedy scan of feature `features[slot]` over the node
-    /// `[lo, hi)`, walking its presorted segment, returning the feature's
-    /// best admissible split.
-    fn scan(&self, slot: usize, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let sorted = &self.sorted;
-        let lambda = self.params.lambda;
+    /// The best admissible split of the node `[lo, hi)`: the first strict
+    /// maximum of the gain over every offered feature's boundaries, in
+    /// feature order and then boundary order, so the earliest feature and
+    /// the earliest boundary win ties. Three passes per feature:
+    /// `Presorted::admissible` keeps its admissible boundaries, a
+    /// branch-free pass scores them, and a last pass keeps a gain only if
+    /// it beats every earlier one.
+    fn best_split(&mut self, lo: usize, hi: usize, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+        let TreeParams { min_child_weight, lambda, gamma, .. } = self.params;
         let parent_score = g_sum * g_sum / (h_sum + lambda);
+        let c = &mut self.cands;
         let mut best: Option<BestSplit> = None;
-        let base = slot * sorted.m;
-        let order = &sorted.order[base + lo..base + hi];
-        let vals = &sorted.vals[base..base + sorted.m];
-
-        let mut gl = 0.0;
-        let mut hl = 0.0;
-        for w in 0..order.len() - 1 {
-            let p = order[w] as usize;
-            gl += sorted.grad[p];
-            hl += sorted.hess[p];
-            let v = vals[p];
-            if v.is_nan() {
-                break; // NaN sorts last: no boundary from here on has a number on its left
+        // Only a positive gain splits.
+        let mut best_gain = 0.0;
+        for slot in 0..self.features.len() {
+            let n = self.sorted.admissible(slot, lo, hi, h_sum, min_child_weight, c);
+            let (gl, hl, gain) = (&c.gl[..n], &c.hl[..n], &mut c.gain[..n]);
+            for (gain, (&gl, &hl)) in gain.iter_mut().zip(gl.iter().zip(hl)) {
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                *gain = 0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
+                    - gamma;
             }
-            let v_next = vals[order[w + 1] as usize];
-            if v == v_next {
-                continue; // cannot separate equal values
+            let mut win = None;
+            for (i, &gain) in gain.iter().enumerate() {
+                if gain > best_gain {
+                    best_gain = gain;
+                    win = Some(i);
+                }
             }
-            let gr = g_sum - gl;
-            let hr = h_sum - hl;
-            // Child support: hessian mass (XGBoost semantics) *or*
-            // sample count (LightGBM's min_child_samples). Robust
-            // losses have near-zero hessians on large residuals; a
-            // hessian-only constraint would forbid every split that
-            // isolates the outlier group, structurally preventing
-            // pseudo-Huber/Huber from ever fitting a heavy tail.
-            let nl = (w + 1) as f64;
-            let nr = (order.len() - w - 1) as f64;
-            let mcw = self.params.min_child_weight;
-            if (hl < mcw && nl < mcw) || (hr < mcw && nr < mcw) {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent_score)
-                - self.params.gamma;
-            if gain > 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                best = Some(BestSplit { slot, threshold: split_threshold(v, v_next), gain });
+            if let Some(i) = win {
+                let base = slot * self.sorted.m + lo + c.at[i] as usize;
+                let order = &self.sorted.order[base..base + 2];
+                let vals = &self.sorted.vals[slot * self.sorted.m..];
+                let threshold = split_threshold(vals[order[0] as usize], vals[order[1] as usize]);
+                best = Some(BestSplit { slot, threshold, gain: best_gain });
             }
         }
         best
     }
 }
 
-/// Stable in-place partition; returns the number of elements satisfying
-/// `pred` (moved to the front). `buf` is scratch for the rest.
-fn partition<T: Copy, F: Fn(&T) -> bool>(xs: &mut [T], pred: F, buf: &mut Vec<T>) -> usize {
-    buf.clear();
+/// Stable in-place partition of `xs` by each element's `left` flag;
+/// returns the number flagged, which move to the front. Branch-free: every
+/// element is written both at the front cursor and into the scratch `buf`
+/// (at least `xs.len()` long), and its flag picks which cursor advances.
+fn partition(xs: &mut [u32], left: &[bool], buf: &mut [u32]) -> usize {
     let mut k = 0;
+    let mut j = 0;
     for i in 0..xs.len() {
-        if pred(&xs[i]) {
-            xs[k] = xs[i];
-            k += 1;
-        } else {
-            buf.push(xs[i]);
-        }
+        let x = xs[i];
+        let l = usize::from(left[x as usize]);
+        xs[k] = x;
+        buf[j] = x;
+        k += l;
+        j += 1 - l;
     }
-    xs[k..].copy_from_slice(buf);
+    xs[k..].copy_from_slice(&buf[..j]);
     k
 }
 
@@ -466,7 +552,8 @@ mod tests {
     #[test]
     fn partition_stable() {
         let mut v = [5, 2, 8, 1, 9, 4];
-        let k = partition(&mut v, |&x| x < 5, &mut Vec::new());
+        let left: Vec<bool> = (0..10).map(|x| x < 5).collect();
+        let k = partition(&mut v, &left, &mut [0; 6]);
         assert_eq!(k, 3);
         assert_eq!(&v[..3], &[2, 1, 4]);
         assert_eq!(&v[3..], &[5, 8, 9]);

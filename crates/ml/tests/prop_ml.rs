@@ -366,9 +366,19 @@ fn cell(rng: &mut Mix) -> f64 {
     }
 }
 
+/// Root row-list kinds: the identity `0..n` is the only one a tree may
+/// order by copying the fit-wide column orders; every other kind takes
+/// the stable counting sort, ties in list order.
+const ROOT_KINDS: [&str; 5] = [
+    "identity",
+    "shuffled 70% subsample",
+    "bootstrap with duplicates",
+    "every row, shuffled",
+    "ascending proper subset",
+];
+
 /// A random problem: matrix, gradients, hessians, a root row list of the
-/// given kind (0 identity, 1 shuffled subsample, 2 bootstrap with
-/// duplicates) and a shuffled feature subset.
+/// given kind (an index into `ROOT_KINDS`) and a shuffled feature subset.
 fn problem(
     rng: &mut Mix,
     n: usize,
@@ -385,7 +395,20 @@ fn problem(
     let rows = match kind {
         0 => (0..n).collect(),
         1 => shuffled[..(n * 7).div_ceil(10)].to_vec(),
-        _ => (0..n).map(|_| rng.below(n)).collect(),
+        2 => (0..n).map(|_| rng.below(n)).collect(),
+        3 => {
+            // Every row, but never in order: a shuffle that drew the
+            // identity swaps its first two rows.
+            if shuffled.iter().enumerate().all(|(i, &r)| i == r) {
+                shuffled.swap(0, 1);
+            }
+            shuffled
+        }
+        _ => {
+            let mut subset = shuffled[..(n * 7).div_ceil(10).min(n - 1)].to_vec();
+            subset.sort_unstable();
+            subset
+        }
     };
     let mut features: Vec<usize> = (0..p).collect();
     for i in (1..p).rev() {
@@ -409,7 +432,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         n in 2usize..120,
         p in 1usize..6,
-        kind in 0usize..3,
+        kind in 0usize..ROOT_KINDS.len(),
         max_depth in 0usize..7,
         mcw_i in 0usize..4,
         gamma_i in 0usize..2,
@@ -425,16 +448,15 @@ proptest! {
         };
         let want = reference::fit_text(&x, &grad, &hess, &rows, &features, params);
         let got = tree_text(&RegressionTree::fit(&x, &grad, &hess, &rows, &features, params));
-        prop_assert_eq!(got, want, "seed {} n {} kind {} params {:?}", seed, n, kind, params);
+        prop_assert_eq!(got, want, "seed {} n {} kind {} params {:?}", seed, n, ROOT_KINDS[kind], params);
     }
 }
 
 #[test]
 fn presorted_search_equals_the_per_node_sort_at_1500_rows() {
     // The property above stays below 120 rows. This checks the same
-    // identity on long segments, once per root row kind: all rows, a
-    // shuffled 70% subset, and a bootstrap draw with duplicates.
-    for kind in 0..3 {
+    // identity on long segments, once per root row kind.
+    for (kind, name) in ROOT_KINDS.iter().enumerate() {
         let mut rng = Mix(0xFA_0000 + kind as u64);
         let (x, grad, hess, rows, _) = problem(&mut rng, 1500, 12, kind);
         let features: Vec<usize> = (0..12).collect();
@@ -446,6 +468,6 @@ fn presorted_search_equals_the_per_node_sort_at_1500_rows() {
         };
         let want = reference::fit_text(&x, &grad, &hess, &rows, &features, params);
         let t = RegressionTree::fit(&x, &grad, &hess, &rows, &features, params);
-        assert_eq!(tree_text(&t), want, "row kind {kind}");
+        assert_eq!(tree_text(&t), want, "row kind {name}");
     }
 }

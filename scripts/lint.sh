@@ -23,8 +23,9 @@
 # The ML gate runs every domd-ml integration suite: the branchless
 # compiled descent bit-identical to the pointer walker, pooled forest
 # fits bit-stable across worker counts, and presorted exact-greedy trees
-# byte-identical to a per-node sort; then tiny-scale identity-gated
-# smokes of the gbt and parallel-runtime benches. The ingest, restart
+# byte-identical to a per-node sort over five root row kinds; then
+# tiny-scale identity-gated smokes of the gbt and parallel-runtime
+# benches. domd-core's golden suite pins two trained artifacts. The ingest, restart
 # and WAL benches then run one tiny round each, so their identity asserts
 # (maintained view vs a from-scratch build; store-rebuilt vs from-scratch
 # snapshot; both durable stores vs the bare row map, entries and flat-AVL
@@ -88,6 +89,10 @@ fi
 cargo test -q -p domd-data --tests
 DOMD_THREADS=2 cargo test -q -p domd-runtime
 DOMD_THREADS=2 cargo test -q -p domd-features --tests
+# domd-core's suites include the two artifact pins (golden.rs): FNV-1a
+# hashes of `paper_final`, whose trees copy the fit-wide column orders,
+# and of a stacked `default0` at `subsample = 0.8`, whose trees take the
+# counting sort and whose static base model is trained too.
 DOMD_THREADS=2 cargo test -q -p domd-core --tests
 # Recompute after ingest on the projected path: the touched avail's served
 # predict is `predict_online_checked` on the new epoch, every other avail
@@ -110,9 +115,14 @@ DOMD_THREADS=2 cargo test -q -p domd-index --tests
 # row and batch) must stay bit-identical to the pointer walker
 # (prop_flat), pooled forest fits thread-stable across worker counts
 # (parallel_equivalence), and presorted exact-greedy trees byte-identical
-# to the per-node stable sort they replaced (prop_ml); then tiny-scale
-# smoke runs of the gbt and parallel-runtime benches (each asserts its
-# bit-identity gates before any timing).
+# to the per-node stable sort they replaced (prop_ml) on five root row
+# kinds: every row in order (the only kind that copies the fit-wide
+# orders), a shuffled 70% subsample, a bootstrap with duplicates, every
+# row shuffled, and an ascending proper subset. Then tiny-scale smoke
+# runs of the gbt and parallel-runtime benches (each asserts its
+# bit-identity gates before any timing). The artifact pins
+# (`paper_final` and the stacked, subsampled `default0`) run with
+# domd-core's suites above.
 DOMD_THREADS=2 cargo test -q -p domd-ml --tests
 cargo build --release -q -p domd-bench --bin bench_gbt --bin bench_parallel
 target/release/bench_gbt --scales 1 --runs 1 --trees 16 --depth 4 \
